@@ -62,7 +62,6 @@ from .problems import (
     gen_spd,
     load_problem,
     make_stochastic,
-    quadratic_reference,
     save_problem,
 )
 
@@ -110,7 +109,6 @@ __all__ = [
     "make_stochastic",
     "prescribed_schedule",
     "psi_hat",
-    "quadratic_reference",
     "save_problem",
     "solve_inner_sgd",
     "solve_linear_cg",

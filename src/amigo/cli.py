@@ -26,7 +26,8 @@ import numpy as np
 
 from .inner import DivergenceError
 from .metrics import MetricsTracker
-from .outer import RunRecord, SolverConfig, aid_run, itd_run, prescribed_schedule
+from .oracle import UnsupportedOperationError
+from .outer import RunRecord, SolverConfig, aid_run, check_supported, itd_run, prescribed_schedule
 from .problems import (
     NoiseSpec,
     describe_problem,
@@ -296,7 +297,7 @@ def _sweep_cell(task: dict) -> dict:
         rows = record.rows
         diverged_at = None
     except DivergenceError as err:
-        rows = getattr(err, "partial_rows", [])
+        rows = err.partial_rows
         diverged_at = err.outer_iteration
     min_rel = min(
         (r.rel_error for r in rows if r.rel_error is not None), default=None
@@ -355,6 +356,10 @@ def run_sweep(
     bad = [m for m in methods if m not in METHODS]
     if bad:
         raise ValueError(f"unknown methods in sweep: {bad}")
+    noise = build_noise(noise_spec)
+    for method in methods:
+        # The unrolled methods name no linear solver.
+        check_supported(METHODS[method].get("linear_solver"), noise)
     kappas = list(kappa_g_grid) if kappa_g_grid else [problem_spec.get("kappa_g")]
     tasks = []
     for kappa in kappas:
@@ -585,7 +590,7 @@ def cmd_run(args) -> int:
         record = run_single(problem, method, config, seed, noise)
         rows = record.rows
     except DivergenceError as err:
-        rows = getattr(err, "partial_rows", [])
+        rows = err.partial_rows
         summary_diverged = err.outer_iteration
         record = None
     csv_text = rows_to_csv(rows, method, seed, timing=args.timing)
@@ -646,7 +651,7 @@ def cmd_check(args) -> int:
     for chk in checks:
         status = "PASS" if chk["passed"] else "FAIL"
         print(f"[check] {chk['name']}: value={chk['value']} tol={chk['tol']}: {status}")
-    return 0
+    return 0 if all(chk["passed"] for chk in checks) else 1
 
 
 def main(argv=None) -> int:
@@ -675,7 +680,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, UnsupportedOperationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -37,12 +37,14 @@ _STEP_SLACK = 1.0 + 1e-12
 
 
 class DivergenceError(RuntimeError):
-    """A solver produced a non-finite iterate."""
+    """A solver produced a non-finite iterate; partial_rows holds a driver's recorded rows."""
 
-    def __init__(self, message: str, step: int | None = None, outer_iteration: int | None = None):
+    def __init__(self, message: str, step: int | None = None,
+                 outer_iteration: int | None = None, partial_rows: list | None = None):
         super().__init__(message)
         self.step = step
         self.outer_iteration = outer_iteration
+        self.partial_rows = [] if partial_rows is None else partial_rows
 
 
 @dataclass

@@ -116,13 +116,14 @@ class MetricsTracker:
     rel_error and the strongly convex error measures require the problem to
     expose gap(x) and x_star; grad_norm_sq only needs grad_L.  The running
     mean of the squared gradient norm covers rows 1..k (row 0 reports its
-    own value).  The outer energy uses the constant-step weights: for
+    own value).  rel_error is the gap over ``gap0``, by default the gap of
+    the first row.  The outer energy uses the constant-step weights: for
     mu_outer > 0 it is mu/2 ||x - x*||^2 + (1 - u)(L(x) - L*); otherwise,
     when a smoothness bound L_outer is known, ||grad L(x)||^2 / (2 L_outer).
     """
 
     def __init__(self, problem, mu_outer: float | None = None, L_outer: float | None = None,
-                 u: int = 0):
+                 u: int = 0, gap0: float | None = None):
         if getattr(problem, "grad_L", None) is None:
             raise ValueError(f"{type(problem).__name__} exposes no gradient reference")
         self.problem = problem
@@ -135,7 +136,7 @@ class MetricsTracker:
             and getattr(problem, "gap", None) is not None
             and getattr(problem, "x_star", None) is not None
         )
-        self._gap0: float | None = None
+        self._gap0: float | None = gap0
         self._gns_sum = 0.0
         self._gns_count = 0
 
@@ -184,7 +185,5 @@ def compute_metrics(
     k: int = 0,
 ) -> MetricRow:
     """One-shot metric row; pass gap0 to get a meaningful rel_error."""
-    tracker = MetricsTracker(problem, mu_outer=mu_outer, L_outer=L_outer, u=u)
-    if gap0 is not None:
-        tracker._gap0 = gap0
+    tracker = MetricsTracker(problem, mu_outer=mu_outer, L_outer=L_outer, u=u, gap0=gap0)
     return tracker.row(k, x_k, counter)

@@ -1,12 +1,12 @@
 """Outer-loop drivers and the prescribed constant-step schedule.
 
-One shared loop serves the whole warm-start family: at each outer iteration
-the inner variable is refreshed by stochastic gradient steps (warm-started
-from the previous value or reset), both partials of f are taken on a fresh
-batch, the adjoint linear system is solved by the configured linear solver
-(warm-started or from zero), and the outer iterate moves along the
-assembled gradient estimate.  The unrolled-differentiation driver replaces
-the adjoint solve with reverse accumulation through the inner loop.
+One loop serves every driver; each supplies only its per-iteration
+gradient step.  The implicit step refreshes the inner variable by
+stochastic gradient steps (warm-started from the previous value or reset),
+takes both partials of f on a fresh batch, solves the adjoint linear system
+with the configured linear solver (warm-started or from zero) and assembles
+the gradient estimate.  The unrolled step replaces the adjoint solve with
+reverse accumulation through the inner loop.
 """
 
 from __future__ import annotations
@@ -29,7 +29,13 @@ from .inner import (
     solve_linear_sgd,
 )
 from .metrics import CountingOracle, MetricRow, MetricsTracker, OracleCounter
-from .oracle import DerivedConstants, InvalidConstantsError, SmoothnessConstants, derive_constants
+from .oracle import (
+    DerivedConstants,
+    InvalidConstantsError,
+    SmoothnessConstants,
+    UnsupportedOperationError,
+    derive_constants,
+)
 from .problems import NoiseSpec
 
 __all__ = [
@@ -37,6 +43,7 @@ __all__ = [
     "ScheduleDiagnostics",
     "RunRecord",
     "prescribed_schedule",
+    "check_supported",
     "amigo_run",
     "aid_run",
     "itd_run",
@@ -259,6 +266,22 @@ class RunRecord:
     xhats: list[np.ndarray] | None = None
 
 
+def check_supported(linear_solver: str | None, noise: NoiseSpec | None) -> None:
+    """Reject a (method, noise) pair that cannot run, before any oracle query.
+
+    ``linear_solver`` is None for the unrolled drivers, which take no noise.
+    Only the ``sgd`` linear solver passes a random stream to Hessian queries.
+    """
+    if noise is None or not noise.any_noise:
+        return
+    if linear_solver is None:
+        raise UnsupportedOperationError("unrolled differentiation requires a deterministic oracle")
+    if linear_solver != "sgd" and noise.sigma_gyy_tilde > 0:
+        raise UnsupportedOperationError(
+            f"the {linear_solver!r} linear solver is deterministic; only 'sgd' takes Hessian noise"
+        )
+
+
 def _solve_linear(co, config: SolverConfig, x, y, v, z_start, rng):
     kind = config.linear_solver
     if kind == "sgd":
@@ -279,6 +302,69 @@ def _init_vec(value, dim: int) -> np.ndarray:
     if value.shape != (dim,):
         raise ValueError(f"initial vector has shape {value.shape}, expected ({dim},)")
     return value
+
+
+def _outer_loop(
+    oracle, config: SolverConfig, x0, y, z, step: Callable, linear_solver: str | None,
+    delta: float | None, metrics_hook, tracker, store_iterates, stop, problem_header,
+) -> RunRecord:
+    """The outer loop every driver shares.
+
+    ``step(co, k, x, y, z)`` returns ``(psi, y, z)``: the gradient estimate
+    at x and the refreshed inner variables, with z None for drivers that
+    keep no adjoint.  With an averaging weight ``delta`` the loop also
+    tracks xhat.  A DivergenceError raised in iteration k leaves carrying k
+    and the rows recorded so far.
+    """
+    check_supported(linear_solver, getattr(oracle, "noise", None))
+    counter = OracleCounter()
+    co = CountingOracle(oracle, counter)
+    x = np.array(x0, dtype=float, copy=True)
+    if x.shape != (oracle.dims.dx,):
+        raise ValueError(f"x0 has shape {x.shape}, expected ({oracle.dims.dx},)")
+    xhat = None if delta is None else x.copy()
+    t0 = time.perf_counter()
+    rows: list[MetricRow] = []
+    if tracker is not None:
+        rows.append(tracker.row(0, x, counter.snapshot(), 0.0))
+    xs = [x.copy()] if store_iterates else None
+    ys = [] if store_iterates else None
+    zs = [] if (store_iterates and z is not None) else None
+    xhats = [xhat.copy()] if (store_iterates and xhat is not None) else None
+    iterations = 0
+    for k in range(config.K):
+        try:
+            psi, y, z = step(co, k, x, y, z)
+            if metrics_hook is not None:
+                zk = None if z is None else z.copy()
+                metrics_hook(k, x.copy(), y.copy(), zk, counter.snapshot())
+            if store_iterates:
+                ys.append(y.copy())
+                if zs is not None:
+                    zs.append(z.copy())
+            x = x - config.gamma * psi
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(f"outer iterate diverged at iteration {k}")
+        except DivergenceError as err:
+            err.outer_iteration = k
+            err.partial_rows = rows
+            raise
+        if xhat is not None:
+            xhat = (1.0 - delta) * xhat + delta * x
+        iterations = k + 1
+        if store_iterates:
+            xs.append(x.copy())
+            if xhats is not None:
+                xhats.append(xhat.copy())
+        if tracker is not None:
+            rows.append(tracker.row(k + 1, x, counter.snapshot(), time.perf_counter() - t0))
+            if stop is not None and stop(rows[-1]):
+                break
+    return RunRecord(
+        rows=rows, x_final=x, y_final=y, z_final=z, xhat_final=xhat, counter=counter,
+        config=config, problem_header=problem_header, wall_s=time.perf_counter() - t0,
+        iterations_run=iterations, xs=xs, ys=ys, zs=zs, xhats=xhats,
+    )
 
 
 def aid_run(
@@ -303,17 +389,9 @@ def aid_run(
     once per iteration with the pre-update iterate so hook consumers see
     aligned (x, y, z) triples.
     """
-    dims = oracle.dims
-    counter = OracleCounter()
-    co = CountingOracle(oracle, counter)
-    x = np.array(x0, dtype=float, copy=True)
-    if x.shape != (dims.dx,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({dims.dx},)")
-    y_init = _init_vec(y_init, dims.dy)
-    z_init = _init_vec(z_init, dims.dy)
-    y = y_init.copy()
-    z = z_init.copy()
-    xhat = None
+    dy = oracle.dims.dy
+    y_init = _init_vec(y_init, dy)
+    z_init = _init_vec(z_init, dy)
     delta = None
     if config.u == 1:
         if config.mu_outer is None or config.mu_outer <= 0:
@@ -321,69 +399,21 @@ def aid_run(
         delta = config.mu_outer * config.gamma
         if not 0 < delta <= 1:
             raise ValueError(f"averaging weight delta={delta} outside (0, 1]")
-        xhat = x.copy()
-    t0 = time.perf_counter()
-    rows: list[MetricRow] = []
-    if tracker is not None:
-        rows.append(tracker.row(0, x, counter.snapshot(), 0.0))
-    xs = [x.copy()] if store_iterates else None
-    ys = [] if store_iterates else None
-    zs = [] if store_iterates else None
-    xhats = [xhat.copy()] if (store_iterates and xhat is not None) else None
-    iterations = 0
-    for k in range(config.K):
-        try:
-            y_start = y if config.warm_y else y_init
-            y = solve_inner_sgd(
-                co, x, y_start, config.alpha, config.T, batch_g=config.batch_g, rng=rng
-            ).out
-            u_vec, v_vec = co.grad_f(x, y, batch_size=config.batch_f, rng=rng)
-            z_start = z if config.warm_z else np.zeros(dims.dy)
-            z = _solve_linear(co, config, x, y, v_vec, z_start, rng)
-            w_vec = co.jvp_gxy(x, y, z, batch_size=config.batch_gxy, rng=rng)
-        except DivergenceError as err:
-            err.outer_iteration = k
-            err.partial_rows = rows
-            raise
-        psi = u_vec + w_vec
-        if metrics_hook is not None:
-            metrics_hook(k, x.copy(), y.copy(), z.copy(), counter.snapshot())
-        if store_iterates:
-            ys.append(y.copy())
-            zs.append(z.copy())
-        x = x - config.gamma * psi
-        if not np.all(np.isfinite(x)):
-            err = DivergenceError(
-                f"outer iterate diverged at iteration {k}", outer_iteration=k
-            )
-            err.partial_rows = rows
-            raise err
-        if xhat is not None:
-            xhat = (1.0 - delta) * xhat + delta * x
-        iterations = k + 1
-        if store_iterates:
-            xs.append(x.copy())
-            if xhats is not None:
-                xhats.append(xhat.copy())
-        if tracker is not None:
-            rows.append(tracker.row(k + 1, x, counter.snapshot(), time.perf_counter() - t0))
-            if stop is not None and stop(rows[-1]):
-                break
-    return RunRecord(
-        rows=rows,
-        x_final=x,
-        y_final=y,
-        z_final=z,
-        xhat_final=xhat,
-        counter=counter,
-        config=config,
-        problem_header=problem_header,
-        wall_s=time.perf_counter() - t0,
-        iterations_run=iterations,
-        xs=xs,
-        ys=ys,
-        zs=zs,
-        xhats=xhats,
+
+    def step(co, k, x, y, z):
+        y_start = y if config.warm_y else y_init
+        y = solve_inner_sgd(
+            co, x, y_start, config.alpha, config.T, batch_g=config.batch_g, rng=rng
+        ).out
+        u_vec, v_vec = co.grad_f(x, y, batch_size=config.batch_f, rng=rng)
+        z_start = z if config.warm_z else np.zeros(dy)
+        z = _solve_linear(co, config, x, y, v_vec, z_start, rng)
+        w_vec = co.jvp_gxy(x, y, z, batch_size=config.batch_gxy, rng=rng)
+        return u_vec + w_vec, y, z
+
+    return _outer_loop(
+        oracle, config, x0, y_init.copy(), z_init.copy(), step, config.linear_solver, delta,
+        metrics_hook, tracker, store_iterates, stop, problem_header,
     )
 
 
@@ -422,60 +452,15 @@ def itd_run(
 
     The inner variable is always warm-started across outer iterations.  With
     ``increasing_T`` the unroll length grows as ceil(T * log(k + 2)).
-    Deterministic oracles only.
+    Deterministic oracles only; the averaging switch u is ignored.
     """
-    dims = oracle.dims
-    counter = OracleCounter()
-    co = CountingOracle(oracle, counter)
-    x = np.array(x0, dtype=float, copy=True)
-    y = _init_vec(y_init, dims.dy)
-    t0 = time.perf_counter()
-    rows: list[MetricRow] = []
-    if tracker is not None:
-        rows.append(tracker.row(0, x, counter.snapshot(), 0.0))
-    xs = [x.copy()] if store_iterates else None
-    ys = [] if store_iterates else None
-    iterations = 0
-    for k in range(config.K):
+
+    def step(co, k, x, y, z):
         T_k = math.ceil(config.T * math.log(k + 2)) if increasing_T else config.T
-        try:
-            result = itd_hypergradient(co, x, y, config.alpha, T_k)
-        except DivergenceError as err:
-            err.outer_iteration = k
-            err.partial_rows = rows
-            raise
-        y = result.y_final
-        if metrics_hook is not None:
-            metrics_hook(k, x.copy(), y.copy(), None, counter.snapshot())
-        if store_iterates:
-            ys.append(y.copy())
-        x = x - config.gamma * result.grad
-        if not np.all(np.isfinite(x)):
-            err = DivergenceError(
-                f"outer iterate diverged at iteration {k}", outer_iteration=k
-            )
-            err.partial_rows = rows
-            raise err
-        iterations = k + 1
-        if store_iterates:
-            xs.append(x.copy())
-        if tracker is not None:
-            rows.append(tracker.row(k + 1, x, counter.snapshot(), time.perf_counter() - t0))
-            if stop is not None and stop(rows[-1]):
-                break
-    return RunRecord(
-        rows=rows,
-        x_final=x,
-        y_final=y,
-        z_final=None,
-        xhat_final=None,
-        counter=counter,
-        config=config,
-        problem_header=problem_header,
-        wall_s=time.perf_counter() - t0,
-        iterations_run=iterations,
-        xs=xs,
-        ys=ys,
-        zs=None,
-        xhats=None,
+        result = itd_hypergradient(co, x, y, config.alpha, T_k)
+        return result.grad, result.y_final, None
+
+    return _outer_loop(
+        oracle, config, x0, _init_vec(y_init, oracle.dims.dy), None, step, None, None,
+        metrics_hook, tracker, store_iterates, stop, problem_header,
     )

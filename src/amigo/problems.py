@@ -39,7 +39,6 @@ __all__ = [
     "gen_ridge_hpo",
     "gen_nonconvex",
     "make_stochastic",
-    "quadratic_reference",
     "save_problem",
     "load_problem",
     "describe_problem",
@@ -97,53 +96,34 @@ class _DeterministicProblem(BilevelOracle):
     """Shared plumbing for the synthetic families (all deterministic)."""
 
     family: str = ""
-
-    def __init__(self) -> None:
-        self._dims: Dims | None = None
+    _dims: Dims
 
     @property
     def dims(self) -> Dims:
-        assert self._dims is not None
         return self._dims
 
-    def header(self) -> dict:
-        raise NotImplementedError
 
-    def to_bytes(self) -> bytes:
-        raise NotImplementedError
+class _LinearInnerProblem(_DeterministicProblem):
+    """Quadratic inner cost under an outer cost that is linear in y.
 
-
-class QuadraticProblem(_DeterministicProblem):
-    """Quadratic outer and inner costs with dense closed forms.
-
-    f(x, y) = x' A_f x / 2 + y' C_f and g(x, y) = y' A_g y / 2 + y' B_g x.
-    Because f is linear in y, the outer loss L(x) is the quadratic
-    x' A_f x / 2 - x' B_g' inv(A_g) C_f, whose Hessian is exactly A_f.
+    g(x, y) = y' A_g y / 2 + y' B_g x and f(x, y) = y' C_f + (a term in x
+    alone).  Because f is linear in y, the adjoint z* = -inv(A_g) C_f does
+    not depend on (x, y) and the outer gradient is the gradient of the x
+    term plus the constant B_g' z*.  Subclasses define the x term:
+    grad_fx, grad_L, L_value, f_value, outer_smoothness and _arrays.
     """
 
-    family = "quadratic"
-
-    def __init__(self, A_f, C_f, A_g, B_g, seed: int = -1):
-        super().__init__()
-        self.A_f = np.asarray(A_f, dtype=float)
+    def __init__(self, C_f, A_g, B_g, seed: int):
         self.C_f = np.asarray(C_f, dtype=float)
         self.A_g = np.asarray(A_g, dtype=float)
         self.B_g = np.asarray(B_g, dtype=float)
         self.seed = int(seed)
-        dx = self.A_f.shape[0]
-        dy = self.A_g.shape[0]
-        if self.A_f.shape != (dx, dx) or self.A_g.shape != (dy, dy):
-            raise ValueError("A_f and A_g must be square")
-        if self.B_g.shape != (dy, dx) or self.C_f.shape != (dy,):
-            raise ValueError(
-                f"inconsistent shapes: B_g {self.B_g.shape}, C_f {self.C_f.shape}"
-            )
+        dy, dx = self.B_g.shape
+        if self.A_g.shape != (dy, dy) or self.C_f.shape != (dy,):
+            raise ValueError(f"A_g {self.A_g.shape} or C_f {self.C_f.shape} mismatch B_g {dy, dx}")
         self._dims = Dims(dx, dy)
 
     # Oracle surface. Deterministic: batch_size and rng are ignored.
-    def grad_fx(self, x, y, batch_size=1, rng=None):
-        return self.A_f @ x
-
     def grad_fy(self, x, y, batch_size=1, rng=None):
         return self.C_f.copy()
 
@@ -161,34 +141,23 @@ class QuadraticProblem(_DeterministicProblem):
         return cho_factor(self.A_g)
 
     @cached_property
-    def _chol_f(self):
-        return cho_factor(self.A_f)
-
-    @cached_property
     def _eigs_g(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.A_g)
 
     @cached_property
-    def _eigs_f(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.A_f)
-
-    @cached_property
     def _constants(self) -> SmoothnessConstants:
+        # f is linear in y, so its smoothness is that of the outer loss.
         return SmoothnessConstants(
             mu_g=float(self._eigs_g[0]),
             L_g=float(self._eigs_g[-1]),
             Lg_prime=float(np.linalg.norm(self.B_g, 2)),
             M_g=0.0,
-            L_f=float(self._eigs_f[-1]),
+            L_f=self.outer_smoothness()[0],
             B=float(np.linalg.norm(self.C_f)),
         )
 
     def constants(self) -> SmoothnessConstants:
         return self._constants
-
-    def outer_smoothness(self) -> tuple[float, float]:
-        """Exact (L, mu) of the outer loss: the extreme eigenvalues of A_f."""
-        return float(self._eigs_f[-1]), float(self._eigs_f[0])
 
     # Closed forms.
     def y_star(self, x) -> np.ndarray:
@@ -202,19 +171,75 @@ class QuadraticProblem(_DeterministicProblem):
         return self.z_star_vec.copy()
 
     @cached_property
-    def _grad_offset(self) -> np.ndarray:
-        # B_g' z*, the constant part of the outer gradient.
+    def grad_offset(self) -> np.ndarray:
+        """B_g' z*, the constant part of the outer gradient."""
         return self.B_g.T @ self.z_star_vec
+
+    def header(self) -> dict:
+        eg = self._eigs_g
+        return {
+            "family": self.family,
+            "dx": self.dims.dx,
+            "dy": self.dims.dy,
+            "n_aux1": 0,
+            "n_aux2": 0,
+            "seed": self.seed,
+            "kappa_g": float(eg[-1] / eg[0]),
+            "kappa_L": float("nan"),
+            "extra": 0.0,
+        }
+
+
+def _draw_coupling(rng: np.random.Generator, dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
+    """B_g scaled to unit operator norm and C_f a Gaussian direction of norm sqrt(dy)."""
+    b_g = rng.standard_normal((dy, dx))
+    b_g /= np.linalg.norm(b_g, 2)
+    c_f = rng.standard_normal(dy)
+    c_f *= math.sqrt(dy) / np.linalg.norm(c_f)
+    return b_g, c_f
+
+
+class QuadraticProblem(_LinearInnerProblem):
+    """Quadratic outer and inner costs with dense closed forms.
+
+    f(x, y) = x' A_f x / 2 + y' C_f and g(x, y) = y' A_g y / 2 + y' B_g x.
+    Because f is linear in y, the outer loss L(x) is the quadratic
+    x' A_f x / 2 - x' B_g' inv(A_g) C_f, whose Hessian is exactly A_f.
+    """
+
+    family = "quadratic"
+
+    def __init__(self, A_f, C_f, A_g, B_g, seed: int = -1):
+        super().__init__(C_f, A_g, B_g, seed)
+        self.A_f = np.asarray(A_f, dtype=float)
+        dx = self.dims.dx
+        if self.A_f.shape != (dx, dx):
+            raise ValueError(f"A_f has shape {self.A_f.shape}, expected ({dx}, {dx})")
+
+    def grad_fx(self, x, y, batch_size=1, rng=None):
+        return self.A_f @ x
+
+    @cached_property
+    def _chol_f(self):
+        return cho_factor(self.A_f)
+
+    @cached_property
+    def _eigs_f(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.A_f)
+
+    def outer_smoothness(self) -> tuple[float, float]:
+        """Exact (L, mu) of the outer loss: the extreme eigenvalues of A_f."""
+        return float(self._eigs_f[-1]), float(self._eigs_f[0])
 
     @cached_property
     def x_star(self) -> np.ndarray:
-        return -cho_solve(self._chol_f, self._grad_offset)
+        return -cho_solve(self._chol_f, self.grad_offset)
 
     def grad_L(self, x) -> np.ndarray:
-        return self.A_f @ x + self._grad_offset
+        return self.A_f @ x + self.grad_offset
 
     def L_value(self, x) -> float:
-        return float(0.5 * x @ (self.A_f @ x) + x @ self._grad_offset)
+        return float(0.5 * x @ (self.A_f @ x) + x @ self.grad_offset)
 
     @cached_property
     def L_star(self) -> float:
@@ -229,6 +254,7 @@ class QuadraticProblem(_DeterministicProblem):
         return float(0.5 * x @ (self.A_f @ x) + y @ self.C_f)
 
     def reference(self, x) -> dict:
+        """All closed-form quantities at x."""
         x = np.asarray(x, dtype=float)
         return {
             "y_star": self.y_star(x),
@@ -240,18 +266,8 @@ class QuadraticProblem(_DeterministicProblem):
         }
 
     def header(self) -> dict:
-        eg, ef = self._eigs_g, self._eigs_f
-        return {
-            "family": self.family,
-            "dx": self.dims.dx,
-            "dy": self.dims.dy,
-            "n_aux1": 0,
-            "n_aux2": 0,
-            "seed": self.seed,
-            "kappa_g": float(eg[-1] / eg[0]),
-            "kappa_L": float(ef[-1] / ef[0]),
-            "extra": 0.0,
-        }
+        ef = self._eigs_f
+        return {**super().header(), "kappa_L": float(ef[-1] / ef[0])}
 
     def _arrays(self) -> list[np.ndarray]:
         return [self.A_f, self.C_f, self.A_g, self.B_g]
@@ -270,19 +286,11 @@ def gen_quadratic(dx: int, dy: int, kappa_g: float, kappa_L: float, seed: int) -
     rng = np.random.default_rng(seed)
     a_g = gen_spd(dy, 1.0 / kappa_g, 1.0, seed=int(rng.integers(2**62)))
     a_f = gen_spd(dx, 1.0 / kappa_L, 1.0, seed=int(rng.integers(2**62)))
-    b_g = rng.standard_normal((dy, dx))
-    b_g /= np.linalg.norm(b_g, 2)
-    c_f = rng.standard_normal(dy)
-    c_f *= math.sqrt(dy) / np.linalg.norm(c_f)
+    b_g, c_f = _draw_coupling(rng, dx, dy)
     return QuadraticProblem(a_f, c_f, a_g, b_g, seed=seed)
 
 
-def quadratic_reference(p: QuadraticProblem, x) -> dict:
-    """All closed-form quantities of the quadratic family at x."""
-    return p.reference(x)
-
-
-class NonconvexOuterProblem(_DeterministicProblem):
+class NonconvexOuterProblem(_LinearInnerProblem):
     """Cosine outer cost over a quadratic inner problem.
 
     f(x, y) = y' C_f + rho * sum_i cos(x_i) with the quadratic inner cost of
@@ -294,71 +302,17 @@ class NonconvexOuterProblem(_DeterministicProblem):
     family = "nonconvex"
 
     def __init__(self, rho: float, C_f, A_g, B_g, seed: int = -1):
-        super().__init__()
         if rho <= 0:
             raise ValueError(f"rho must be positive, got {rho}")
+        super().__init__(C_f, A_g, B_g, seed)
         self.rho = float(rho)
-        self.C_f = np.asarray(C_f, dtype=float)
-        self.A_g = np.asarray(A_g, dtype=float)
-        self.B_g = np.asarray(B_g, dtype=float)
-        self.seed = int(seed)
-        dy, dx = self.B_g.shape
-        self._dims = Dims(dx, dy)
 
     def grad_fx(self, x, y, batch_size=1, rng=None):
         return -self.rho * np.sin(x)
 
-    def grad_fy(self, x, y, batch_size=1, rng=None):
-        return self.C_f.copy()
-
-    def grad_gy(self, x, y, batch_size=1, rng=None):
-        return self.A_g @ y + self.B_g @ x
-
-    def hvp_gyy(self, x, y, v, batch_size=1, rng=None):
-        return self.A_g @ v
-
-    def jvp_gxy(self, x, y, z, batch_size=1, rng=None):
-        return self.B_g.T @ z
-
-    @cached_property
-    def _chol_g(self):
-        return cho_factor(self.A_g)
-
-    @cached_property
-    def _eigs_g(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.A_g)
-
-    @cached_property
-    def _constants(self) -> SmoothnessConstants:
-        return SmoothnessConstants(
-            mu_g=float(self._eigs_g[0]),
-            L_g=float(self._eigs_g[-1]),
-            Lg_prime=float(np.linalg.norm(self.B_g, 2)),
-            M_g=0.0,
-            L_f=self.rho,
-            B=float(np.linalg.norm(self.C_f)),
-        )
-
-    def constants(self) -> SmoothnessConstants:
-        return self._constants
-
     def outer_smoothness(self) -> tuple[float, float]:
         """(L, mu) of the outer loss; mu = -rho marks the non-convex regime."""
         return self.rho, -self.rho
-
-    def y_star(self, x) -> np.ndarray:
-        return -cho_solve(self._chol_g, self.B_g @ x)
-
-    @cached_property
-    def z_star_vec(self) -> np.ndarray:
-        return -cho_solve(self._chol_g, self.C_f)
-
-    def z_star(self, x=None, y=None) -> np.ndarray:
-        return self.z_star_vec.copy()
-
-    @cached_property
-    def grad_offset(self) -> np.ndarray:
-        return self.B_g.T @ self.z_star_vec
 
     def grad_L(self, x) -> np.ndarray:
         return -self.rho * np.sin(x) + self.grad_offset
@@ -370,18 +324,7 @@ class NonconvexOuterProblem(_DeterministicProblem):
         return float(y @ self.C_f + self.rho * np.sum(np.cos(x)))
 
     def header(self) -> dict:
-        eg = self._eigs_g
-        return {
-            "family": self.family,
-            "dx": self.dims.dx,
-            "dy": self.dims.dy,
-            "n_aux1": 0,
-            "n_aux2": 0,
-            "seed": self.seed,
-            "kappa_g": float(eg[-1] / eg[0]),
-            "kappa_L": float("nan"),
-            "extra": self.rho,
-        }
+        return {**super().header(), "extra": self.rho}
 
     def _arrays(self) -> list[np.ndarray]:
         return [self.C_f, self.A_g, self.B_g]
@@ -399,10 +342,7 @@ def gen_nonconvex(
         raise ValueError(f"rho must be positive, got {rho}")
     rng = np.random.default_rng(seed)
     a_g = gen_spd(dy, 1.0 / kappa_g, 1.0, seed=int(rng.integers(2**62)))
-    b_g = rng.standard_normal((dy, dx))
-    b_g /= np.linalg.norm(b_g, 2)
-    c_f = rng.standard_normal(dy)
-    c_f *= math.sqrt(dy) / np.linalg.norm(c_f)
+    b_g, c_f = _draw_coupling(rng, dx, dy)
     offset = b_g.T @ np.linalg.solve(a_g, c_f)
     c_f *= (rho / 2.0) / np.max(np.abs(offset))
     return NonconvexOuterProblem(rho, c_f, a_g, b_g, seed=seed)
@@ -420,7 +360,6 @@ class RidgeHPOProblem(_DeterministicProblem):
     family = "ridge"
 
     def __init__(self, A_tr, b_tr, A_val, b_val, seed: int = -1, label_noise: float = 0.0):
-        super().__init__()
         self.A_tr = np.asarray(A_tr, dtype=float)
         self.b_tr = np.asarray(b_tr, dtype=float)
         self.A_val = np.asarray(A_val, dtype=float)

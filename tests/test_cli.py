@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import amigo.cli as cli
+from amigo import UnsupportedOperationError
 from amigo.cli import (
     CSV_COLUMNS,
     METHODS,
@@ -156,6 +158,90 @@ class TestRunSingle:
         assert np.array_equal(a.x_final, b.x_final)
 
 
+ORACLE_QUERIES = ("grad_fx", "grad_fy", "grad_f", "grad_gy", "hvp_gyy", "jvp_gxy")
+NOISE_SETTINGS = {
+    "none": None,
+    "sigma_g": {"sigma_g": 0.5},
+    "sigma_gyy": {"sigma_gyy": 0.05},
+    "all": {"sigma_f": 0.5, "sigma_g": 0.5, "sigma_gxy": 0.5, "sigma_gyy": 0.05},
+}
+UNROLLED = {"itd", "reverse"}
+DETERMINISTIC_LINEAR = {"amigo-cg", "aid-cg", "aid-cg-ws", "aid-fp", "aid-n"}
+
+
+def expected_rejection(method, setting):
+    if setting == "none":
+        return False
+    if method in UNROLLED:
+        return True
+    return "sigma_gyy" in NOISE_SETTINGS[setting] and method in DETERMINISTIC_LINEAR
+
+
+def count_queries(problem):
+    """Route the problem's oracle queries through a shared call counter."""
+    calls = [0]
+    for name in ORACLE_QUERIES:
+        original = getattr(problem, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls[0] += 1
+            return _original(*args, **kwargs)
+
+        setattr(problem, name, counted)
+    return calls
+
+
+class TestNoiseSupport:
+    @pytest.mark.parametrize("setting", sorted(NOISE_SETTINGS))
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_method_noise_matrix(self, method, setting):
+        problem = build_problem(quad_spec())
+        calls = count_queries(problem)
+        noise = build_noise(NOISE_SETTINGS[setting])
+        config = build_config(problem, method, {"K": 3, "T": 2, "N": 2}, noise)
+        if expected_rejection(method, setting):
+            with pytest.raises(UnsupportedOperationError):
+                run_single(problem, method, config, seed=0, noise=noise)
+            assert calls[0] == 0
+        else:
+            record = run_single(problem, method, config, seed=0, noise=noise)
+            assert len(record.rows) == 4
+            assert calls[0] > 0
+
+    def test_rejection_does_not_depend_on_budget(self):
+        # With N = 1 the Neumann series makes no Hessian query at all.
+        problem = build_problem(quad_spec())
+        calls = count_queries(problem)
+        noise = build_noise(NOISE_SETTINGS["sigma_gyy"])
+        config = build_config(problem, "aid-n", {"K": 3, "T": 2, "N": 1}, noise)
+        with pytest.raises(UnsupportedOperationError, match="neumann"):
+            run_single(problem, "aid-n", config, seed=0, noise=noise)
+        assert calls[0] == 0
+
+    def test_sweep_validates_every_method_before_any_cell(self, monkeypatch):
+        dispatched = []
+        monkeypatch.setattr(cli, "_sweep_cell", dispatched.append)
+        with pytest.raises(UnsupportedOperationError, match="neumann"):
+            run_sweep(quad_spec(), ["amigo-gd", "aid-n"], [1], [10], [0], K_max=5,
+                      noise_spec=NOISE_SETTINGS["sigma_gyy"])
+        assert dispatched == []
+
+    def test_cli_maps_rejection_to_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        cfg = {"problem": quad_spec(), "noise": NOISE_SETTINGS["sigma_gyy"],
+               "sweep": {"methods": ["amigo-gd", "aid-n"], "T": [1], "N": [10], "K": 5}}
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "neumann" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = {"problem": quad_spec(), "noise": NOISE_SETTINGS["sigma_g"], "method": "itd"}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run.csv")]) == 2
+        assert "deterministic" in capsys.readouterr().err
+
+
 class TestSweep:
     def sweep_kwargs(self, workers=1):
         return dict(
@@ -299,6 +385,14 @@ class TestEndToEnd:
         assert main(["check", "--config", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_check_command_fails_on_failed_check(self, tmp_path, capsys, monkeypatch):
+        failing = {"name": "stub", "value": 1.0, "tol": 0.0, "passed": False}
+        monkeypatch.setattr(cli, "run_checks", lambda *args, **kwargs: [failing])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"problem": quad_spec()}))
+        assert main(["check", "--config", str(cfg_path)]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_invalid_problem_reports_structured_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

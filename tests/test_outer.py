@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import amigo.outer
 from amigo import (
     DivergenceError,
     InvalidConstantsError,
@@ -243,6 +244,18 @@ class TestAidLoop:
             aid_run(quad, config, np.ones(12))
         assert err.value.outer_iteration is not None
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_carries_partial_rows(self, quad):
+        assert DivergenceError("no driver").partial_rows == []
+        config = schedule_for(quad, K=50)
+        config.gamma = 1e8
+        tracker = MetricsTracker(quad, mu_outer=quad.outer_smoothness()[1])
+        with pytest.raises(DivergenceError) as err:
+            aid_run(quad, config, np.ones(12), tracker=tracker)
+        rows = err.value.partial_rows
+        assert len(rows) == err.value.outer_iteration + 1
+        assert [r.k for r in rows] == list(range(len(rows)))
+
     def test_linear_rate_under_prescribed_schedule(self, quad):
         config = schedule_for(quad, K=60)
         tracker = MetricsTracker(quad, mu_outer=quad.outer_smoothness()[1])
@@ -309,3 +322,21 @@ class TestItdRun:
         assert record.iterations_run < 500
         assert record.rows[-1].rel_error <= 0.1
         assert len(record.rows) == record.iterations_run + 1
+
+
+def test_drivers_look_solvers_up_at_call_time(quad, monkeypatch):
+    # Benchmark tracing wraps these module attributes; a solver table bound
+    # at import time would bypass the wrappers.
+    calls = {}
+    for name in ("solve_inner_sgd", "solve_linear_cg", "itd_hypergradient"):
+        original = getattr(amigo.outer, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(amigo.outer, name, counted)
+    config = schedule_for(quad, K=3, linear_solver="cg")
+    aid_run(quad, config, np.ones(12))
+    itd_run(quad, config, np.ones(12))
+    assert calls == {"solve_inner_sgd": 3, "solve_linear_cg": 3, "itd_hypergradient": 3}

@@ -15,7 +15,6 @@ from amigo import (
     gen_spd,
     load_problem,
     make_stochastic,
-    quadratic_reference,
     save_problem,
 )
 from amigo.problems import _problem_bytes
@@ -91,23 +90,23 @@ class TestQuadraticReference:
         self.rng = np.random.default_rng(8)
 
     def test_stationarity_at_x_star(self):
-        ref = quadratic_reference(self.p, self.p.x_star)
+        ref = self.p.reference(self.p.x_star)
         assert np.linalg.norm(ref["grad_L"]) <= 1e-10
 
     def test_z_star_independent_of_query_point(self):
-        r1 = quadratic_reference(self.p, self.rng.standard_normal(10))
-        r2 = quadratic_reference(self.p, self.rng.standard_normal(10))
+        r1 = self.p.reference(self.rng.standard_normal(10))
+        r2 = self.p.reference(self.rng.standard_normal(10))
         assert np.array_equal(r1["z_star"], r2["z_star"])
 
     def test_L_value_matches_composed_oracles(self):
         x = self.rng.standard_normal(10)
-        ref = quadratic_reference(self.p, x)
+        ref = self.p.reference(x)
         composed = self.p.f_value(x, ref["y_star"])
         assert abs(ref["L_value"] - composed) <= 1e-12 * max(1.0, abs(composed))
 
     def test_gap_consistent_with_L_values(self):
         x = self.rng.standard_normal(10)
-        ref = quadratic_reference(self.p, x)
+        ref = self.p.reference(x)
         assert self.p.gap(x) == pytest.approx(ref["L_value"] - ref["L_star"], rel=1e-9)
 
 
