@@ -25,7 +25,6 @@ from .metrics import (
     MetricsTracker,
     OracleCounter,
     complexity_formula,
-    compute_metrics,
 )
 from .oracle import (
     BilevelOracle,
@@ -35,7 +34,6 @@ from .oracle import (
     SmoothnessConstants,
     UnsupportedOperationError,
     derive_constants,
-    grad_L_reference,
     psi_hat,
 )
 from .outer import (
@@ -95,14 +93,12 @@ __all__ = [
     "aid_run",
     "amigo_run",
     "complexity_formula",
-    "compute_metrics",
     "derive_constants",
     "describe_problem",
     "gen_nonconvex",
     "gen_quadratic",
     "gen_ridge_hpo",
     "gen_spd",
-    "grad_L_reference",
     "itd_hypergradient",
     "itd_run",
     "load_problem",

@@ -18,9 +18,10 @@ import argparse
 import concurrent.futures
 import json
 import math
+import operator
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -41,18 +42,13 @@ from .problems import (
 
 WORKERS_ENV = "AMIGO_WORKERS"
 
-CSV_COLUMNS = (
-    "method",
-    "seed",
-    "k",
-    "rel_error",
-    "grad_norm_sq",
-    "avg_grad_norm_sq",
-    "combined_sc",
-    "energy_x",
-    "cost",
-    "wall_s",
+# The MetricRow fields every CSV line, sweep row and run summary carries, in order.
+METRIC_COLUMNS = (
+    "k", "rel_error", "grad_norm_sq", "avg_grad_norm_sq", "combined_sc", "energy_x", "cost",
 )
+CSV_COLUMNS = ("method", "seed", *METRIC_COLUMNS, "wall_s")
+SWEEP_COLUMNS = ("method", "kappa_g", "T", "N", "batch", "seed", *METRIC_COLUMNS, "wall_s")
+_metric_values = operator.attrgetter(*METRIC_COLUMNS)
 
 # Method names map bijectively onto (driver, warm-start switches, linear
 # solver) as used throughout the experiments.
@@ -68,11 +64,25 @@ METHODS = {
     "reverse": dict(driver="itd", warm_y=True, increasing_T=True),
 }
 
+# SolverConfig fields the method name fixes; a solver spec cannot override them.
+METHOD_FIELDS = ("warm_y", "warm_z", "linear_solver")
+
 DEFAULT_EPS = (1e-2, 1e-4, 1e-6)
+
+
+def _check_kappa_g(spec: dict) -> None:
+    """Reject kappa_g where nothing generates from it: containers and ridge."""
+    if spec.get("kappa_g") is None:
+        return
+    if spec.get("path"):
+        raise ValueError("kappa_g does not apply to a problem loaded from a path")
+    if spec.get("family", "quadratic") == "ridge":
+        raise ValueError("kappa_g does not apply to the ridge family")
 
 
 def build_problem(spec: dict):
     """Problem instance from an inline spec or a saved container."""
+    _check_kappa_g(spec)
     if spec.get("path"):
         return load_problem(spec["path"])
     family = spec.get("family", "quadratic")
@@ -115,35 +125,34 @@ def build_noise(spec: dict | None) -> NoiseSpec:
     )
 
 
+def _outer_bounds(problem) -> tuple[float | None, float | None]:
+    """(L_outer, mu_outer) where the problem knows them exactly, else (None, None)."""
+    if hasattr(problem, "outer_smoothness"):
+        return problem.outer_smoothness()
+    return None, None
+
+
 def build_config(problem, method: str, solver_spec: dict | None, noise: NoiseSpec) -> SolverConfig:
-    """Solver configuration: prescribed schedule defaults, explicit overrides."""
+    """Solver configuration: prescribed schedule defaults, explicit overrides.
+
+    mu_outer defaults to the problem's exact modulus when that is positive.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
-    spec = dict(solver_spec or {})
-    mapping = METHODS[method]
-    constants = problem.constants()
-    L_outer = mu_exact = None
-    if hasattr(problem, "outer_smoothness"):
-        L_outer, mu_exact = problem.outer_smoothness()
-    mu_outer = spec.get("mu_outer", None)
+    spec = solver_spec or {}
+    L_outer, mu_exact = _outer_bounds(problem)
+    mu_outer = spec.get("mu_outer")
     if mu_outer is None and mu_exact is not None and mu_exact > 0:
         mu_outer = mu_exact
+    owned = {name: METHODS[method][name] for name in METHOD_FIELDS if name in METHODS[method]}
     config, _ = prescribed_schedule(
-        constants,
-        mu_outer=mu_outer,
-        L_outer=L_outer,
-        noise=noise,
-        warm_y=mapping.get("warm_y", True),
-        warm_z=mapping.get("warm_z", True),
-        linear_solver=mapping.get("linear_solver", "sgd"),
+        problem.constants(), mu_outer=mu_outer, L_outer=L_outer, noise=noise, **owned
     )
-    overrides = {}
-    for name in (
-        "alpha", "beta", "gamma", "T", "N", "K",
-        "batch_f", "batch_g", "batch_gxy", "batch_gyy", "cg_tol", "u",
-    ):
-        if spec.get(name) is not None:
-            overrides[name] = type(getattr(config, name))(spec[name])
+    overrides = {
+        f.name: type(getattr(config, f.name))(spec[f.name])
+        for f in fields(SolverConfig)
+        if f.name not in METHOD_FIELDS + ("mu_outer",) and spec.get(f.name) is not None
+    }
     return replace(config, **overrides)
 
 
@@ -159,13 +168,8 @@ def run_single(
     """One (method, seed) run with metric tracking wired in."""
     mapping = METHODS[method]
     oracle = make_stochastic(problem, noise, seed) if noise.any_noise else problem
-    L_outer = mu_exact = None
-    if hasattr(problem, "outer_smoothness"):
-        L_outer, mu_exact = problem.outer_smoothness()
-    mu_for_metrics = config.mu_outer
-    if mu_for_metrics is None and mu_exact is not None and mu_exact > 0:
-        mu_for_metrics = mu_exact
-    tracker = MetricsTracker(problem, mu_outer=mu_for_metrics, L_outer=L_outer, u=config.u)
+    L_outer, _ = _outer_bounds(problem)
+    tracker = MetricsTracker(problem, mu_outer=config.mu_outer, L_outer=L_outer, u=config.u)
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(problem.dims.dx)
     header = problem.header() if hasattr(problem, "header") else None
@@ -181,6 +185,15 @@ def run_single(
     )
 
 
+def _run_rows(problem, method: str, config: SolverConfig, seed: int, noise: NoiseSpec, stop=None):
+    """(record, rows, None), or (None, the rows so far, k) for a run diverged in iteration k."""
+    try:
+        record = run_single(problem, method, config, seed, noise, stop=stop)
+    except DivergenceError as err:
+        return None, err.partial_rows, err.outer_iteration
+    return record, record.rows, None
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -189,26 +202,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_text(columns, lines) -> str:
+    """Header, then one line per value tuple; None is an empty field, floats use repr."""
+    text = [",".join(columns)]
+    text.extend(",".join(map(_fmt, values)) for values in lines)
+    return "\n".join(text) + "\n"
+
+
 def rows_to_csv(rows, method: str, seed: int, timing: bool = False) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    method,
-                    str(seed),
-                    str(r.k),
-                    _fmt(r.rel_error),
-                    _fmt(r.grad_norm_sq),
-                    _fmt(r.avg_grad_norm_sq),
-                    _fmt(r.combined_sc),
-                    _fmt(r.energy_x),
-                    str(r.cost),
-                    _fmt(r.wall_s) if timing else "",
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv_text(CSV_COLUMNS, (
+        (method, seed, *_metric_values(r), r.wall_s if timing else None) for r in rows
+    ))
 
 
 def cost_to_reach(rows, eps: float, metric: str = "rel_error") -> int | None:
@@ -218,32 +222,6 @@ def cost_to_reach(rows, eps: float, metric: str = "rel_error") -> int | None:
         if value is not None and value <= eps:
             return r.cost
     return None
-
-
-def summarize_run(record: RunRecord, eps_targets, metric: str = "rel_error") -> dict:
-    rows = record.rows
-    last = rows[-1] if rows else None
-    return {
-        "iterations": record.iterations_run,
-        "final": None if last is None else {
-            "k": last.k,
-            "rel_error": last.rel_error,
-            "grad_norm_sq": last.grad_norm_sq,
-            "avg_grad_norm_sq": last.avg_grad_norm_sq,
-            "combined_sc": last.combined_sc,
-            "energy_x": last.energy_x,
-            "cost": last.cost,
-        },
-        "cost_to_eps": {repr(e): cost_to_reach(rows, e, metric) for e in eps_targets},
-        "oracle_counts": {
-            "grad_f": record.counter.n_grad_f,
-            "grad_g": record.counter.n_grad_g,
-            "jvp": record.counter.n_jvp,
-            "hvp": record.counter.n_hvp,
-            "total": record.counter.total(),
-        },
-        "wall_time_s": record.wall_s,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +270,7 @@ def _sweep_cell(task: dict) -> dict:
     noise = build_noise(task.get("noise"))
     config = build_config(problem, task["method"], task["solver"], noise)
     stop = make_stop_rule(task.get("stop_rel"), task.get("cost_cap"))
-    try:
-        record = run_single(problem, task["method"], config, task["seed"], noise, stop=stop)
-        rows = record.rows
-        diverged_at = None
-    except DivergenceError as err:
-        rows = err.partial_rows
-        diverged_at = err.outer_iteration
+    _, rows, diverged_at = _run_rows(problem, task["method"], config, task["seed"], noise, stop)
     min_rel = min(
         (r.rel_error for r in rows if r.rel_error is not None), default=None
     )
@@ -309,11 +281,7 @@ def _sweep_cell(task: dict) -> dict:
         "cell": task["cell"],
         # Wall time is dropped here so sweep results are identical across
         # worker counts; per-row timing remains available via cmd_run.
-        "rows": [
-            (r.k, r.rel_error, r.grad_norm_sq, r.avg_grad_norm_sq, r.combined_sc,
-             r.energy_x, r.cost)
-            for r in rows
-        ],
+        "rows": [_metric_values(r) for r in rows],
         "cost_to_eps": {repr(e): cost_to_reach(rows, e) for e in task["eps"]},
         "min_rel_error": min_rel,
         "diverged_at": diverged_at,
@@ -366,6 +334,7 @@ def run_sweep(
         pspec = dict(problem_spec)
         if kappa is not None:
             pspec["kappa_g"] = kappa
+        _check_kappa_g(pspec)
         for method in methods:
             for T in T_grid:
                 for N in N_grid:
@@ -401,8 +370,8 @@ def run_sweep(
     summary: dict = {}
     by_cell: dict = {}
     for res in results:
-        by_cell.setdefault((res["method"],) + tuple(res["key"][1:]), []).append(res)
-    for (method, *cell_key), cell_results in by_cell.items():
+        by_cell.setdefault(res["key"], []).append(res)
+    for (method, *_), cell_results in by_cell.items():
         entry = summary.setdefault(method, {"cells": [], "best": {}})
         cell = {
             "cell": cell_results[0]["cell"],
@@ -434,23 +403,15 @@ def run_sweep(
 
 
 def sweep_results_to_csv(results) -> str:
-    columns = (
-        "method,kappa_g,T,N,batch,seed,k,rel_error,grad_norm_sq,"
-        "avg_grad_norm_sq,combined_sc,energy_x,cost,wall_s"
-    )
-    lines = [columns]
-    for res in results:
-        cell = res["cell"]
-        prefix = (
-            f"{res['method']},{_fmt(cell['kappa_g'])},{cell['T']},{cell['N']},"
-            f"{cell['batch']},{res['seed']}"
-        )
-        for k, rel, gns, avg, comb, energy, cost in res["rows"]:
-            lines.append(
-                f"{prefix},{k},{_fmt(rel)},{_fmt(gns)},{_fmt(avg)},"
-                f"{_fmt(comb)},{_fmt(energy)},{cost},"
-            )
-    return "\n".join(lines) + "\n"
+    def lines():
+        for res in results:
+            cell = res["cell"]
+            prefix = (res["method"], cell["kappa_g"], cell["T"], cell["N"], cell["batch"], res["seed"])
+            # Sweep rows carry no wall time (see _sweep_cell), so wall_s stays empty.
+            for row in res["rows"]:
+                yield (*prefix, *row, None)
+
+    return _csv_text(SWEEP_COLUMNS, lines())
 
 
 # ---------------------------------------------------------------------------
@@ -542,24 +503,22 @@ def _load_json_config(path) -> dict:
         return json.load(fh)
 
 
+# Flag -> the config section it overrides; None is the top level.
+FLAG_SECTIONS = {
+    "seed": None, "method": None, "out": None, "kappa_g": "problem", "T": "solver", "N": "solver",
+}
+
+
 def _merged_config(args) -> dict:
     cfg = _load_json_config(args.config) if args.config else {}
     cfg.setdefault("problem", {})
     cfg.setdefault("solver", {})
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "method", None) is not None:
-        cfg["method"] = args.method
-    if getattr(args, "kappa_g", None) is not None:
-        cfg["problem"]["kappa_g"] = args.kappa_g
-    if getattr(args, "T", None) is not None:
-        cfg["solver"]["T"] = args.T
-    if getattr(args, "N", None) is not None:
-        cfg["solver"]["N"] = args.N
-    if getattr(args, "eps", None) is not None:
+    for flag, section in FLAG_SECTIONS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            (cfg if section is None else cfg[section])[flag] = value
+    if args.eps is not None:
         cfg["eps"] = [float(e) for e in args.eps.split(",") if e]
-    if getattr(args, "out", None) is not None:
-        cfg["out"] = args.out
     return cfg
 
 
@@ -585,27 +544,29 @@ def cmd_run(args) -> int:
     config = build_config(problem, method, cfg.get("solver"), noise)
     eps = cfg.get("eps", list(DEFAULT_EPS))
     out = cfg.get("out")
-    summary_diverged = None
-    try:
-        record = run_single(problem, method, config, seed, noise)
-        rows = record.rows
-    except DivergenceError as err:
-        rows = err.partial_rows
-        summary_diverged = err.outer_iteration
-        record = None
+    record, rows, diverged_at = _run_rows(problem, method, config, seed, noise)
     csv_text = rows_to_csv(rows, method, seed, timing=args.timing)
     if out:
         with open(out, "w") as fh:
             fh.write(csv_text)
     else:
         sys.stdout.write(csv_text)
+    # A diverged run keeps its rows, so final metrics and target costs come
+    # from them; iteration and oracle counts and wall time need a completed run.
+    summary = {} if record is None else {"iterations": record.iterations_run}
+    summary["final"] = dict(zip(METRIC_COLUMNS, _metric_values(rows[-1]))) if rows else None
+    summary["cost_to_eps"] = {repr(e): cost_to_reach(rows, e) for e in eps}
     if record is not None:
-        summary = summarize_run(record, eps)
-    else:
-        summary = {"final": None, "cost_to_eps": {}}
-    summary["method"] = method
-    summary["seed"] = seed
-    summary["diverged_at"] = summary_diverged
+        counter = record.counter
+        summary["oracle_counts"] = {
+            "grad_f": counter.n_grad_f,
+            "grad_g": counter.n_grad_g,
+            "jvp": counter.n_jvp,
+            "hvp": counter.n_hvp,
+            "total": counter.total(),
+        }
+        summary["wall_time_s"] = record.wall_s
+    summary.update(method=method, seed=seed, diverged_at=diverged_at)
     summary_path = (str(out) + ".summary.json") if out else None
     if summary_path:
         with open(summary_path, "w") as fh:

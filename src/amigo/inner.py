@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 __all__ = [
     "DivergenceError",
     "InnerResult",
-    "LinearSolverKind",
     "LINEAR_SOLVERS",
     "solve_inner_sgd",
     "solve_linear_sgd",
@@ -28,7 +26,6 @@ __all__ = [
     "solve_linear_cg",
 ]
 
-LinearSolverKind = Literal["sgd", "cg", "fixed_point", "neumann"]
 LINEAR_SOLVERS = ("sgd", "cg", "fixed_point", "neumann")
 
 # Step-size preconditions are warnings, not errors: grid searches probe

@@ -23,7 +23,6 @@ __all__ = [
     "MetricRow",
     "MetricsTracker",
     "complexity_formula",
-    "compute_metrics",
 ]
 
 
@@ -173,17 +172,3 @@ class MetricsTracker:
             wall_s=wall_s,
         )
 
-
-def compute_metrics(
-    problem,
-    x_k,
-    counter: OracleCounter | None = None,
-    mu_outer: float | None = None,
-    L_outer: float | None = None,
-    u: int = 0,
-    gap0: float | None = None,
-    k: int = 0,
-) -> MetricRow:
-    """One-shot metric row; pass gap0 to get a meaningful rel_error."""
-    tracker = MetricsTracker(problem, mu_outer=mu_outer, L_outer=L_outer, u=u, gap0=gap0)
-    return tracker.row(k, x_k, counter)

@@ -26,7 +26,6 @@ __all__ = [
     "UnsupportedOperationError",
     "derive_constants",
     "psi_hat",
-    "grad_L_reference",
 ]
 
 
@@ -201,15 +200,3 @@ def psi_hat(
     w = oracle.jvp_gxy(x, y, z, batch_size=batch_gxy, rng=rng)
     return u + w
 
-
-def grad_L_reference(problem, x: np.ndarray) -> np.ndarray:
-    """Exact outer gradient via the problem's closed forms and dense solves.
-
-    Test oracle and metric reference only; never used inside solvers.
-    """
-    grad = getattr(problem, "grad_L", None)
-    if grad is None:
-        raise UnsupportedOperationError(
-            f"{type(problem).__name__} does not expose closed-form references"
-        )
-    return grad(np.asarray(x, dtype=float))

@@ -167,17 +167,8 @@ def prescribed_schedule(
     exact_mode: bool = False,
     *,
     L_outer: float | None = None,
-    K: int = 100,
     noise: NoiseSpec | None = None,
-    batch_f: int = 1,
-    batch_g: int = 1,
-    batch_gxy: int = 1,
-    batch_gyy: int = 1,
-    warm_y: bool = True,
-    warm_z: bool = True,
-    linear_solver: str = "sgd",
-    cg_tol: float = 1e-10,
-    u: int = 0,
+    **fields,
 ) -> tuple[SolverConfig, ScheduleDiagnostics]:
     """Constant-step configuration: alpha = 1/L_g, beta = 1/(2 L_g), gamma = 1/L.
 
@@ -187,7 +178,8 @@ def prescribed_schedule(
     (the synthetic quadratic does: its outer Hessian is known).  With
     ``exact_mode`` the diagnostics additionally carry the worst-case inner
     budgets computed from the six log constants; the returned config keeps
-    the default budgets so callers choose which to adopt.
+    the default budgets so callers choose which to adopt.  Every other
+    ``SolverConfig`` field is passed through ``fields`` with its default.
     """
     derived = derive_constants(constants, mu_outer)
     L = L_outer if L_outer is not None else derived.L
@@ -199,25 +191,6 @@ def prescribed_schedule(
     strongly_convex = mu_outer is not None and mu_outer > 0
     eta0 = mu_outer if strongly_convex else L
     delta0 = eta0 * gamma
-    noise = noise or NoiseSpec()
-    if noise.sigma_gyy_tilde > 0:
-        required = noise.sigma_gyy_tilde**2 / (constants.mu_g * constants.L_g)
-        if batch_gyy < required:
-            warnings.warn(
-                f"Hessian batch size {batch_gyy} is below the prescribed floor "
-                f"{required:.3g} for this noise level",
-                stacklevel=2,
-            )
-    exact = None
-    if exact_mode:
-        mu_g_sq = constants.mu_g**2
-        sigma_gxy_sq = noise.sigma_gxy_tilde**2 / batch_gxy
-        sigma_gyy_sq = noise.sigma_gyy_tilde**2 / batch_gyy
-        sigma_x_sq = 2.0 * sigma_gxy_sq + 2.0 * constants.Lg_prime**2 / mu_g_sq * sigma_gyy_sq
-        exact = _exact_inner_budgets(
-            constants, derived, eta0, gamma, alpha, beta, sigma_x_sq, sigma_gxy_sq,
-            strongly_convex,
-        )
     config = SolverConfig(
         alpha=alpha,
         beta=beta,
@@ -226,18 +199,28 @@ def prescribed_schedule(
         # condition numbers give integral budgets.
         T=max(1, math.ceil(c_T * derived.kappa_g - 1e-9)),
         N=max(1, math.ceil(c_N * derived.kappa_g - 1e-9)),
-        batch_f=batch_f,
-        batch_g=batch_g,
-        batch_gxy=batch_gxy,
-        batch_gyy=batch_gyy,
-        warm_y=warm_y,
-        warm_z=warm_z,
-        linear_solver=linear_solver,
-        cg_tol=cg_tol,
-        K=K,
-        u=u,
         mu_outer=mu_outer,
+        **fields,
     )
+    noise = noise or NoiseSpec()
+    if noise.sigma_gyy_tilde > 0:
+        required = noise.sigma_gyy_tilde**2 / (constants.mu_g * constants.L_g)
+        if config.batch_gyy < required:
+            warnings.warn(
+                f"Hessian batch size {config.batch_gyy} is below the prescribed floor "
+                f"{required:.3g} for this noise level",
+                stacklevel=2,
+            )
+    exact = None
+    if exact_mode:
+        mu_g_sq = constants.mu_g**2
+        sigma_gxy_sq = noise.sigma_gxy_tilde**2 / config.batch_gxy
+        sigma_gyy_sq = noise.sigma_gyy_tilde**2 / config.batch_gyy
+        sigma_x_sq = 2.0 * sigma_gxy_sq + 2.0 * constants.Lg_prime**2 / mu_g_sq * sigma_gyy_sq
+        exact = _exact_inner_budgets(
+            constants, derived, eta0, gamma, alpha, beta, sigma_x_sq, sigma_gxy_sq,
+            strongly_convex,
+        )
     return config, ScheduleDiagnostics(delta=delta0, eta=eta0, exact_TN=exact)
 
 

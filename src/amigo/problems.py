@@ -559,22 +559,6 @@ class StochasticOracle(BilevelOracle):
     def is_stochastic(self) -> bool:
         return self.noise.any_noise
 
-    @property
-    def sigma_f_tilde(self) -> float:
-        return self.noise.sigma_f_tilde
-
-    @property
-    def sigma_g_tilde(self) -> float:
-        return self.noise.sigma_g_tilde
-
-    @property
-    def sigma_gxy_tilde(self) -> float:
-        return self.noise.sigma_gxy_tilde
-
-    @property
-    def sigma_gyy_tilde(self) -> float:
-        return self.noise.sigma_gyy_tilde
-
     @staticmethod
     def _need_rng(rng, what: str):
         if rng is None:

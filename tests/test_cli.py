@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import amigo.cli as cli
-from amigo import UnsupportedOperationError
+import amigo.metrics as metrics
+import amigo.outer as outer
+import amigo.problems as problems
+from amigo import UnsupportedOperationError, save_problem
 from amigo.cli import (
     CSV_COLUMNS,
     METHODS,
@@ -22,10 +26,20 @@ from amigo.cli import (
 from amigo.metrics import MetricRow
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+RIDGE_SPEC = {"family": "ridge", "n_tr": 30, "n_val": 20, "d": 5, "seed": 0}
+
+
 def quad_spec(**kw):
     spec = {"family": "quadratic", "dx": 24, "dy": 12, "kappa_g": 10.0, "kappa_L": 5.0, "seed": 1}
     spec.update(kw)
     return spec
+
+
+def write_config(tmp_path, cfg, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
 
 
 class TestMethodMapping:
@@ -363,9 +377,11 @@ class TestEndToEnd:
         cfg_path.write_text(json.dumps({"problem": quad_spec(), "solver": {"K": 5}}))
         out = tmp_path / "o.csv"
         main(["run", "--config", str(cfg_path), "--out", str(out), "--method", "aid-fp",
-              "--seed", "2", "--T", "3", "--N", "4"])
+              "--seed", "2", "--T", "3", "--N", "4", "--eps", "0.5,0.25"])
         first_row = out.read_text().strip().split("\n")[1].split(",")
         assert first_row[0] == "aid-fp" and first_row[1] == "2"
+        summary = json.loads((tmp_path / "o.csv.summary.json").read_text())
+        assert list(summary["cost_to_eps"]) == ["0.5", "0.25"]
 
     def test_sweep_command(self, tmp_path):
         cfg = {
@@ -400,3 +416,77 @@ class TestEndToEnd:
         code = main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "p.bin")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["path", "ridge"])
+    @pytest.mark.parametrize("command, source", [
+        ("run", "spec"), ("run", "flag"), ("sweep", "spec"), ("sweep", "grid"), ("sweep", "flag"),
+    ])
+    def test_kappa_g_rejected_where_it_does_not_apply(
+        self, tmp_path, capsys, monkeypatch, family, command, source
+    ):
+        # Containers and ridge ignore kappa_g, so setting it anywhere is an error.
+        if family == "path":
+            container = tmp_path / "p.bin"
+            save_problem(build_problem(quad_spec()), container)
+            spec = {"path": str(container)}
+        else:
+            spec = dict(RIDGE_SPEC)
+        cfg = {"problem": spec, "method": "amigo-gd", "solver": {"K": 3},
+               "sweep": {"methods": ["amigo-gd"], "T": [1], "N": [1], "K": 3}}
+        argv = [command, "--out", str(tmp_path / "out.csv")]
+        if source == "spec":
+            spec["kappa_g"] = 5.0
+        elif source == "grid":
+            cfg["sweep"]["kappa_g"] = [1.0, 1000.0]
+        else:
+            argv += ["--kappa-g", "5"]
+        dispatched = []
+        monkeypatch.setattr(cli, "_sweep_cell", dispatched.append)
+        monkeypatch.setattr(cli, "run_single", lambda *args, **kwargs: dispatched.append(args))
+        assert main(argv + ["--config", write_config(tmp_path, cfg)]) == 2
+        assert "kappa_g" in capsys.readouterr().err
+        assert dispatched == []
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_diverged_run_summary_keeps_partial_progress(self, tmp_path):
+        cfg = {"problem": quad_spec(), "method": "aid-cg", "solver": {"gamma": 1e8, "K": 200},
+               "eps": [1e-2, 1e-4, 1e-6]}
+        out = tmp_path / "run.csv"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
+        assert summary["diverged_at"] is not None
+        assert summary["final"]["k"] == summary["diverged_at"] == len(rows) - 1
+        assert summary["final"]["cost"] == int(rows[-1].split(",")[CSV_COLUMNS.index("cost")])
+        assert list(summary["cost_to_eps"]) == ["0.01", "0.0001", "1e-06"]
+        for key in ("iterations", "oracle_counts", "wall_time_s"):
+            assert key not in summary
+
+
+def test_benchmark_tracer_hooks_see_every_layer(tmp_path, monkeypatch):
+    """The benchmark's timing wrappers find every hook they patch, once each."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    owners = [cli, outer, metrics.MetricsTracker] + [
+        getattr(problems, name) for name in tracing.PROBLEM_CLASSES + ("StochasticOracle",)
+    ]
+
+    def callables():
+        return [{k: v for k, v in vars(o).items() if callable(v)} for o in owners]
+
+    before = callables()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cfg = {"problem": quad_spec(), "method": "amigo-gd", "solver": {"K": 3},
+               "sweep": {"methods": ["amigo-gd", "amigo-cg"], "T": [2], "N": [2], "K": 3}}
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "run.csv")]) == 0
+    finally:
+        tracer.unpatch()
+    assert callables() == before
+    for name in ("problems.build", "outer.aid_run", "inner.sgd", "inner.linear.cg", "cli.emit"):
+        assert tracer.stats[name].calls > 0, name
+    assert tracer.stats["cli.emit"].calls == 2  # one per CSV written

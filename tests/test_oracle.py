@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from amigo import (
     InvalidConstantsError,
     SmoothnessConstants,
-    UnsupportedOperationError,
     derive_constants,
     gen_quadratic,
-    grad_L_reference,
     make_stochastic,
     psi_hat,
 )
@@ -120,15 +118,11 @@ class TestGradLReference:
         p = gen_quadratic(8, 6, kappa_g=4.0, kappa_L=3.0, seed=2)
         x = np.random.default_rng(5).standard_normal(8)
         expected = p.A_f @ x - p.B_g.T @ np.linalg.solve(p.A_g, p.C_f)
-        assert rel_err(grad_L_reference(p, x), expected) <= 1e-13
+        assert rel_err(p.grad_L(x), expected) <= 1e-13
 
     def test_zero_at_minimizer(self):
         p = gen_quadratic(8, 6, kappa_g=4.0, kappa_L=3.0, seed=2)
-        assert np.linalg.norm(grad_L_reference(p, p.x_star)) <= 1e-10
-
-    def test_unsupported_problem(self):
-        with pytest.raises(UnsupportedOperationError):
-            grad_L_reference(object(), np.zeros(3))
+        assert np.linalg.norm(p.grad_L(p.x_star)) <= 1e-10
 
 
 class TestOracleProperties:
