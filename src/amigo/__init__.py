@@ -15,7 +15,6 @@ from .inner import (
     InnerResult,
     solve_inner_sgd,
     solve_linear_cg,
-    solve_linear_fixed_point,
     solve_linear_neumann,
     solve_linear_sgd,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "save_problem",
     "solve_inner_sgd",
     "solve_linear_cg",
-    "solve_linear_fixed_point",
     "solve_linear_neumann",
     "solve_linear_sgd",
     "unroll_inner",

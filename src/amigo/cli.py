@@ -66,6 +66,7 @@ METHODS = {
 
 # SolverConfig fields the method name fixes; a solver spec cannot override them.
 METHOD_FIELDS = ("warm_y", "warm_z", "linear_solver")
+SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name not in METHOD_FIELDS)
 
 DEFAULT_EPS = (1e-2, 1e-4, 1e-6)
 
@@ -132,13 +133,25 @@ def _outer_bounds(problem) -> tuple[float | None, float | None]:
     return None, None
 
 
+def check_solver_spec(method: str, solver_spec: dict | None) -> None:
+    """Reject a method-owned or unknown key in a solver spec."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
+    keys = set(solver_spec or ())
+    owned = sorted(keys.intersection(METHOD_FIELDS))
+    if owned:
+        raise ValueError(f"solver keys {owned} are fixed by the method {method!r}")
+    unknown = sorted(keys.difference(SOLVER_KEYS))
+    if unknown:
+        raise ValueError(f"unknown solver keys {unknown}; valid keys are {list(SOLVER_KEYS)}")
+
+
 def build_config(problem, method: str, solver_spec: dict | None, noise: NoiseSpec) -> SolverConfig:
     """Solver configuration: prescribed schedule defaults, explicit overrides.
 
     mu_outer defaults to the problem's exact modulus when that is positive.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
+    check_solver_spec(method, solver_spec)
     spec = solver_spec or {}
     L_outer, mu_exact = _outer_bounds(problem)
     mu_outer = spec.get("mu_outer")
@@ -149,9 +162,9 @@ def build_config(problem, method: str, solver_spec: dict | None, noise: NoiseSpe
         problem.constants(), mu_outer=mu_outer, L_outer=L_outer, noise=noise, **owned
     )
     overrides = {
-        f.name: type(getattr(config, f.name))(spec[f.name])
-        for f in fields(SolverConfig)
-        if f.name not in METHOD_FIELDS + ("mu_outer",) and spec.get(f.name) is not None
+        name: type(getattr(config, name))(value)
+        for name, value in spec.items()
+        if name != "mu_outer" and value is not None
     }
     return replace(config, **overrides)
 
@@ -172,16 +185,13 @@ def run_single(
     tracker = MetricsTracker(problem, mu_outer=config.mu_outer, L_outer=L_outer, u=config.u)
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(problem.dims.dx)
-    header = problem.header() if hasattr(problem, "header") else None
     if mapping["driver"] == "itd":
         return itd_run(
             oracle, config, x0, tracker=tracker, stop=stop,
             store_iterates=store_iterates, increasing_T=mapping.get("increasing_T", False),
-            problem_header=header,
         )
     return aid_run(
-        oracle, config, x0, rng=rng, tracker=tracker, stop=stop,
-        store_iterates=store_iterates, problem_header=header,
+        oracle, config, x0, rng=rng, tracker=tracker, stop=stop, store_iterates=store_iterates,
     )
 
 
@@ -326,6 +336,7 @@ def run_sweep(
         raise ValueError(f"unknown methods in sweep: {bad}")
     noise = build_noise(noise_spec)
     for method in methods:
+        check_solver_spec(method, solver_overrides)
         # The unrolled methods name no linear solver.
         check_supported(METHODS[method].get("linear_solver"), noise)
     kappas = list(kappa_g_grid) if kappa_g_grid else [problem_spec.get("kappa_g")]

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inner import DivergenceError
 from .oracle import UnsupportedOperationError
 
 __all__ = ["UnrollTape", "ItdResult", "unroll_inner", "itd_hypergradient"]
@@ -38,11 +37,9 @@ def unroll_inner(oracle, x, y0, alpha: float, T: int) -> UnrollTape:
         raise ValueError(f"T must be nonnegative, got {T}")
     tape = UnrollTape(x=np.asarray(x, dtype=float), alpha=alpha)
     y = np.array(y0, dtype=float, copy=True)
-    for t in range(1, T + 1):
+    for _ in range(T):
         tape.iterates.append(y.copy())
         y = y - alpha * oracle.grad_gy(x, y)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(f"unrolled inner loop diverged at step {t}", step=t)
     tape.y_final = y
     return tape
 

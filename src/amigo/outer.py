@@ -240,7 +240,6 @@ class RunRecord:
     xhat_final: np.ndarray | None
     counter: OracleCounter
     config: SolverConfig
-    problem_header: dict | None
     wall_s: float
     iterations_run: int
     xs: list[np.ndarray] | None = None
@@ -289,15 +288,19 @@ def _init_vec(value, dim: int) -> np.ndarray:
 
 def _outer_loop(
     oracle, config: SolverConfig, x0, y, z, step: Callable, linear_solver: str | None,
-    delta: float | None, metrics_hook, tracker, store_iterates, stop, problem_header,
+    delta: float | None, metrics_hook, tracker, store_iterates, stop,
 ) -> RunRecord:
-    """The outer loop every driver shares.
+    """The outer loop every driver shares, and the one place that decides divergence.
 
     ``step(co, k, x, y, z)`` returns ``(psi, y, z)``: the gradient estimate
     at x and the refreshed inner variables, with z None for drivers that
     keep no adjoint.  With an averaging weight ``delta`` the loop also
-    tracks xhat.  A DivergenceError raised in iteration k leaves carrying k
-    and the rows recorded so far.
+    tracks xhat.  Iteration k diverges when y, z, the updated x or the new
+    metric row is non-finite (non-finite values are absorbing under the
+    solvers' affine updates, so one check per iteration suffices), or when
+    the step raises DivergenceError.  The error leaves carrying k and the
+    rows recorded before it; ``metrics_hook`` and iterate storage never see
+    a non-finite vector.
     """
     check_supported(linear_solver, getattr(oracle, "noise", None))
     counter = OracleCounter()
@@ -318,6 +321,8 @@ def _outer_loop(
     for k in range(config.K):
         try:
             psi, y, z = step(co, k, x, y, z)
+            if not (np.isfinite(y).all() and (z is None or np.isfinite(z).all())):
+                raise DivergenceError(f"inner iterate diverged at outer iteration {k}")
             if metrics_hook is not None:
                 zk = None if z is None else z.copy()
                 metrics_hook(k, x.copy(), y.copy(), zk, counter.snapshot())
@@ -326,8 +331,13 @@ def _outer_loop(
                 if zs is not None:
                     zs.append(z.copy())
             x = x - config.gamma * psi
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(f"outer iterate diverged at iteration {k}")
+            if not np.isfinite(x).all():
+                raise DivergenceError(f"outer iterate diverged at outer iteration {k}")
+            row = None
+            if tracker is not None:
+                row = tracker.row(k + 1, x, counter.snapshot(), time.perf_counter() - t0)
+                if not all(v is None or math.isfinite(v) for v in vars(row).values()):
+                    raise DivergenceError(f"metric row diverged at outer iteration {k}")
         except DivergenceError as err:
             err.outer_iteration = k
             err.partial_rows = rows
@@ -339,13 +349,13 @@ def _outer_loop(
             xs.append(x.copy())
             if xhats is not None:
                 xhats.append(xhat.copy())
-        if tracker is not None:
-            rows.append(tracker.row(k + 1, x, counter.snapshot(), time.perf_counter() - t0))
-            if stop is not None and stop(rows[-1]):
+        if row is not None:
+            rows.append(row)
+            if stop is not None and stop(row):
                 break
     return RunRecord(
         rows=rows, x_final=x, y_final=y, z_final=z, xhat_final=xhat, counter=counter,
-        config=config, problem_header=problem_header, wall_s=time.perf_counter() - t0,
+        config=config, wall_s=time.perf_counter() - t0,
         iterations_run=iterations, xs=xs, ys=ys, zs=zs, xhats=xhats,
     )
 
@@ -361,7 +371,6 @@ def aid_run(
     tracker: MetricsTracker | None = None,
     store_iterates: bool = False,
     stop: Callable[[MetricRow], bool] | None = None,
-    problem_header: dict | None = None,
 ) -> RunRecord:
     """Warm-start-configurable implicit-differentiation outer loop.
 
@@ -396,7 +405,7 @@ def aid_run(
 
     return _outer_loop(
         oracle, config, x0, y_init.copy(), z_init.copy(), step, config.linear_solver, delta,
-        metrics_hook, tracker, store_iterates, stop, problem_header,
+        metrics_hook, tracker, store_iterates, stop,
     )
 
 
@@ -429,7 +438,6 @@ def itd_run(
     store_iterates: bool = False,
     stop: Callable[[MetricRow], bool] | None = None,
     increasing_T: bool = False,
-    problem_header: dict | None = None,
 ) -> RunRecord:
     """Outer loop driven by unrolled-differentiation hypergradients.
 
@@ -445,5 +453,5 @@ def itd_run(
 
     return _outer_loop(
         oracle, config, x0, _init_vec(y_init, oracle.dims.dy), None, step, None, None,
-        metrics_hook, tracker, store_iterates, stop, problem_header,
+        metrics_hook, tracker, store_iterates, stop,
     )

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -448,14 +449,37 @@ class TestEndToEnd:
         assert dispatched == []
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("key, message", [
+        ("KK", "unknown solver keys ['KK']; valid keys are"),
+        ("linear_solver", "solver keys ['linear_solver'] are fixed by the method 'amigo-gd'"),
+    ], ids=["unknown", "method-owned"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_bad_solver_key_rejected(self, tmp_path, capsys, monkeypatch, command, key, message):
+        cfg = {"problem": quad_spec(), "method": "amigo-gd", "solver": {"K": 3, key: "cg"},
+               "sweep": {"methods": ["amigo-gd", "aid-cg"], "T": [1], "N": [1], "K": 3}}
+        dispatched = []
+        monkeypatch.setattr(cli, "_sweep_cell", dispatched.append)
+        monkeypatch.setattr(cli, "run_single", lambda *args, **kwargs: dispatched.append(args))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert dispatched == []
+        assert not out.exists()
+
     def test_diverged_run_summary_keeps_partial_progress(self, tmp_path):
         cfg = {"problem": quad_spec(), "method": "aid-cg", "solver": {"gamma": 1e8, "K": 200},
                "eps": [1e-2, 1e-4, 1e-6]}
         out = tmp_path / "run.csv"
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         rows = out.read_text().strip().split("\n")[1:]
-        summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
+
+        def reject(constant):
+            raise ValueError(f"non-finite {constant} in the summary")
+
+        summary = json.loads((tmp_path / "run.csv.summary.json").read_text(), parse_constant=reject)
         assert summary["diverged_at"] is not None
+        # The metrics overflow before x does; such a row ends the run and is not written.
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[2:] if v)
         assert summary["final"]["k"] == summary["diverged_at"] == len(rows) - 1
         assert summary["final"]["cost"] == int(rows[-1].split(",")[CSV_COLUMNS.index("cost")])
         assert list(summary["cost_to_eps"]) == ["0.01", "0.0001", "1e-06"]

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -340,3 +343,62 @@ def test_drivers_look_solvers_up_at_call_time(quad, monkeypatch):
     aid_run(quad, config, np.ones(12))
     itd_run(quad, config, np.ones(12))
     assert calls == {"solve_inner_sgd": 3, "solve_linear_cg": 3, "itd_hypergradient": 3}
+
+
+# (driver, solver overrides, expected diverging outer iteration or None)
+DIVERGING = {
+    # amigo-gd's outer step never reads y, so only a check of y catches this.
+    "inner-sgd": ("aid", {"alpha": 50.0}, 18),
+    "linear-sgd": ("aid", {"beta": 50.0}, None),
+    # A cold adjoint solve overflows within its first call, in iteration 0.
+    "linear-fixed_point": ("aid", {"beta": 100.0, "N": 200, "warm_z": False,
+                                   "linear_solver": "fixed_point"}, 0),
+    "linear-neumann": ("aid", {"beta": 100.0, "N": 200, "warm_z": False,
+                               "linear_solver": "neumann"}, 0),
+    "linear-cg": ("aid", {"alpha": 50.0, "linear_solver": "cg"}, None),
+    "itd": ("itd", {"alpha": 50.0}, None),
+    "reverse": ("reverse", {"alpha": 50.0}, None),
+    "outer-step": ("aid", {"gamma": 1e8}, None),
+}
+
+
+def _outer_loop_locals(err):
+    """Locals of the outer-loop frame the error propagated through."""
+    tb = err.__traceback__
+    while tb.tb_frame.f_code is not amigo.outer._outer_loop.__code__:
+        tb = tb.tb_next
+    return tb.tb_frame.f_locals
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("case", list(DIVERGING))
+def test_divergence_is_decided_once_per_outer_iteration(case):
+    # The CLI's run of the dx=24 quadratic: problem seed 1, run seed 0, K=40.
+    driver, overrides, expected = DIVERGING[case]
+    problem = gen_quadratic(24, 12, kappa_g=10.0, kappa_L=5.0, seed=1)
+    config = dataclasses.replace(schedule_for(problem, K=40), **overrides)
+    tracker = MetricsTracker(problem, mu_outer=config.mu_outer, L_outer=problem.outer_smoothness()[0])
+    seen = []
+
+    def hook(k, x, y, z, counts):
+        seen.extend(v for v in (x, y, z) if v is not None)
+
+    kwargs = dict(metrics_hook=hook, tracker=tracker, store_iterates=True)
+    x0 = np.random.default_rng(0).standard_normal(24)
+    with pytest.raises(DivergenceError) as err:
+        if driver == "aid":
+            aid_run(problem, config, x0, **kwargs)
+        else:
+            itd_run(problem, config, x0, increasing_T=driver == "reverse", **kwargs)
+    k = err.value.outer_iteration
+    assert k is not None
+    if expected is not None:
+        assert k == expected
+    rows = err.value.partial_rows
+    assert [r.k for r in rows] == list(range(k + 1))
+    assert all(v is None or math.isfinite(v) for r in rows for v in vars(r).values())
+    loop = _outer_loop_locals(err.value)
+    stored = loop["xs"] + loop["ys"] + (loop["zs"] or [])
+    assert len(seen) >= 2 * k and len(stored) >= 2 * k
+    assert all(np.isfinite(v).all() for v in seen + stored)
