@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import json
 import math
+import numbers
 import operator
 import os
 import sys
@@ -67,63 +69,108 @@ METHODS = {
 # SolverConfig fields the method name fixes; a solver spec cannot override them.
 METHOD_FIELDS = ("warm_y", "warm_z", "linear_solver")
 SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name not in METHOD_FIELDS)
+# Each solver key's type is its default's; mu_outer, default None, is a float.
+SOLVER_TYPES = {
+    f.name: float if f.default is None else type(f.default)
+    for f in fields(SolverConfig) if f.name in SOLVER_KEYS
+}
 
 DEFAULT_EPS = (1e-2, 1e-4, 1e-6)
 
 
-def _check_kappa_g(spec: dict) -> None:
-    """Reject kappa_g where nothing generates from it: containers and ridge."""
-    if spec.get("kappa_g") is None:
-        return
-    if spec.get("path"):
-        raise ValueError("kappa_g does not apply to a problem loaded from a path")
-    if spec.get("family", "quadratic") == "ridge":
-        raise ValueError("kappa_g does not apply to the ridge family")
+# Per generated family: its generator and the keys build_problem reads, with
+# their types and defaults.  A container spec reads only "path".
+FAMILIES = {
+    "quadratic": (gen_quadratic, {"dx": (int, 200), "dy": (int, 100), "kappa_g": (float, 10.0),
+                                  "kappa_L": (float, 10.0), "seed": (int, 0)}),
+    "ridge": (gen_ridge_hpo, {"n_tr": (int, 100), "n_val": (int, 100), "d": (int, 20),
+                              "label_noise": (float, 0.1), "seed": (int, 0)}),
+    "nonconvex": (gen_nonconvex, {"dx": (int, 50), "dy": (int, 25), "rho": (float, 1.0),
+                                  "kappa_g": (float, 10.0), "seed": (int, 0)}),
+}
+# Noise spec key -> (NoiseSpec field, type).
+NOISE_FIELDS = {
+    "sigma_f": ("sigma_f_tilde", float),
+    "sigma_g": ("sigma_g_tilde", float),
+    "sigma_gxy": ("sigma_gxy_tilde", float),
+    "sigma_gyy": ("sigma_gyy_tilde", float),
+    "bounded_hessian_noise": ("bounded_hessian_noise", bool),
+}
+CONFIG_KEYS = ("problem", "solver", "noise", "sweep", "method", "seed", "out", "eps")
+SWEEP_KEYS = ("methods", "kappa_g", "T", "N", "batch", "seeds", "K", "cost_cap", "stop_rel")
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _check_keys(section: str, spec, valid) -> None:
+    """Reject a section that is not an object or that holds a key outside valid."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"the {section} section must be an object, got {spec!r}")
+    unknown = sorted(set(spec).difference(valid))
+    if unknown:
+        raise ValueError(f"unknown {section} keys {unknown}; valid keys are {list(valid)}")
+
+
+def _typed(section: str, key: str, value, kind):
+    """value as kind: an int field takes an integer, a float field any real number."""
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        number = numbers.Integral if kind is int else numbers.Real
+        ok = isinstance(value, number) and not isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"{section} key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
+def canonical_problem(spec: dict) -> dict:
+    """The spec as build_problem reads it: keys and types checked, defaults filled in."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"the problem section must be an object, got {spec!r}")
+    if "path" in spec:
+        _check_keys("container problem", spec, ("path",))
+        if not isinstance(spec["path"], str):
+            raise ValueError(f"problem key 'path' must be a string, got {spec['path']!r}")
+        return {"path": spec["path"]}
+    family = spec.get("family", "quadratic")
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ValueError(f"unknown problem family {family!r}; choose from {list(FAMILIES)}")
+    section = f"{family} problem"
+    _, keys = FAMILIES[family]
+    _check_keys(section, spec, ("family", *keys))
+    typed = {k: _typed(section, k, spec.get(k, default), kind) for k, (kind, default) in keys.items()}
+    return {"family": family, **typed}
 
 
 def build_problem(spec: dict):
     """Problem instance from an inline spec or a saved container."""
-    _check_kappa_g(spec)
-    if spec.get("path"):
+    spec = canonical_problem(spec)
+    if "path" in spec:
         return load_problem(spec["path"])
-    family = spec.get("family", "quadratic")
-    seed = int(spec.get("seed", 0))
-    if family == "quadratic":
-        return gen_quadratic(
-            int(spec.get("dx", 200)),
-            int(spec.get("dy", 100)),
-            float(spec.get("kappa_g", 10.0)),
-            float(spec.get("kappa_L", 10.0)),
-            seed,
-        )
-    if family == "ridge":
-        return gen_ridge_hpo(
-            int(spec.get("n_tr", 100)),
-            int(spec.get("n_val", 100)),
-            int(spec.get("d", 20)),
-            float(spec.get("label_noise", 0.1)),
-            seed,
-        )
-    if family == "nonconvex":
-        return gen_nonconvex(
-            int(spec.get("dx", 50)),
-            int(spec.get("dy", 25)),
-            float(spec.get("rho", 1.0)),
-            seed,
-            kappa_g=float(spec.get("kappa_g", 10.0)),
-        )
-    raise ValueError(f"unknown problem family {family!r}")
+    generate, _ = FAMILIES[spec.pop("family")]
+    return generate(**spec)
 
 
 def build_noise(spec: dict | None) -> NoiseSpec:
-    spec = spec or {}
-    return NoiseSpec(
-        sigma_f_tilde=float(spec.get("sigma_f", 0.0)),
-        sigma_g_tilde=float(spec.get("sigma_g", 0.0)),
-        sigma_gxy_tilde=float(spec.get("sigma_gxy", 0.0)),
-        sigma_gyy_tilde=float(spec.get("sigma_gyy", 0.0)),
-        bounded_hessian_noise=bool(spec.get("bounded_hessian_noise", True)),
-    )
+    spec = {} if spec is None else spec
+    _check_keys("noise", spec, NOISE_FIELDS)
+    return NoiseSpec(**{
+        NOISE_FIELDS[key][0]: _typed("noise", key, value, NOISE_FIELDS[key][1])
+        for key, value in spec.items()
+    })
+
+
+def check_config(cfg: dict) -> None:
+    """Reject an unknown or wrong-typed key in the top level, problem, noise or sweep section."""
+    _check_keys("top-level", cfg, CONFIG_KEYS)
+    if "seed" in cfg:
+        _typed("top-level", "seed", cfg["seed"], int)
+    if not isinstance(cfg.get("eps", []), list):
+        raise ValueError(f"top-level key 'eps' must be a list of numbers, got {cfg['eps']!r}")
+    for eps in cfg.get("eps", []):
+        _typed("top-level", "eps", eps, float)
+    _check_keys("sweep", cfg.get("sweep", {}), SWEEP_KEYS)
+    canonical_problem(cfg["problem"])
+    build_noise(cfg.get("noise"))
 
 
 def _outer_bounds(problem) -> tuple[float | None, float | None]:
@@ -133,17 +180,23 @@ def _outer_bounds(problem) -> tuple[float | None, float | None]:
     return None, None
 
 
-def check_solver_spec(method: str, solver_spec: dict | None) -> None:
-    """Reject a method-owned or unknown key in a solver spec."""
+def check_solver_spec(method: str, solver_spec: dict | None) -> dict:
+    """The solver overrides with their types checked; a method-owned or unknown key is an error.
+
+    A null value leaves the field to the prescribed schedule and is dropped.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
-    keys = set(solver_spec or ())
-    owned = sorted(keys.intersection(METHOD_FIELDS))
+    spec = {} if solver_spec is None else solver_spec
+    owned = sorted(set(spec).intersection(METHOD_FIELDS))
     if owned:
         raise ValueError(f"solver keys {owned} are fixed by the method {method!r}")
-    unknown = sorted(keys.difference(SOLVER_KEYS))
-    if unknown:
-        raise ValueError(f"unknown solver keys {unknown}; valid keys are {list(SOLVER_KEYS)}")
+    _check_keys("solver", spec, SOLVER_KEYS)
+    return {
+        name: _typed("solver", name, value, SOLVER_TYPES[name])
+        for name, value in spec.items()
+        if value is not None
+    }
 
 
 def build_config(problem, method: str, solver_spec: dict | None, noise: NoiseSpec) -> SolverConfig:
@@ -151,21 +204,15 @@ def build_config(problem, method: str, solver_spec: dict | None, noise: NoiseSpe
 
     mu_outer defaults to the problem's exact modulus when that is positive.
     """
-    check_solver_spec(method, solver_spec)
-    spec = solver_spec or {}
+    overrides = check_solver_spec(method, solver_spec)
     L_outer, mu_exact = _outer_bounds(problem)
-    mu_outer = spec.get("mu_outer")
+    mu_outer = overrides.pop("mu_outer", None)
     if mu_outer is None and mu_exact is not None and mu_exact > 0:
         mu_outer = mu_exact
     owned = {name: METHODS[method][name] for name in METHOD_FIELDS if name in METHODS[method]}
     config, _ = prescribed_schedule(
         problem.constants(), mu_outer=mu_outer, L_outer=L_outer, noise=noise, **owned
     )
-    overrides = {
-        name: type(getattr(config, name))(value)
-        for name, value in spec.items()
-        if name != "mu_outer" and value is not None
-    }
     return replace(config, **overrides)
 
 
@@ -274,9 +321,29 @@ def make_stop_rule(
     return stop
 
 
+# The one-slot problem memo of the sweep cells run in this process.  It is
+# module state because pool workers reach it only through _sweep_cell.
+_sweep_memo: dict = {}
+
+
+def _sweep_problem(spec: dict):
+    """build_problem(spec), reused while consecutive cells share the canonical spec.
+
+    The old problem is dropped before the next is built, so at most one is
+    alive per process.  run_sweep empties the slot when it starts and when it
+    returns, and orders its cells kappa outermost, so each process rebuilds
+    only at kappa boundaries.
+    """
+    key = tuple(canonical_problem(spec).items())
+    if _sweep_memo.get("key") != key:
+        _sweep_memo.clear()
+        _sweep_memo.update(problem=build_problem(spec), key=key)
+    return _sweep_memo["problem"]
+
+
 def _sweep_cell(task: dict) -> dict:
     """One sweep cell: a (method, grid point, seed) run. Top level for pickling."""
-    problem = build_problem(task["problem"])
+    problem = _sweep_problem(task["problem"])
     noise = build_noise(task.get("noise"))
     config = build_config(problem, task["method"], task["solver"], noise)
     stop = make_stop_rule(task.get("stop_rel"), task.get("cost_cap"))
@@ -331,6 +398,8 @@ def run_sweep(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("the sweep seed list must not be empty")
+    cost_cap = None if cost_cap is None else _typed("sweep", "cost_cap", cost_cap, int)
+    stop_rel = None if stop_rel is None else _typed("sweep", "stop_rel", stop_rel, float)
     bad = [m for m in methods if m not in METHODS]
     if bad:
         raise ValueError(f"unknown methods in sweep: {bad}")
@@ -345,37 +414,34 @@ def run_sweep(
         pspec = dict(problem_spec)
         if kappa is not None:
             pspec["kappa_g"] = kappa
-        _check_kappa_g(pspec)
-        for method in methods:
-            for T in T_grid:
-                for N in N_grid:
-                    for batch in batch_grid:
-                        for seed in seeds:
-                            solver = dict(solver_overrides or {})
-                            solver.update(
-                                T=int(T), N=int(N), K=int(K_max),
-                                batch_f=int(batch), batch_g=int(batch),
-                                batch_gxy=int(batch), batch_gyy=int(batch),
-                            )
-                            cell = {"kappa_g": kappa, "T": int(T), "N": int(N),
-                                    "batch": int(batch)}
-                            tasks.append({
-                                "key": (method, str(kappa), int(T), int(N), int(batch)),
-                                "method": method,
-                                "seed": int(seed),
-                                "problem": pspec,
-                                "noise": noise_spec,
-                                "solver": solver,
-                                "cell": cell,
-                                "eps": list(eps),
-                                "cost_cap": cost_cap,
-                                "stop_rel": stop_rel,
-                            })
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, tasks))
-    else:
-        results = [_sweep_cell(t) for t in tasks]
+        canonical_problem(pspec)
+        for method, T, N, batch, seed in itertools.product(methods, T_grid, N_grid, batch_grid, seeds):
+            solver = check_solver_spec(method, {
+                **(solver_overrides or {}), "T": T, "N": N, "K": K_max,
+                "batch_f": batch, "batch_g": batch, "batch_gxy": batch, "batch_gyy": batch,
+            })
+            cell = {"kappa_g": kappa, "T": solver["T"], "N": solver["N"], "batch": solver["batch_f"]}
+            tasks.append({
+                "key": (method, str(kappa), cell["T"], cell["N"], cell["batch"]),
+                "method": method,
+                "seed": _typed("sweep", "seeds", seed, int),
+                "problem": pspec,
+                "noise": noise_spec,
+                "solver": solver,
+                "cell": cell,
+                "eps": list(eps),
+                "cost_cap": cost_cap,
+                "stop_rel": stop_rel,
+            })
+    _sweep_memo.clear()
+    try:
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_sweep_cell, tasks))
+        else:
+            results = [_sweep_cell(t) for t in tasks]
+    finally:
+        _sweep_memo.clear()
     results.sort(key=lambda r: (r["key"], r["seed"]))
 
     summary: dict = {}
@@ -511,7 +577,10 @@ def run_checks(problem, noise: NoiseSpec | None = None, seed: int = 0, n_points:
 
 def _load_json_config(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a config must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 # Flag -> the config section it overrides; None is the top level.
@@ -530,6 +599,7 @@ def _merged_config(args) -> dict:
             (cfg if section is None else cfg[section])[flag] = value
     if args.eps is not None:
         cfg["eps"] = [float(e) for e in args.eps.split(",") if e]
+    check_config(cfg)
     return cfg
 
 
@@ -596,7 +666,7 @@ def cmd_sweep(args) -> int:
         T_grid=sweep.get("T", [1, 10]),
         N_grid=sweep.get("N", [1, 10]),
         seeds=sweep.get("seeds", [int(cfg.get("seed", 0))]),
-        K_max=int(sweep.get("K", 2000)),
+        K_max=sweep.get("K", 2000),
         eps=cfg.get("eps", list(DEFAULT_EPS)),
         noise_spec=cfg.get("noise"),
         batch_grid=sweep.get("batch", [1]),

@@ -29,6 +29,7 @@ from .oracle import BilevelOracle, Dims, SmoothnessConstants
 __all__ = [
     "InvalidSpectrumError",
     "ConfigurationError",
+    "ContainerError",
     "NoiseSpec",
     "QuadraticProblem",
     "RidgeHPOProblem",
@@ -668,54 +669,88 @@ def save_problem(problem, path) -> None:
         fh.write(_problem_bytes(problem))
 
 
+_HEADER_END = len(MAGIC) + struct.calcsize(_HEADER_FMT)
+
+
+class ContainerError(ValueError):
+    """A problem container whose header or body does not hold a problem.
+
+    ``field`` names the offending part: magic, header, family_tag, a header
+    dimension, extra, or body.
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"problem container {field}: {message}")
+        self.field = field
+
+
 def _read_header(raw: bytes) -> dict:
     if raw[: len(MAGIC)] != MAGIC:
-        raise ValueError("not a problem container (bad magic string)")
+        raise ContainerError("magic", "not a problem container (bad magic string)")
+    if len(raw) < _HEADER_END:
+        raise ContainerError("header", f"{len(raw)} bytes, shorter than the {_HEADER_END}-byte header")
     vals = struct.unpack_from(_HEADER_FMT, raw, len(MAGIC))
     h = dict(zip(_HEADER_KEYS, vals))
-    h["family"] = _FAMILY_NAMES.get(h.pop("family_tag"))
+    tag = h.pop("family_tag")
+    h["family"] = _FAMILY_NAMES.get(tag)
     if h["family"] is None:
-        raise ValueError("unknown problem family tag")
+        raise ContainerError("family_tag", f"unknown problem family tag {tag}")
     return h
 
 
+def _body_shapes(h: dict) -> list[tuple[int, ...]]:
+    """Shapes of the body's arrays in stored order; every dimension they use must be positive."""
+    dx, dy = h["dx"], h["dy"]
+    if h["family"] == "ridge":
+        dims = ("dx", "n_aux1", "n_aux2")
+        n_tr, n_val = h["n_aux1"], h["n_aux2"]
+        shapes = [(n_tr, dx), (n_tr,), (n_val, dx), (n_val,)]
+    else:
+        dims = ("dx", "dy")
+        shapes = [(dy,), (dy, dy), (dy, dx)]
+        if h["family"] == "quadratic":
+            shapes.insert(0, (dx, dx))
+    for name in dims:
+        if h[name] <= 0:
+            raise ContainerError(name, f"dimension must be positive, got {h[name]}")
+    return shapes
+
+
 def load_problem(path):
-    """Load a problem container written by save_problem."""
+    """Load a problem container written by save_problem.
+
+    Raises ContainerError unless the header's dimensions are positive, the
+    body holds exactly the float64 values they imply, and every value is finite.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     h = _read_header(raw)
-    off = len(MAGIC) + struct.calcsize(_HEADER_FMT)
-    body = np.frombuffer(raw, dtype="<f8", offset=off)
-
-    def take(shape):
-        nonlocal body
-        n = int(np.prod(shape))
-        arr = body[:n].reshape(shape).astype(float)
-        body = body[n:]
-        return arr
-
-    dx, dy = h["dx"], h["dy"]
+    shapes = _body_shapes(h)
+    # extra is rho for the non-convex family, the label noise for ridge.
+    if not math.isfinite(h["extra"]) or (h["family"] == "nonconvex" and h["extra"] <= 0):
+        raise ContainerError("extra", f"must be finite, and positive for rho, got {h['extra']}")
+    size = sum(math.prod(shape) for shape in shapes)
+    if len(raw) - _HEADER_END != 8 * size:
+        raise ContainerError(
+            "body", f"{len(raw) - _HEADER_END} bytes where the header implies {8 * size}"
+        )
+    body = np.frombuffer(raw, dtype="<f8", offset=_HEADER_END)
+    if not np.isfinite(body).all():
+        raise ContainerError("body", f"{np.count_nonzero(~np.isfinite(body))} non-finite values")
+    arrays, offset = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        arrays.append(body[offset:offset + n].reshape(shape).astype(float))
+        offset += n
     if h["family"] == "quadratic":
-        return QuadraticProblem(
-            take((dx, dx)), take((dy,)), take((dy, dy)), take((dy, dx)), seed=h["seed"]
-        )
+        return QuadraticProblem(*arrays, seed=h["seed"])
     if h["family"] == "nonconvex":
-        return NonconvexOuterProblem(
-            h["extra"], take((dy,)), take((dy, dy)), take((dy, dx)), seed=h["seed"]
-        )
-    n_tr, n_val = h["n_aux1"], h["n_aux2"]
-    return RidgeHPOProblem(
-        take((n_tr, dx)),
-        take((n_tr,)),
-        take((n_val, dx)),
-        take((n_val,)),
-        seed=h["seed"],
-        label_noise=h["extra"],
-    )
+        return NonconvexOuterProblem(h["extra"], *arrays, seed=h["seed"])
+    return RidgeHPOProblem(*arrays, seed=h["seed"], label_noise=h["extra"])
 
 
 def describe_problem(path) -> dict:
     """Header of a problem container as a plain dict (JSON-friendly)."""
     with open(path, "rb") as fh:
-        raw = fh.read(len(MAGIC) + struct.calcsize(_HEADER_FMT))
+        raw = fh.read(_HEADER_END)
     return _read_header(raw)

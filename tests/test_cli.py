@@ -286,12 +286,34 @@ class TestSweep:
                     assert best["cost"] == min(reached)
 
     def test_worker_count_does_not_change_results(self):
-        serial, _ = run_sweep(**self.sweep_kwargs(workers=1))
-        parallel, _ = run_sweep(**self.sweep_kwargs(workers=2))
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert a["key"] == b["key"] and a["seed"] == b["seed"]
-            assert a["rows"] == b["rows"]
+        # With a kappa axis each worker rebuilds at kappa boundaries only.
+        for kappa_g_grid in (None, [2.0, 10.0]):
+            serial, _ = run_sweep(**self.sweep_kwargs(workers=1), kappa_g_grid=kappa_g_grid)
+            parallel, _ = run_sweep(**self.sweep_kwargs(workers=2), kappa_g_grid=kappa_g_grid)
+            assert len(serial) == len(parallel)
+            for a, b in zip(serial, parallel):
+                assert a["key"] == b["key"] and a["seed"] == b["seed"]
+                assert a["rows"] == b["rows"]
+
+    def test_each_problem_is_built_once_per_sweep(self, monkeypatch):
+        built = []
+        fresh = cli.build_problem
+        monkeypatch.setattr(cli, "build_problem", lambda spec: built.append(spec) or fresh(spec))
+        kwargs = dict(self.sweep_kwargs(), kappa_g_grid=[2.0, 10.0])
+        run_sweep(**kwargs)
+        assert [spec["kappa_g"] for spec in built] == [2.0, 10.0]
+        results, _ = run_sweep(**kwargs)
+        assert len(built) == 4  # a second sweep builds again: nothing is retained
+        assert cli._sweep_memo == {}
+        # Every cell equals a run on a freshly built problem.
+        noise = build_noise(None)
+        for res in results:
+            cell = res["cell"]
+            problem = fresh(quad_spec(kappa_g=cell["kappa_g"]))
+            config = build_config(problem, res["method"], {"T": cell["T"], "N": cell["N"], "K": 60}, noise)
+            record = run_single(problem, res["method"], config, res["seed"], noise,
+                                stop=make_stop_rule(None, None))
+            assert [cli._metric_values(r) for r in record.rows] == res["rows"]
 
     def test_empty_seed_list_rejected(self):
         kwargs = self.sweep_kwargs()
@@ -330,6 +352,35 @@ class TestChecks:
                                  "label_noise": 0.1, "seed": 2})
         checks = run_checks(problem, seed=0)
         assert all(c["passed"] for c in checks)
+
+
+# Config entries every command rejects: (section or None for the top level, entry, message).
+BAD_CONFIGS = {
+    "problem-unknown": ("problem", {"kapa_g": 500},
+                        "unknown quadratic problem keys ['kapa_g']; valid keys are ['family', 'dx',"),
+    "problem-family-key": ("problem", {"family": "nonconvex"},
+                           "unknown nonconvex problem keys ['kappa_L']"),
+    "problem-type": ("problem", {"dx": 24.0}, "quadratic problem key 'dx' must be an integer, got 24.0"),
+    "noise-unknown": ("noise", {"sigma_gy": 0.1},
+                      "unknown noise keys ['sigma_gy']; valid keys are ['sigma_f',"),
+    "noise-type": ("noise", {"sigma_g": "0.1"}, "noise key 'sigma_g' must be a number, got '0.1'"),
+    "sweep-unknown": ("sweep", {"method": ["aid-gd"]},
+                      "unknown sweep keys ['method']; valid keys are ['methods',"),
+    "top-level-unknown": (None, {"methods": ["aid-gd"]},
+                          "unknown top-level keys ['methods']; valid keys are"),
+    "eps-type": (None, {"eps": [0.1, "a"]}, "top-level key 'eps' must be a number, got 'a'"),
+    "solver-K-float": ("solver", {"K": 3.7}, "solver key 'K' must be an integer, got 3.7"),
+    "solver-u-float": ("solver", {"u": 0.9}, "solver key 'u' must be an integer, got 0.9"),
+    "solver-T-bool": ("solver", {"T": True}, "solver key 'T' must be an integer, got True"),
+    "solver-gamma-str": ("solver", {"gamma": "0.5"}, "solver key 'gamma' must be a number, got '0.5'"),
+}
+# Sweep values, which only a sweep reads.
+BAD_SWEEP_GRIDS = {
+    "sweep-T-float": ("sweep", {"T": [1.5]}, "solver key 'T' must be an integer, got 1.5"),
+    "sweep-K-float": ("sweep", {"K": 2.5}, "solver key 'K' must be an integer, got 2.5"),
+    "sweep-seed-float": ("sweep", {"seeds": [0.5]}, "sweep key 'seeds' must be an integer, got 0.5"),
+    "sweep-cost-cap-str": ("sweep", {"cost_cap": "5"}, "sweep key 'cost_cap' must be an integer, got '5'"),
+}
 
 
 class TestEndToEnd:
@@ -464,6 +515,34 @@ class TestEndToEnd:
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert dispatched == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, case", [
+        *((command, case) for command in ("run", "sweep") for case in BAD_CONFIGS),
+        *(("sweep", case) for case in BAD_SWEEP_GRIDS),
+    ])
+    def test_bad_config_rejected(self, tmp_path, capsys, monkeypatch, command, case):
+        section, entry, message = {**BAD_CONFIGS, **BAD_SWEEP_GRIDS}[case]
+        cfg = {"problem": quad_spec(), "noise": {}, "method": "amigo-gd", "solver": {"K": 3},
+               "sweep": {"methods": ["amigo-gd"], "T": [1], "N": [1], "K": 3}}
+        (cfg if section is None else cfg[section]).update(entry)
+        dispatched = []
+        monkeypatch.setattr(cli, "_sweep_cell", dispatched.append)
+        monkeypatch.setattr(cli, "run_single", lambda *args, **kwargs: dispatched.append(args))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert dispatched == []
+        assert not out.exists()
+
+    def test_corrupt_container_rejected(self, tmp_path, capsys):
+        container = tmp_path / "p.bin"
+        save_problem(build_problem(quad_spec()), container)
+        container.write_bytes(container.read_bytes() + b"\x00" * 8)
+        cfg = {"problem": {"path": str(container)}, "solver": {"K": 3}}
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "problem container body" in capsys.readouterr().err
         assert not out.exists()
 
     def test_diverged_run_summary_keeps_partial_progress(self, tmp_path):

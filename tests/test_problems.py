@@ -1,8 +1,11 @@
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amigo import (
     ConfigurationError,
@@ -17,7 +20,7 @@ from amigo import (
     make_stochastic,
     save_problem,
 )
-from amigo.problems import _problem_bytes
+from amigo.problems import _HEADER_FMT, MAGIC, ContainerError, _problem_bytes
 
 from conftest import central_diff, rel_err
 
@@ -288,3 +291,146 @@ class TestSerialization:
         a = gen_quadratic(10, 7, kappa_g=50.0, kappa_L=10.0, seed=42)
         b = gen_quadratic(10, 7, kappa_g=50.0, kappa_L=10.0, seed=42)
         assert _problem_bytes(a) == _problem_bytes(b)
+
+
+HEADER_BYTES = len(MAGIC) + struct.calcsize(_HEADER_FMT)
+FAMILY_TAGS = {"quadratic": 1, "ridge": 2, "nonconvex": 3}
+
+
+def container(tag, dx, dy, n1=0, n2=0, extra=0.0, values=(), tail=b""):
+    header = struct.pack(_HEADER_FMT, tag, dx, dy, n1, n2, 7, 1.0, 1.0, extra)
+    return MAGIC + header + np.asarray(values, dtype="<f8").tobytes() + tail
+
+
+def implied_values(tag, dx, dy, n1, n2):
+    """Number of body values a header with positive dimensions implies."""
+    if tag == FAMILY_TAGS["quadratic"]:
+        return dx * dx + dy + dy * dy + dy * dx
+    if tag == FAMILY_TAGS["nonconvex"]:
+        return dy + dy * dy + dy * dx
+    return n1 * dx + n1 + n2 * dx + n2
+
+
+class TestContainerValidation:
+    def quadratic_bytes(self, dx=6, dy=4):
+        return _problem_bytes(gen_quadratic(dx, dy, kappa_g=5.0, kappa_L=2.0, seed=1))
+
+    def load(self, tmp_path, raw):
+        path = tmp_path / "p.bin"
+        path.write_bytes(raw)
+        return load_problem(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        with pytest.raises(ContainerError, match="header implies") as err:
+            self.load(tmp_path, self.quadratic_bytes() + b"\x00" * 8)
+        assert err.value.field == "body"
+
+    def test_header_dims_must_match_body(self, tmp_path):
+        raw = bytearray(self.quadratic_bytes(dx=6))
+        raw[len(MAGIC) + 8:len(MAGIC) + 16] = struct.pack("<q", 3)  # dx = 3 over a dx = 6 body
+        with pytest.raises(ContainerError) as err:
+            self.load(tmp_path, bytes(raw))
+        assert err.value.field == "body"
+
+    def test_truncated_body(self, tmp_path):
+        with pytest.raises(ContainerError) as err:
+            self.load(tmp_path, self.quadratic_bytes()[:-1])
+        assert err.value.field == "body"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_body(self, tmp_path, value):
+        raw = bytearray(self.quadratic_bytes())
+        raw[HEADER_BYTES:HEADER_BYTES + 8] = struct.pack("<d", value)
+        with pytest.raises(ContainerError, match="1 non-finite") as err:
+            self.load(tmp_path, bytes(raw))
+        assert err.value.field == "body"
+
+    @pytest.mark.parametrize("family, field, header", [
+        ("quadratic", "dy", (1, 6, -4)),
+        ("quadratic", "dx", (1, 0, 4)),
+        ("nonconvex", "dy", (3, 6, 0)),
+        ("ridge", "n_aux2", (2, 5, 5, 3, -1)),
+    ])
+    def test_dimensions_must_be_positive(self, tmp_path, family, field, header):
+        with pytest.raises(ContainerError, match="must be positive") as err:
+            self.load(tmp_path, container(*header, values=np.zeros(64)))
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("extra", [math.nan, math.inf, 0.0])
+    def test_rho_must_be_finite_and_positive(self, tmp_path, extra):
+        raw = container(3, 2, 2, extra=extra, values=np.ones(2 + 4 + 4))
+        with pytest.raises(ContainerError) as err:
+            self.load(tmp_path, raw)
+        assert err.value.field == "extra"
+
+    def test_short_header_and_unknown_tag(self, tmp_path):
+        with pytest.raises(ContainerError) as err:
+            self.load(tmp_path, self.quadratic_bytes()[:HEADER_BYTES - 1])
+        assert err.value.field == "header"
+        with pytest.raises(ContainerError) as err:
+            self.load(tmp_path, container(9, 2, 2))
+        assert err.value.field == "family_tag"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_header_and_body(self, tmp_path_factory, data):
+        """A well-formed container loads what it holds; one defect makes it fail on that field."""
+        tag = data.draw(st.sampled_from(sorted(FAMILY_TAGS.values())), label="tag")
+        header = dict(zip(("dx", "dy", "n_aux1", "n_aux2"), data.draw(
+            st.lists(st.integers(1, 5), min_size=4, max_size=4), label="dims")))
+        used = ("dx", "n_aux1", "n_aux2") if tag == FAMILY_TAGS["ridge"] else ("dx", "dy")
+        size = implied_values(tag, *header.values())
+        values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size), label="values")
+        extra = data.draw(st.floats(0.01, 10.0), label="extra")
+        tail = b""
+        defect = data.draw(st.sampled_from(
+            [None, "tail", "cut", "resize", "dim", "value", "extra", "tag"]), label="defect")
+        field = "body"
+        if defect == "tail":
+            tail = data.draw(st.binary(min_size=1, max_size=16))
+        elif defect == "cut":
+            values = values[:data.draw(st.integers(0, size - 1))]
+        elif defect == "resize":
+            name = data.draw(st.sampled_from(used))
+            header[name] = data.draw(st.integers(1, 6).filter(lambda n: n != header[name]))
+        elif defect == "dim":
+            field = data.draw(st.sampled_from(used))
+            header[field] = data.draw(st.integers(-2**63, 0))
+        elif defect == "value":
+            values[data.draw(st.integers(0, size - 1))] = data.draw(
+                st.sampled_from([math.nan, math.inf, -math.inf]))
+        elif defect == "extra":
+            field = "extra"
+            bad = [math.nan, math.inf, -math.inf]
+            nonconvex = tag == FAMILY_TAGS["nonconvex"]
+            extra = data.draw(st.sampled_from(bad + [0.0, -1.0] if nonconvex else bad))
+        elif defect == "tag":
+            field = "family_tag"
+            tag = data.draw(st.sampled_from([0, 4, -1, 2**40]))
+        raw = container(tag, *header.values(), extra, values, tail)
+        path = tmp_path_factory.mktemp("fuzz") / "p.bin"
+        path.write_bytes(raw)
+        if defect is None:
+            problem = load_problem(path)
+            assert b"".join(a.astype("<f8").tobytes() for a in problem._arrays()) == raw[HEADER_BYTES:]
+            assert problem.dims.dx == header["dx"]
+            return
+        with pytest.raises(ContainerError) as err:
+            load_problem(path)
+        assert err.value.field == field
+
+    @settings(max_examples=200, deadline=None)
+    @given(cut=st.integers(0, 400), flips=st.lists(
+        st.tuples(st.integers(0, 10_000), st.integers(1, 255)), max_size=4))
+    def test_fuzzed_bytes_of_a_valid_container(self, tmp_path_factory, cut, flips):
+        """Truncated or corrupted bytes load as a problem or raise ContainerError, nothing else."""
+        raw = bytearray(_problem_bytes(gen_nonconvex(4, 3, rho=1.0, seed=2, kappa_g=4.0)))
+        for position, mask in flips:
+            raw[position % len(raw)] ^= mask
+        path = tmp_path_factory.mktemp("fuzz") / "p.bin"
+        path.write_bytes(bytes(raw[:len(raw) - cut]))
+        try:
+            problem = load_problem(path)
+        except ContainerError:
+            return
+        assert np.isfinite(problem.B_g).all() and problem.rho > 0
