@@ -1,15 +1,11 @@
 """Command-line harness: problem generation, runs, sweeps and self-checks.
 
 Subcommands: generate | run | sweep | check.  Configuration comes from a
-JSON file (--config) with flags overriding file values.  Runs stream one
-CSV row per outer iteration using a fixed column order:
-
-    method,seed,k,rel_error,grad_norm_sq,avg_grad_norm_sq,combined_sc,energy_x,cost,wall_s
-
-Undefined metrics are left empty.  The wall_s column is populated only when
---timing is given so that repeated runs with the same seed and config yield
-byte-identical CSV output; measured wall time is always present in the JSON
-summary.
+JSON file (--config), checked against SCHEMA, with flags overriding file
+values.  Runs write one CSV row per outer iteration in CSV_COLUMNS order,
+undefined metrics left empty.  The wall_s column is filled only under
+--timing, so repeated runs with the same seed and config are byte-identical;
+the JSON summary always has the measured wall time.
 """
 
 from __future__ import annotations
@@ -68,52 +64,72 @@ METHODS = {
 
 # SolverConfig fields the method name fixes; a solver spec cannot override them.
 METHOD_FIELDS = ("warm_y", "warm_z", "linear_solver")
-SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name not in METHOD_FIELDS)
-# Each solver key's type is its default's; mu_outer, default None, is a float.
-SOLVER_TYPES = {
-    f.name: float if f.default is None else type(f.default)
-    for f in fields(SolverConfig) if f.name in SOLVER_KEYS
-}
 
 DEFAULT_EPS = (1e-2, 1e-4, 1e-6)
 
+FAMILIES = {"quadratic": gen_quadratic, "ridge": gen_ridge_hpo, "nonconvex": gen_nonconvex}
 
-# Per generated family: its generator and the keys build_problem reads, with
-# their types and defaults.  A container spec reads only "path".
-FAMILIES = {
-    "quadratic": (gen_quadratic, {"dx": (int, 200), "dy": (int, 100), "kappa_g": (float, 10.0),
-                                  "kappa_L": (float, 10.0), "seed": (int, 0)}),
-    "ridge": (gen_ridge_hpo, {"n_tr": (int, 100), "n_val": (int, 100), "d": (int, 20),
-                              "label_noise": (float, 0.1), "seed": (int, 0)}),
-    "nonconvex": (gen_nonconvex, {"dx": (int, 50), "dy": (int, 25), "rho": (float, 1.0),
-                                  "kappa_g": (float, 10.0), "seed": (int, 0)}),
+METHOD = "method"  # the kind of a method name
+
+# The config schema: section -> key -> (kind, default), in the order errors
+# list them.  A kind is a type, METHOD, [kind] for a JSON list of such values
+# (a sweep grid must not be empty) or a (section, key) pair: the kind of that
+# key, whose errors then name it.  dict marks a section, which has its own
+# schema.  A key takes null where its default is None; ... means no default.
+SCHEMA = {
+    "top-level": {
+        "problem": (dict, None), "solver": (dict, None), "noise": (dict, None), "sweep": (dict, None),
+        "method": (METHOD, "amigo-gd"), "seed": (int, 0),
+        "out": (str, None),  # None: the command's own output
+        "eps": ([float], list(DEFAULT_EPS)),
+    },
+    "quadratic problem": {"family": (str, "quadratic"), "dx": (int, 200), "dy": (int, 100),
+                          "kappa_g": (float, 10.0), "kappa_L": (float, 10.0), "seed": (int, 0)},
+    "ridge problem": {"family": (str, "ridge"), "n_tr": (int, 100), "n_val": (int, 100),
+                      "d": (int, 20), "label_noise": (float, 0.1), "seed": (int, 0)},
+    "nonconvex problem": {"family": (str, "nonconvex"), "dx": (int, 50), "dy": (int, 25),
+                          "rho": (float, 1.0), "kappa_g": (float, 10.0), "seed": (int, 0)},
+    "container problem": {"path": (str, ...)},
+    # NoiseSpec's fields in order, without their _tilde suffix.
+    "noise": {f.name.removesuffix("_tilde"): (type(f.default), f.default) for f in fields(NoiseSpec)},
+    # None leaves the field to the prescribed schedule; mu_outer is a float.
+    "solver": {
+        f.name: (float if f.default is None else type(f.default), None)
+        for f in fields(SolverConfig) if f.name not in METHOD_FIELDS
+    },
+    "sweep": {
+        "methods": ([METHOD], ["amigo-gd", "aid-gd"]),
+        "kappa_g": ([float], None),  # None: the problem's own kappa_g
+        "T": ([("solver", "T")], [1, 10]),
+        "N": ([("solver", "N")], [1, 10]),
+        "batch": ([("solver", "batch_f")], [1]),
+        "seeds": ([int], None),  # None: the top-level seed
+        "K": (("solver", "K"), 2000),
+        "cost_cap": (int, None),
+        "stop_rel": (float, None),
+    },
 }
-# Noise spec key -> (NoiseSpec field, type).
-NOISE_FIELDS = {
-    "sigma_f": ("sigma_f_tilde", float),
-    "sigma_g": ("sigma_g_tilde", float),
-    "sigma_gxy": ("sigma_gxy_tilde", float),
-    "sigma_gyy": ("sigma_gyy_tilde", float),
-    "bounded_hessian_noise": ("bounded_hessian_noise", bool),
-}
-CONFIG_KEYS = ("problem", "solver", "noise", "sweep", "method", "seed", "out", "eps")
-SWEEP_KEYS = ("methods", "kappa_g", "T", "N", "batch", "seeds", "K", "cost_cap", "stop_rel")
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
-
-
-def _check_keys(section: str, spec, valid) -> None:
-    """Reject a section that is not an object or that holds a key outside valid."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"the {section} section must be an object, got {spec!r}")
-    unknown = sorted(set(spec).difference(valid))
-    if unknown:
-        raise ValueError(f"unknown {section} keys {unknown}; valid keys are {list(valid)}")
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
 def _typed(section: str, key: str, value, kind):
-    """value as kind: an int field takes an integer, a float field any real number."""
-    if kind is bool:
-        ok = isinstance(value, bool)
+    """value checked as kind: an int takes an integer but not a bool, a float any real number."""
+    if isinstance(kind, list):
+        grid = section == "sweep"
+        if not isinstance(value, (list, tuple)) or (grid and not value):
+            raise ValueError(f"{section} key {key!r} must be a {'non-empty ' * grid}list, got {value!r}")
+        return [_typed(section, key, v, kind[0]) for v in value]
+    if isinstance(kind, tuple):
+        section, key = kind
+        kind = SCHEMA[section][key][0]
+    if kind is dict:  # a section, checked against its own schema
+        return value
+    if kind is METHOD:
+        if not isinstance(value, str) or value not in METHODS:
+            raise ValueError(f"unknown method {value!r}; choose from {sorted(METHODS)}")
+        return value
+    if kind in (bool, str):
+        ok = isinstance(value, kind)
     else:
         number = numbers.Integral if kind is int else numbers.Real
         ok = isinstance(value, number) and not isinstance(value, bool)
@@ -122,23 +138,70 @@ def _typed(section: str, key: str, value, kind):
     return kind(value)
 
 
-def canonical_problem(spec: dict) -> dict:
-    """The spec as build_problem reads it: keys and types checked, defaults filled in."""
+def _section(name: str, spec) -> dict:
+    """spec checked against SCHEMA[name], with every key typed or defaulted; null is empty."""
+    spec = {} if spec is None else spec
+    if not isinstance(spec, dict):
+        raise ValueError(f"the {name} section must be an object, got {spec!r}")
+    schema = SCHEMA[name]
+    unknown = sorted(set(spec).difference(schema))
+    if unknown:
+        raise ValueError(f"unknown {name} keys {unknown}; valid keys are {list(schema)}")
+    canonical = {}
+    for key, (kind, default) in schema.items():
+        value = spec.get(key, default)
+        canonical[key] = None if value is None and default is None else _typed(name, key, value, kind)
+    return canonical
+
+
+def canonical_problem(spec) -> dict:
+    """The problem section as build_problem reads it: a container path or one family's keys."""
+    spec = {} if spec is None else spec
     if not isinstance(spec, dict):
         raise ValueError(f"the problem section must be an object, got {spec!r}")
     if "path" in spec:
-        _check_keys("container problem", spec, ("path",))
-        if not isinstance(spec["path"], str):
-            raise ValueError(f"problem key 'path' must be a string, got {spec['path']!r}")
-        return {"path": spec["path"]}
+        return _section("container problem", spec)
     family = spec.get("family", "quadratic")
     if not isinstance(family, str) or family not in FAMILIES:
         raise ValueError(f"unknown problem family {family!r}; choose from {list(FAMILIES)}")
-    section = f"{family} problem"
-    _, keys = FAMILIES[family]
-    _check_keys(section, spec, ("family", *keys))
-    typed = {k: _typed(section, k, spec.get(k, default), kind) for k, (kind, default) in keys.items()}
-    return {"family": family, **typed}
+    return _section(f"{family} problem", spec)
+
+
+def _solver_section(method, spec) -> dict:
+    """The solver section for method; a key the method fixes is an error naming it."""
+    _typed("top-level", "method", method, METHOD)
+    owned = sorted(set(spec).intersection(METHOD_FIELDS)) if isinstance(spec, dict) else []
+    if owned:
+        raise ValueError(f"solver keys {owned} are fixed by the method {method!r}")
+    return _section("solver", spec)
+
+
+def _canonical(raw) -> dict:
+    cfg = _section("top-level", raw)
+    cfg["problem"] = canonical_problem(cfg["problem"])
+    cfg["noise"] = _section("noise", cfg["noise"])
+    cfg["solver"] = _solver_section(cfg["method"], cfg["solver"])
+    cfg["sweep"] = _section("sweep", cfg["sweep"])
+    return cfg
+
+
+def canonical_config(raw, flags: dict) -> dict:
+    """The config every command reads: raw checked against SCHEMA, then the flags applied.
+
+    flags is shaped like a config, None for a flag not given, its values typed
+    by argparse.  The merged config is checked again, so --kappa-g on a ridge
+    problem is an error.  A sweep without seeds runs the top-level seed.
+    """
+    cfg = _canonical(raw)
+    for key, value in flags.items():
+        if isinstance(value, dict):
+            cfg[key].update((k, v) for k, v in value.items() if v is not None)
+        elif value is not None:
+            cfg[key] = value
+    cfg = _canonical(cfg)
+    if cfg["sweep"]["seeds"] is None:
+        cfg["sweep"]["seeds"] = [cfg["seed"]]
+    return cfg
 
 
 def build_problem(spec: dict):
@@ -146,31 +209,11 @@ def build_problem(spec: dict):
     spec = canonical_problem(spec)
     if "path" in spec:
         return load_problem(spec["path"])
-    generate, _ = FAMILIES[spec.pop("family")]
-    return generate(**spec)
+    return FAMILIES[spec.pop("family")](**spec)
 
 
 def build_noise(spec: dict | None) -> NoiseSpec:
-    spec = {} if spec is None else spec
-    _check_keys("noise", spec, NOISE_FIELDS)
-    return NoiseSpec(**{
-        NOISE_FIELDS[key][0]: _typed("noise", key, value, NOISE_FIELDS[key][1])
-        for key, value in spec.items()
-    })
-
-
-def check_config(cfg: dict) -> None:
-    """Reject an unknown or wrong-typed key in the top level, problem, noise or sweep section."""
-    _check_keys("top-level", cfg, CONFIG_KEYS)
-    if "seed" in cfg:
-        _typed("top-level", "seed", cfg["seed"], int)
-    if not isinstance(cfg.get("eps", []), list):
-        raise ValueError(f"top-level key 'eps' must be a list of numbers, got {cfg['eps']!r}")
-    for eps in cfg.get("eps", []):
-        _typed("top-level", "eps", eps, float)
-    _check_keys("sweep", cfg.get("sweep", {}), SWEEP_KEYS)
-    canonical_problem(cfg["problem"])
-    build_noise(cfg.get("noise"))
+    return NoiseSpec(*_section("noise", spec).values())
 
 
 def _outer_bounds(problem) -> tuple[float | None, float | None]:
@@ -180,31 +223,12 @@ def _outer_bounds(problem) -> tuple[float | None, float | None]:
     return None, None
 
 
-def check_solver_spec(method: str, solver_spec: dict | None) -> dict:
-    """The solver overrides with their types checked; a method-owned or unknown key is an error.
-
-    A null value leaves the field to the prescribed schedule and is dropped.
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
-    spec = {} if solver_spec is None else solver_spec
-    owned = sorted(set(spec).intersection(METHOD_FIELDS))
-    if owned:
-        raise ValueError(f"solver keys {owned} are fixed by the method {method!r}")
-    _check_keys("solver", spec, SOLVER_KEYS)
-    return {
-        name: _typed("solver", name, value, SOLVER_TYPES[name])
-        for name, value in spec.items()
-        if value is not None
-    }
-
-
 def build_config(problem, method: str, solver_spec: dict | None, noise: NoiseSpec) -> SolverConfig:
     """Solver configuration: prescribed schedule defaults, explicit overrides.
 
     mu_outer defaults to the problem's exact modulus when that is positive.
     """
-    overrides = check_solver_spec(method, solver_spec)
+    overrides = {k: v for k, v in _solver_section(method, solver_spec).items() if v is not None}
     L_outer, mu_exact = _outer_bounds(problem)
     mu_outer = overrides.pop("mu_outer", None)
     if mu_outer is None and mu_exact is not None and mu_exact > 0:
@@ -223,7 +247,6 @@ def run_single(
     seed: int,
     noise: NoiseSpec,
     stop=None,
-    store_iterates: bool = False,
 ) -> RunRecord:
     """One (method, seed) run with metric tracking wired in."""
     mapping = METHODS[method]
@@ -234,12 +257,9 @@ def run_single(
     x0 = rng.standard_normal(problem.dims.dx)
     if mapping["driver"] == "itd":
         return itd_run(
-            oracle, config, x0, tracker=tracker, stop=stop,
-            store_iterates=store_iterates, increasing_T=mapping.get("increasing_T", False),
+            oracle, config, x0, tracker=tracker, stop=stop, increasing_T=mapping["increasing_T"]
         )
-    return aid_run(
-        oracle, config, x0, rng=rng, tracker=tracker, stop=stop, store_iterates=store_iterates,
-    )
+    return aid_run(oracle, config, x0, rng=rng, tracker=tracker, stop=stop)
 
 
 def _run_rows(problem, method: str, config: SolverConfig, seed: int, noise: NoiseSpec, stop=None):
@@ -327,14 +347,14 @@ _sweep_memo: dict = {}
 
 
 def _sweep_problem(spec: dict):
-    """build_problem(spec), reused while consecutive cells share the canonical spec.
+    """build_problem(spec) of a canonical spec, reused while consecutive cells share it.
 
     The old problem is dropped before the next is built, so at most one is
-    alive per process.  run_sweep empties the slot when it starts and when it
+    alive per process.  A sweep empties the slot when it starts and when it
     returns, and orders its cells kappa outermost, so each process rebuilds
     only at kappa boundaries.
     """
-    key = tuple(canonical_problem(spec).items())
+    key = tuple(spec.items())
     if _sweep_memo.get("key") != key:
         _sweep_memo.clear()
         _sweep_memo.update(problem=build_problem(spec), key=key)
@@ -344,13 +364,9 @@ def _sweep_problem(spec: dict):
 def _sweep_cell(task: dict) -> dict:
     """One sweep cell: a (method, grid point, seed) run. Top level for pickling."""
     problem = _sweep_problem(task["problem"])
-    noise = build_noise(task.get("noise"))
-    config = build_config(problem, task["method"], task["solver"], noise)
-    stop = make_stop_rule(task.get("stop_rel"), task.get("cost_cap"))
-    _, rows, diverged_at = _run_rows(problem, task["method"], config, task["seed"], noise, stop)
-    min_rel = min(
-        (r.rel_error for r in rows if r.rel_error is not None), default=None
-    )
+    config = build_config(problem, task["method"], task["solver"], task["noise"])
+    stop = make_stop_rule(task["stop_rel"], task["cost_cap"])
+    _, rows, diverged_at = _run_rows(problem, task["method"], config, task["seed"], task["noise"], stop)
     return {
         "key": task["key"],
         "method": task["method"],
@@ -360,9 +376,14 @@ def _sweep_cell(task: dict) -> dict:
         # worker counts; per-row timing remains available via cmd_run.
         "rows": [_metric_values(r) for r in rows],
         "cost_to_eps": {repr(e): cost_to_reach(rows, e) for e in task["eps"]},
-        "min_rel_error": min_rel,
+        "min_rel_error": _min_present(r.rel_error for r in rows),
         "diverged_at": diverged_at,
     }
+
+
+def _min_present(values):
+    """The least value that is not None, or None."""
+    return min((v for v in values if v is not None), default=None)
 
 
 def _median_cost(values):
@@ -394,44 +415,41 @@ def run_sweep(
     median-over-seeds cost to reach each target for every grid cell and the
     best cell per target, treating never-reached targets as infinite.
     """
-    methods = list(methods)
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("the sweep seed list must not be empty")
-    cost_cap = None if cost_cap is None else _typed("sweep", "cost_cap", cost_cap, int)
-    stop_rel = None if stop_rel is None else _typed("sweep", "stop_rel", stop_rel, float)
-    bad = [m for m in methods if m not in METHODS]
-    if bad:
-        raise ValueError(f"unknown methods in sweep: {bad}")
+    sweep = {"methods": methods, "kappa_g": kappa_g_grid, "T": T_grid, "N": N_grid, "batch": batch_grid,
+             "seeds": seeds, "K": K_max, "cost_cap": cost_cap, "stop_rel": stop_rel}
+    return _sweep(problem_spec, sweep, eps, noise_spec, solver_overrides, workers)
+
+
+def _sweep(problem_spec, sweep, eps, noise_spec, solver_overrides, workers: int):
+    """run_sweep with its grids, K and stop settings as a config's sweep section."""
+    sweep = _section("sweep", sweep)
+    eps = _typed("top-level", "eps", eps, SCHEMA["top-level"]["eps"][0])
     noise = build_noise(noise_spec)
-    for method in methods:
-        check_solver_spec(method, solver_overrides)
+    solver = _solver_section(sweep["methods"][0], solver_overrides)
+    for method in sweep["methods"]:
         # The unrolled methods name no linear solver.
         check_supported(METHODS[method].get("linear_solver"), noise)
-    kappas = list(kappa_g_grid) if kappa_g_grid else [problem_spec.get("kappa_g")]
+    problem_spec = canonical_problem(problem_spec)
+    pspecs = [problem_spec] if sweep["kappa_g"] is None else [
+        canonical_problem({**problem_spec, "kappa_g": kappa}) for kappa in sweep["kappa_g"]
+    ]
     tasks = []
-    for kappa in kappas:
-        pspec = dict(problem_spec)
-        if kappa is not None:
-            pspec["kappa_g"] = kappa
-        canonical_problem(pspec)
-        for method, T, N, batch, seed in itertools.product(methods, T_grid, N_grid, batch_grid, seeds):
-            solver = check_solver_spec(method, {
-                **(solver_overrides or {}), "T": T, "N": N, "K": K_max,
-                "batch_f": batch, "batch_g": batch, "batch_gxy": batch, "batch_gyy": batch,
-            })
-            cell = {"kappa_g": kappa, "T": solver["T"], "N": solver["N"], "batch": solver["batch_f"]}
+    for pspec in pspecs:
+        grid = itertools.product(sweep["methods"], sweep["T"], sweep["N"], sweep["batch"], sweep["seeds"])
+        for method, T, N, batch, seed in grid:
+            cell = {"kappa_g": pspec.get("kappa_g"), "T": T, "N": N, "batch": batch}
             tasks.append({
-                "key": (method, str(kappa), cell["T"], cell["N"], cell["batch"]),
+                "key": (method, str(cell["kappa_g"]), T, N, batch),
                 "method": method,
-                "seed": _typed("sweep", "seeds", seed, int),
+                "seed": seed,
                 "problem": pspec,
-                "noise": noise_spec,
-                "solver": solver,
+                "noise": noise,
+                "solver": {**solver, "T": T, "N": N, "K": sweep["K"], "batch_f": batch,
+                           "batch_g": batch, "batch_gxy": batch, "batch_gyy": batch},
                 "cell": cell,
-                "eps": list(eps),
-                "cost_cap": cost_cap,
-                "stop_rel": stop_rel,
+                "eps": eps,
+                "cost_cap": sweep["cost_cap"],
+                "stop_rel": sweep["stop_rel"],
             })
     _sweep_memo.clear()
     try:
@@ -445,37 +463,22 @@ def run_sweep(
     results.sort(key=lambda r: (r["key"], r["seed"]))
 
     summary: dict = {}
-    by_cell: dict = {}
-    for res in results:
-        by_cell.setdefault(res["key"], []).append(res)
-    for (method, *_), cell_results in by_cell.items():
-        entry = summary.setdefault(method, {"cells": [], "best": {}})
-        cell = {
-            "cell": cell_results[0]["cell"],
+    for (method, *_), group in itertools.groupby(results, key=lambda r: r["key"]):
+        group = list(group)
+        summary.setdefault(method, {"cells": [], "best": {}})["cells"].append({
+            "cell": group[0]["cell"],
             "median_cost_to_eps": {
-                e: _median_cost([r["cost_to_eps"][e] for r in cell_results])
-                for e in cell_results[0]["cost_to_eps"]
+                e: _median_cost([r["cost_to_eps"][e] for r in group]) for e in group[0]["cost_to_eps"]
             },
-            "min_rel_error": min(
-                (r["min_rel_error"] for r in cell_results if r["min_rel_error"] is not None),
-                default=None,
-            ),
-        }
-        entry["cells"].append(cell)
-    for method, entry in summary.items():
+            "min_rel_error": _min_present(r["min_rel_error"] for r in group),
+        })
+    for entry in summary.values():
         for e in map(repr, eps):
-            candidates = [
-                (c["median_cost_to_eps"][e], c["cell"])
-                for c in entry["cells"]
-                if c["median_cost_to_eps"].get(e) is not None
-            ]
-            if candidates:
-                best_cost, best_cell = min(candidates, key=lambda t: t[0])
-                entry["best"][e] = {"cost": best_cost, "cell": best_cell}
-            else:
-                entry["best"][e] = None
-        rels = [c["min_rel_error"] for c in entry["cells"] if c["min_rel_error"] is not None]
-        entry["min_rel_error"] = min(rels) if rels else None
+            reached = [{"cost": c["median_cost_to_eps"][e], "cell": c["cell"]} for c in entry["cells"]]
+            entry["best"][e] = min(
+                (b for b in reached if b["cost"] is not None), key=lambda b: b["cost"], default=None
+            )
+        entry["min_rel_error"] = _min_present(c["min_rel_error"] for c in entry["cells"])
     return results, summary
 
 
@@ -575,56 +578,37 @@ def run_checks(problem, noise: NoiseSpec | None = None, seed: int = 0, n_points:
 # Entry points
 
 
-def _load_json_config(path) -> dict:
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"a config must be a JSON object, got {type(cfg).__name__}")
-    return cfg
-
-
-# Flag -> the config section it overrides; None is the top level.
-FLAG_SECTIONS = {
-    "seed": None, "method": None, "out": None, "kappa_g": "problem", "T": "solver", "N": "solver",
-}
-
-
-def _merged_config(args) -> dict:
-    cfg = _load_json_config(args.config) if args.config else {}
-    cfg.setdefault("problem", {})
-    cfg.setdefault("solver", {})
-    for flag, section in FLAG_SECTIONS.items():
-        value = getattr(args, flag)
-        if value is not None:
-            (cfg if section is None else cfg[section])[flag] = value
-    if args.eps is not None:
-        cfg["eps"] = [float(e) for e in args.eps.split(",") if e]
-    check_config(cfg)
-    return cfg
+def _config(args) -> dict:
+    """The canonical config of a subcommand: its --config file, then the flags given."""
+    raw = {}
+    if args.config:
+        with open(args.config) as fh:
+            raw = json.load(fh)
+    flags = {"seed": args.seed, "method": args.method, "out": args.out, "eps": args.eps,
+             "problem": {"kappa_g": args.kappa_g}, "solver": {"T": args.T, "N": args.N}}
+    return canonical_config(raw, flags)
 
 
 def cmd_generate(args) -> int:
-    cfg = _merged_config(args)
+    cfg = _config(args)
     problem = build_problem(cfg["problem"])
-    out = cfg.get("out", "problem.bin")
+    out = cfg["out"] or "problem.bin"
     save_problem(problem, out)
     sidecar = dict(problem.header())
-    sidecar["file"] = os.path.basename(str(out))
-    with open(str(out) + ".json", "w") as fh:
+    sidecar["file"] = os.path.basename(out)
+    with open(out + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
     print(json.dumps(describe_problem(out)))
     return 0
 
 
 def cmd_run(args) -> int:
-    cfg = _merged_config(args)
+    """One run; exits 3 when it diverged, after writing its partial CSV and summary."""
+    cfg = _config(args)
     problem = build_problem(cfg["problem"])
-    noise = build_noise(cfg.get("noise"))
-    method = cfg.get("method", "amigo-gd")
-    seed = int(cfg.get("seed", 0))
-    config = build_config(problem, method, cfg.get("solver"), noise)
-    eps = cfg.get("eps", list(DEFAULT_EPS))
-    out = cfg.get("out")
+    noise = build_noise(cfg["noise"])
+    method, seed, out = cfg["method"], cfg["seed"], cfg["out"]
+    config = build_config(problem, method, cfg["solver"], noise)
     record, rows, diverged_at = _run_rows(problem, method, config, seed, noise)
     csv_text = rows_to_csv(rows, method, seed, timing=args.timing)
     if out:
@@ -636,64 +620,45 @@ def cmd_run(args) -> int:
     # from them; iteration and oracle counts and wall time need a completed run.
     summary = {} if record is None else {"iterations": record.iterations_run}
     summary["final"] = dict(zip(METRIC_COLUMNS, _metric_values(rows[-1]))) if rows else None
-    summary["cost_to_eps"] = {repr(e): cost_to_reach(rows, e) for e in eps}
+    summary["cost_to_eps"] = {repr(e): cost_to_reach(rows, e) for e in cfg["eps"]}
     if record is not None:
-        counter = record.counter
-        summary["oracle_counts"] = {
-            "grad_f": counter.n_grad_f,
-            "grad_g": counter.n_grad_g,
-            "jvp": counter.n_jvp,
-            "hvp": counter.n_hvp,
-            "total": counter.total(),
-        }
+        counts = {name.removeprefix("n_"): n for name, n in vars(record.counter).items()}
+        summary["oracle_counts"] = {**counts, "total": record.counter.total()}
         summary["wall_time_s"] = record.wall_s
     summary.update(method=method, seed=seed, diverged_at=diverged_at)
-    summary_path = (str(out) + ".summary.json") if out else None
-    if summary_path:
-        with open(summary_path, "w") as fh:
+    if out:
+        with open(out + ".summary.json", "w") as fh:
             json.dump(summary, fh, indent=2)
     print(json.dumps({k: summary[k] for k in ("method", "seed", "diverged_at", "cost_to_eps")}))
-    return 0
+    return 0 if diverged_at is None else 3
 
 
 def cmd_sweep(args) -> int:
-    cfg = _merged_config(args)
-    sweep = cfg.get("sweep", {})
+    """A sweep exits 0 once every cell has finished, diverged cells included."""
+    cfg = _config(args)
     workers = args.workers or int(os.environ.get(WORKERS_ENV, "1"))
-    results, summary = run_sweep(
-        cfg["problem"],
-        methods=sweep.get("methods", ["amigo-gd", "aid-gd"]),
-        T_grid=sweep.get("T", [1, 10]),
-        N_grid=sweep.get("N", [1, 10]),
-        seeds=sweep.get("seeds", [int(cfg.get("seed", 0))]),
-        K_max=sweep.get("K", 2000),
-        eps=cfg.get("eps", list(DEFAULT_EPS)),
-        noise_spec=cfg.get("noise"),
-        batch_grid=sweep.get("batch", [1]),
-        kappa_g_grid=sweep.get("kappa_g"),
-        cost_cap=sweep.get("cost_cap"),
-        stop_rel=sweep.get("stop_rel"),
-        workers=workers,
-        solver_overrides=cfg.get("solver"),
-    )
-    out = cfg.get("out", "sweep.csv")
+    results, summary = _sweep(cfg["problem"], cfg["sweep"], cfg["eps"], cfg["noise"], cfg["solver"], workers)
+    out = cfg["out"] or "sweep.csv"
     with open(out, "w") as fh:
         fh.write(sweep_results_to_csv(results))
-    with open(str(out) + ".summary.json", "w") as fh:
+    with open(out + ".summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, default=str)
     print(json.dumps({m: summary[m]["best"] for m in summary}, default=str))
     return 0
 
 
 def cmd_check(args) -> int:
-    cfg = _merged_config(args)
+    cfg = _config(args)
     problem = build_problem(cfg["problem"])
-    noise = build_noise(cfg.get("noise"))
-    checks = run_checks(problem, noise=noise, seed=int(cfg.get("seed", 0)))
+    checks = run_checks(problem, noise=build_noise(cfg["noise"]), seed=cfg["seed"])
     for chk in checks:
         status = "PASS" if chk["passed"] else "FAIL"
         print(f"[check] {chk['name']}: value={chk['value']} tol={chk['tol']}: {status}")
     return 0 if all(chk["passed"] for chk in checks) else 1
+
+
+def _targets(text: str) -> list[float]:
+    return [float(e) for e in text.split(",") if e]
 
 
 def main(argv=None) -> int:
@@ -716,7 +681,7 @@ def main(argv=None) -> int:
         p.add_argument("--kappa-g", dest="kappa_g", type=float, default=None)
         p.add_argument("--T", dest="T", type=int, default=None)
         p.add_argument("--N", dest="N", type=int, default=None)
-        p.add_argument("--eps", type=str, default=None, help="comma-separated targets")
+        p.add_argument("--eps", type=_targets, default=None, help="comma-separated targets")
         p.add_argument("--timing", action="store_true", help="populate the wall_s CSV column")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)

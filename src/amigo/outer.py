@@ -335,7 +335,9 @@ def _outer_loop(
                 raise DivergenceError(f"outer iterate diverged at outer iteration {k}")
             row = None
             if tracker is not None:
-                row = tracker.row(k + 1, x, counter.snapshot(), time.perf_counter() - t0)
+                # A diverging run overflows here first; the check below ends it quietly.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    row = tracker.row(k + 1, x, counter.snapshot(), time.perf_counter() - t0)
                 if not all(v is None or math.isfinite(v) for v in vars(row).values()):
                     raise DivergenceError(f"metric row diverged at outer iteration {k}")
         except DivergenceError as err:

@@ -720,7 +720,8 @@ def load_problem(path):
     """Load a problem container written by save_problem.
 
     Raises ContainerError unless the header's dimensions are positive, the
-    body holds exactly the float64 values they imply, and every value is finite.
+    body holds exactly the float64 values they imply, every value is finite,
+    and A_g and A_f, where the family has them, are symmetric positive definite.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -742,11 +743,18 @@ def load_problem(path):
         n = math.prod(shape)
         arrays.append(body[offset:offset + n].reshape(shape).astype(float))
         offset += n
+    if h["family"] == "ridge":
+        return RidgeHPOProblem(*arrays, seed=h["seed"], label_noise=h["extra"])
     if h["family"] == "quadratic":
-        return QuadraticProblem(*arrays, seed=h["seed"])
-    if h["family"] == "nonconvex":
-        return NonconvexOuterProblem(h["extra"], *arrays, seed=h["seed"])
-    return RidgeHPOProblem(*arrays, seed=h["seed"], label_noise=h["extra"])
+        problem = QuadraticProblem(*arrays, seed=h["seed"])
+    else:
+        problem = NonconvexOuterProblem(h["extra"], *arrays, seed=h["seed"])
+    # The spectra are the ones the problem's constants read, so the check costs nothing more.
+    for name, eigs in (("A_g", "_eigs_g"), ("A_f", "_eigs_f")):
+        a = getattr(problem, name, None)
+        if a is not None and not (np.array_equal(a, a.T) and getattr(problem, eigs)[0] > 0):
+            raise ContainerError("body", f"{name} is not symmetric positive definite")
+    return problem
 
 
 def describe_problem(path) -> dict:

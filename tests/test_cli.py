@@ -373,6 +373,9 @@ BAD_CONFIGS = {
     "solver-u-float": ("solver", {"u": 0.9}, "solver key 'u' must be an integer, got 0.9"),
     "solver-T-bool": ("solver", {"T": True}, "solver key 'T' must be an integer, got True"),
     "solver-gamma-str": ("solver", {"gamma": "0.5"}, "solver key 'gamma' must be a number, got '0.5'"),
+    "out-bool": (None, {"out": True}, "top-level key 'out' must be a string, got True"),
+    "out-int": (None, {"out": 7}, "top-level key 'out' must be a string, got 7"),
+    "method-unknown": (None, {"method": "sgd-magic"}, "unknown method 'sgd-magic'; choose from"),
 }
 # Sweep values, which only a sweep reads.
 BAD_SWEEP_GRIDS = {
@@ -380,6 +383,13 @@ BAD_SWEEP_GRIDS = {
     "sweep-K-float": ("sweep", {"K": 2.5}, "solver key 'K' must be an integer, got 2.5"),
     "sweep-seed-float": ("sweep", {"seeds": [0.5]}, "sweep key 'seeds' must be an integer, got 0.5"),
     "sweep-cost-cap-str": ("sweep", {"cost_cap": "5"}, "sweep key 'cost_cap' must be an integer, got '5'"),
+    "sweep-T-scalar": ("sweep", {"T": 5}, "sweep key 'T' must be a non-empty list, got 5"),
+    "sweep-kappa-scalar": ("sweep", {"kappa_g": 5}, "sweep key 'kappa_g' must be a non-empty list, got 5"),
+    "sweep-methods-str": ("sweep", {"methods": "amigo-gd"},
+                          "sweep key 'methods' must be a non-empty list, got 'amigo-gd'"),
+    "sweep-T-empty": ("sweep", {"T": []}, "sweep key 'T' must be a non-empty list, got []"),
+    "sweep-methods-empty": ("sweep", {"methods": []}, "sweep key 'methods' must be a non-empty list, got []"),
+    "sweep-kappa-empty": ("sweep", {"kappa_g": []}, "sweep key 'kappa_g' must be a non-empty list, got []"),
 }
 
 
@@ -535,6 +545,25 @@ class TestEndToEnd:
         assert dispatched == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("section, flag", [("solver", ["--T", "3"]), ("problem", ["--kappa-g", "5"])],
+                             ids=["solver", "problem"])
+    def test_non_object_section_rejected_before_flags(
+        self, tmp_path, capsys, monkeypatch, command, section, flag
+    ):
+        # The file is checked before the flags are merged into its sections.
+        cfg = {"problem": quad_spec(), "solver": {"K": 3}, "sweep": {"T": [1], "N": [1], "K": 3}}
+        cfg[section] = [1]
+        dispatched = []
+        monkeypatch.setattr(cli, "_sweep_cell", dispatched.append)
+        monkeypatch.setattr(cli, "run_single", lambda *args, **kwargs: dispatched.append(args))
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(out), *flag]
+        assert main(argv) == 2
+        assert f"the {section} section must be an object, got [1]" in capsys.readouterr().err
+        assert dispatched == []
+        assert not out.exists()
+
     def test_corrupt_container_rejected(self, tmp_path, capsys):
         container = tmp_path / "p.bin"
         save_problem(build_problem(quad_spec()), container)
@@ -549,7 +578,7 @@ class TestEndToEnd:
         cfg = {"problem": quad_spec(), "method": "aid-cg", "solver": {"gamma": 1e8, "K": 200},
                "eps": [1e-2, 1e-4, 1e-6]}
         out = tmp_path / "run.csv"
-        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
         rows = out.read_text().strip().split("\n")[1:]
 
         def reject(constant):

@@ -311,6 +311,18 @@ def implied_values(tag, dx, dy, n1, n2):
     return n1 * dx + n1 + n2 * dx + n2
 
 
+def with_spd_blocks(tag, dx, dy, values):
+    """values with a linear-inner family's A_f and A_g made symmetric and diagonally dominant."""
+    values = list(values)
+    blocks = {FAMILY_TAGS["quadratic"]: [(0, dx), (dx * dx + dy, dy)], FAMILY_TAGS["nonconvex"]: [(dy, dy)]}
+    for start, n in blocks.get(tag, []):
+        m = np.reshape(values[start:start + n * n], (n, n))
+        a = (m + m.T) / 2
+        a[np.diag_indices(n)] = np.abs(a).sum(axis=1) + 1.0
+        values[start:start + n * n] = a.ravel().tolist()
+    return values
+
+
 class TestContainerValidation:
     def quadratic_bytes(self, dx=6, dy=4):
         return _problem_bytes(gen_quadratic(dx, dy, kappa_g=5.0, kappa_L=2.0, seed=1))
@@ -363,6 +375,27 @@ class TestContainerValidation:
             self.load(tmp_path, raw)
         assert err.value.field == "extra"
 
+    @pytest.mark.parametrize("family, name, defect", [
+        ("quadratic", "A_g", "asymmetric"),
+        ("quadratic", "A_g", "indefinite"),
+        ("quadratic", "A_f", "indefinite"),
+        ("nonconvex", "A_g", "indefinite"),
+    ])
+    def test_inner_and_outer_hessians_must_be_spd(self, tmp_path, family, name, defect):
+        if family == "quadratic":
+            problem = gen_quadratic(8, 5, kappa_g=5.0, kappa_L=2.0, seed=1)
+        else:
+            problem = gen_nonconvex(8, 5, rho=1.0, seed=1)
+        a = getattr(problem, name)
+        rng = np.random.default_rng(0)
+        if defect == "asymmetric":
+            a += np.triu(rng.standard_normal(a.shape), 1)  # the upper triangle no longer mirrors the lower
+        else:
+            a -= 2.0 * np.eye(len(a))  # symmetric, with every eigenvalue below zero
+        with pytest.raises(ContainerError, match=f"{name} is not symmetric positive definite") as err:
+            self.load(tmp_path, _problem_bytes(problem))
+        assert err.value.field == "body"
+
     def test_short_header_and_unknown_tag(self, tmp_path):
         with pytest.raises(ContainerError) as err:
             self.load(tmp_path, self.quadratic_bytes()[:HEADER_BYTES - 1])
@@ -381,6 +414,7 @@ class TestContainerValidation:
         used = ("dx", "n_aux1", "n_aux2") if tag == FAMILY_TAGS["ridge"] else ("dx", "dy")
         size = implied_values(tag, *header.values())
         values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size), label="values")
+        values = with_spd_blocks(tag, header["dx"], header["dy"], values)
         extra = data.draw(st.floats(0.01, 10.0), label="extra")
         tail = b""
         defect = data.draw(st.sampled_from(
