@@ -125,8 +125,10 @@ class BilevelOracle(abc.ABC):
     """Query surface of a bilevel problem.
 
     All queries accept a batch size and a random stream; deterministic
-    oracles ignore both.  Implementations are immutable after construction
-    and safe to query concurrently since the caller owns the random stream.
+    oracles ignore both.  The caller owns the random stream.  The only state
+    an implementation writes after construction is a one-slot memo of an
+    x-dependent product (B_g x for the linear-inner families), stored as one
+    (key, value) tuple, so a concurrent reader at worst recomputes it.
     """
 
     @property

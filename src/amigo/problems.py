@@ -4,9 +4,11 @@ Three generators are provided: a fully quadratic instance with controlled
 inner and outer conditioning, a ridge hyperparameter problem with
 per-coordinate log-regularizers, and a non-convex-outer variant pairing a
 cosine outer cost with a quadratic inner problem.  Every family exposes the
-deterministic oracle surface plus dense closed forms (y*, z*, grad of the
-outer loss, and, where it exists, the outer minimizer) so that solver output
-is checkable against an independent reference.
+deterministic oracle surface plus closed forms (y*, z*, grad of the outer
+loss, and, where it exists, the outer minimizer) so that solver output is
+checkable against an independent reference.  The quadratic and non-convex
+families hold their inner side in the eigenbasis of the inner Hessian, so
+inner queries, y* and z* are elementwise in y.
 
 ``make_stochastic`` wraps any of them into the batched noisy oracle:
 gradient queries get batch-averaged Gaussian noise, Hessian and Jacobian
@@ -67,11 +69,11 @@ def _seeded_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def gen_spd(d: int, mu: float, L: float, seed: int) -> np.ndarray:
-    """Symmetric positive-definite matrix with a log-spaced spectrum on [mu, L].
+def _spectrum(d: int, mu: float, L: float, seed: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Log-spaced spectrum on [mu, L] and its seeded eigenbasis; no basis when mu == L.
 
-    Both endpoints are attained exactly; eigenvectors come from a seeded
-    random orthogonal matrix, so the output is deterministic given the seed.
+    Both endpoints are attained exactly.  The basis is a seeded random
+    orthogonal matrix, so the output is deterministic given the seed.
 
     Raises:
         InvalidSpectrumError: if the range is not 0 < mu <= L, or if d == 1
@@ -82,13 +84,24 @@ def gen_spd(d: int, mu: float, L: float, seed: int) -> np.ndarray:
     if d < 1:
         raise InvalidSpectrumError(f"dimension must be positive, got {d}")
     if mu == L:
-        return mu * np.eye(d)
+        return np.full(d, mu), None
     if d == 1:
         raise InvalidSpectrumError("d=1 cannot attain two distinct spectrum endpoints")
     eigs = np.geomspace(mu, L, d)
     eigs[0] = mu
     eigs[-1] = L
-    q = _seeded_orthogonal(d, np.random.default_rng(seed))
+    return eigs, _seeded_orthogonal(d, np.random.default_rng(seed))
+
+
+def gen_spd(d: int, mu: float, L: float, seed: int) -> np.ndarray:
+    """Symmetric positive-definite matrix with a log-spaced spectrum on [mu, L].
+
+    The spectrum and eigenvectors are those of ``_spectrum``; see there for
+    the InvalidSpectrumError cases.
+    """
+    eigs, q = _spectrum(d, mu, L, seed)
+    if q is None:
+        return np.diag(eigs)
     a = (q * eigs) @ q.T
     return (a + a.T) / 2.0
 
@@ -105,52 +118,81 @@ class _DeterministicProblem(BilevelOracle):
 
 
 class _LinearInnerProblem(_DeterministicProblem):
-    """Quadratic inner cost under an outer cost that is linear in y.
+    """Quadratic inner cost under an outer cost that is linear in y, held in A_g's eigenbasis.
 
     g(x, y) = y' A_g y / 2 + y' B_g x and f(x, y) = y' C_f + (a term in x
-    alone).  Because f is linear in y, the adjoint z* = -inv(A_g) C_f does
-    not depend on (x, y) and the outer gradient is the gradient of the x
-    term plus the constant B_g' z*.  Subclasses define the x term:
-    grad_fx, grad_L, L_value, f_value, outer_smoothness and _arrays.
+    alone).  The inner side is stored after the change of variables
+    y -> Q'y that diagonalizes A_g = Q diag(lam) Q': ``A_g`` is diag(lam),
+    ``B_g`` is Q'B_g and ``C_f`` is Q'C_f.  This is the same instance (x,
+    L(x) and every outer quantity are unchanged), but grad_gy is
+    lam * y + B_g x, hvp_gyy is lam * v, and y* and z* are divisions.
+
+    A diagonal A_g, which every generated problem has, is used as is.  Any
+    other A_g must be exactly symmetric and is diagonalized once with eigh;
+    the arrays as given are kept for ``_arrays`` so a container round-trips
+    byte for byte.
+
+    B_g x is computed once per distinct x: a one-slot memo keyed on the
+    bytes of x serves the inner queries and y* of one outer step.
+
+    Because f is linear in y, the adjoint z* = -C_f / lam does not depend on
+    (x, y) and the outer gradient is the gradient of the x term plus the
+    constant B_g' z*.  Subclasses define the x term: grad_fx, grad_L,
+    L_value, f_value, outer_smoothness and _arrays.
     """
 
     def __init__(self, C_f, A_g, B_g, seed: int):
-        self.C_f = np.asarray(C_f, dtype=float)
-        self.A_g = np.asarray(A_g, dtype=float)
-        self.B_g = np.asarray(B_g, dtype=float)
+        c_f, a_g, b_g = (np.asarray(a, dtype=float) for a in (C_f, A_g, B_g))
         self.seed = int(seed)
-        dy, dx = self.B_g.shape
-        if self.A_g.shape != (dy, dy) or self.C_f.shape != (dy,):
-            raise ValueError(f"A_g {self.A_g.shape} or C_f {self.C_f.shape} mismatch B_g {dy, dx}")
+        dy, dx = b_g.shape
+        if a_g.shape != (dy, dy) or c_f.shape != (dy,):
+            raise ValueError(f"A_g {a_g.shape} or C_f {c_f.shape} mismatch B_g {dy, dx}")
         self._dims = Dims(dx, dy)
+        self._given = [c_f, a_g, b_g]
+        if np.count_nonzero(a_g) == np.count_nonzero(np.diagonal(a_g)):
+            self.lam = np.diagonal(a_g).copy()
+            self.C_f, self.A_g, self.B_g = c_f, a_g, b_g
+        else:
+            # eigh reads one triangle only, so an asymmetric A_g would be symmetrized silently.
+            if not np.array_equal(a_g, a_g.T):
+                raise ValueError("A_g is not symmetric positive definite")
+            self.lam, q = np.linalg.eigh(a_g)
+            self.C_f, self.A_g, self.B_g = q.T @ c_f, np.diag(self.lam), q.T @ b_g
+        if not self.lam.min() > 0:
+            raise ValueError("A_g is not symmetric positive definite")
+        self._bx_memo: tuple[bytes, np.ndarray] | None = None
+
+    def _bx(self, x) -> np.ndarray:
+        """B_g x, read-only, from the memo when x is the last x seen."""
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        memo = self._bx_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        bx = self.B_g @ x
+        bx.flags.writeable = False
+        self._bx_memo = (key, bx)
+        return bx
 
     # Oracle surface. Deterministic: batch_size and rng are ignored.
     def grad_fy(self, x, y, batch_size=1, rng=None):
         return self.C_f.copy()
 
     def grad_gy(self, x, y, batch_size=1, rng=None):
-        return self.A_g @ y + self.B_g @ x
+        return self.lam * y + self._bx(x)
 
     def hvp_gyy(self, x, y, v, batch_size=1, rng=None):
-        return self.A_g @ v
+        return self.lam * v
 
     def jvp_gxy(self, x, y, z, batch_size=1, rng=None):
         return self.B_g.T @ z
 
     @cached_property
-    def _chol_g(self):
-        return cho_factor(self.A_g)
-
-    @cached_property
-    def _eigs_g(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.A_g)
-
-    @cached_property
     def _constants(self) -> SmoothnessConstants:
         # f is linear in y, so its smoothness is that of the outer loss.
         return SmoothnessConstants(
-            mu_g=float(self._eigs_g[0]),
-            L_g=float(self._eigs_g[-1]),
+            mu_g=float(self.lam.min()),
+            L_g=float(self.lam.max()),
             Lg_prime=float(np.linalg.norm(self.B_g, 2)),
             M_g=0.0,
             L_f=self.outer_smoothness()[0],
@@ -162,11 +204,11 @@ class _LinearInnerProblem(_DeterministicProblem):
 
     # Closed forms.
     def y_star(self, x) -> np.ndarray:
-        return -cho_solve(self._chol_g, self.B_g @ x)
+        return -self._bx(x) / self.lam
 
     @cached_property
     def z_star_vec(self) -> np.ndarray:
-        return -cho_solve(self._chol_g, self.C_f)
+        return -self.C_f / self.lam
 
     def z_star(self, x=None, y=None) -> np.ndarray:
         return self.z_star_vec.copy()
@@ -177,7 +219,6 @@ class _LinearInnerProblem(_DeterministicProblem):
         return self.B_g.T @ self.z_star_vec
 
     def header(self) -> dict:
-        eg = self._eigs_g
         return {
             "family": self.family,
             "dx": self.dims.dx,
@@ -185,23 +226,29 @@ class _LinearInnerProblem(_DeterministicProblem):
             "n_aux1": 0,
             "n_aux2": 0,
             "seed": self.seed,
-            "kappa_g": float(eg[-1] / eg[0]),
+            "kappa_g": float(self.lam.max() / self.lam.min()),
             "kappa_L": float("nan"),
             "extra": 0.0,
         }
 
 
-def _draw_coupling(rng: np.random.Generator, dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
-    """B_g scaled to unit operator norm and C_f a Gaussian direction of norm sqrt(dy)."""
+def _draw_coupling(rng: np.random.Generator, dx: int, dy: int, q) -> tuple[np.ndarray, np.ndarray]:
+    """B_g scaled to unit operator norm and C_f a Gaussian direction of norm sqrt(dy).
+
+    Both are returned in the eigenbasis q of A_g (as Q'B_g and Q'C_f), or as
+    drawn when q is None.
+    """
     b_g = rng.standard_normal((dy, dx))
     b_g /= np.linalg.norm(b_g, 2)
     c_f = rng.standard_normal(dy)
     c_f *= math.sqrt(dy) / np.linalg.norm(c_f)
-    return b_g, c_f
+    if q is None:
+        return b_g, c_f
+    return q.T @ b_g, q.T @ c_f
 
 
 class QuadraticProblem(_LinearInnerProblem):
-    """Quadratic outer and inner costs with dense closed forms.
+    """Quadratic outer and inner costs with closed forms.
 
     f(x, y) = x' A_f x / 2 + y' C_f and g(x, y) = y' A_g y / 2 + y' B_g x.
     Because f is linear in y, the outer loss L(x) is the quadratic
@@ -271,7 +318,7 @@ class QuadraticProblem(_LinearInnerProblem):
         return {**super().header(), "kappa_L": float(ef[-1] / ef[0])}
 
     def _arrays(self) -> list[np.ndarray]:
-        return [self.A_f, self.C_f, self.A_g, self.B_g]
+        return [self.A_f, *self._given]
 
 
 def gen_quadratic(dx: int, dy: int, kappa_g: float, kappa_L: float, seed: int) -> QuadraticProblem:
@@ -285,10 +332,10 @@ def gen_quadratic(dx: int, dy: int, kappa_g: float, kappa_L: float, seed: int) -
     if kappa_g < 1 or kappa_L < 1:
         raise InvalidSpectrumError(f"condition numbers must be >= 1, got {kappa_g}, {kappa_L}")
     rng = np.random.default_rng(seed)
-    a_g = gen_spd(dy, 1.0 / kappa_g, 1.0, seed=int(rng.integers(2**62)))
+    lam, q = _spectrum(dy, 1.0 / kappa_g, 1.0, seed=int(rng.integers(2**62)))
     a_f = gen_spd(dx, 1.0 / kappa_L, 1.0, seed=int(rng.integers(2**62)))
-    b_g, c_f = _draw_coupling(rng, dx, dy)
-    return QuadraticProblem(a_f, c_f, a_g, b_g, seed=seed)
+    b_g, c_f = _draw_coupling(rng, dx, dy, q)
+    return QuadraticProblem(a_f, c_f, np.diag(lam), b_g, seed=seed)
 
 
 class NonconvexOuterProblem(_LinearInnerProblem):
@@ -328,7 +375,7 @@ class NonconvexOuterProblem(_LinearInnerProblem):
         return {**super().header(), "extra": self.rho}
 
     def _arrays(self) -> list[np.ndarray]:
-        return [self.C_f, self.A_g, self.B_g]
+        return list(self._given)
 
 
 def gen_nonconvex(
@@ -342,11 +389,11 @@ def gen_nonconvex(
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     rng = np.random.default_rng(seed)
-    a_g = gen_spd(dy, 1.0 / kappa_g, 1.0, seed=int(rng.integers(2**62)))
-    b_g, c_f = _draw_coupling(rng, dx, dy)
-    offset = b_g.T @ np.linalg.solve(a_g, c_f)
+    lam, q = _spectrum(dy, 1.0 / kappa_g, 1.0, seed=int(rng.integers(2**62)))
+    b_g, c_f = _draw_coupling(rng, dx, dy, q)
+    offset = b_g.T @ (c_f / lam)
     c_f *= (rho / 2.0) / np.max(np.abs(offset))
-    return NonconvexOuterProblem(rho, c_f, a_g, b_g, seed=seed)
+    return NonconvexOuterProblem(rho, c_f, np.diag(lam), b_g, seed=seed)
 
 
 class RidgeHPOProblem(_DeterministicProblem):
@@ -745,15 +792,17 @@ def load_problem(path):
         offset += n
     if h["family"] == "ridge":
         return RidgeHPOProblem(*arrays, seed=h["seed"], label_noise=h["extra"])
-    if h["family"] == "quadratic":
+    try:
+        # The constructor diagonalizes A_g and rejects it unless it is symmetric positive definite.
+        if h["family"] == "nonconvex":
+            return NonconvexOuterProblem(h["extra"], *arrays, seed=h["seed"])
         problem = QuadraticProblem(*arrays, seed=h["seed"])
-    else:
-        problem = NonconvexOuterProblem(h["extra"], *arrays, seed=h["seed"])
-    # The spectra are the ones the problem's constants read, so the check costs nothing more.
-    for name, eigs in (("A_g", "_eigs_g"), ("A_f", "_eigs_f")):
-        a = getattr(problem, name, None)
-        if a is not None and not (np.array_equal(a, a.T) and getattr(problem, eigs)[0] > 0):
-            raise ContainerError("body", f"{name} is not symmetric positive definite")
+    except ValueError as err:
+        raise ContainerError("body", str(err)) from None
+    # The spectrum is the one the problem's constants read, so the check costs nothing more.
+    a_f = problem.A_f
+    if not (np.array_equal(a_f, a_f.T) and problem._eigs_f[0] > 0):
+        raise ContainerError("body", "A_f is not symmetric positive definite")
     return problem
 
 

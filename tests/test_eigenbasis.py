@@ -1,0 +1,109 @@
+"""The linear-inner families in A_g's eigenbasis.
+
+A problem whose A_g arrives dense (as a foreign container holds it) is
+diagonalized once on construction; runs on it must agree with runs on the
+generated eigenbasis problem to rounding.  The B_g x memo behind grad_gy
+and y_star must never serve a stale product.
+"""
+
+import numpy as np
+import pytest
+
+from amigo import cli, gen_nonconvex, gen_quadratic, make_stochastic
+from amigo.problems import NoiseSpec, NonconvexOuterProblem, QuadraticProblem
+
+DENSE_METHODS = ("amigo-gd", "amigo-cg", "aid-gd", "aid-n", "itd")
+
+
+def generated(family):
+    if family == "quadratic":
+        return gen_quadratic(40, 20, kappa_g=100.0, kappa_L=10.0, seed=3)
+    return gen_nonconvex(40, 20, rho=1.0, seed=3, kappa_g=100.0)
+
+
+def rotated(problem, seed=5):
+    """The same problem with its inner side rotated by a random orthogonal R into dense arrays."""
+    dy = problem.dims.dy
+    r, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dy, dy)))
+    a_g = (r * problem.lam) @ r.T
+    inner = (r @ problem.C_f, (a_g + a_g.T) / 2, r @ problem.B_g)
+    if problem.family == "quadratic":
+        return QuadraticProblem(problem.A_f, *inner, seed=problem.seed)
+    return NonconvexOuterProblem(problem.rho, *inner, seed=problem.seed)
+
+
+def row_error(row):
+    """rel_error where the family has a gap reference, else the squared gradient norm."""
+    return row.grad_norm_sq if row.rel_error is None else row.rel_error
+
+
+@pytest.mark.parametrize("method", DENSE_METHODS)
+@pytest.mark.parametrize("family", ["quadratic", "nonconvex"])
+def test_dense_basis_runs_agree(family, method):
+    base = generated(family)
+    dense = rotated(base)
+    assert np.count_nonzero(dense._arrays()[-2]) > base.dims.dy  # A_g was given dense
+    assert np.allclose(dense.lam, base.lam, rtol=1e-12, atol=0)
+    noise = NoiseSpec()
+    spec = {"K": 300, "T": 10, "N": 10}
+    a, b = (cli.run_single(p, method, cli.build_config(p, method, spec, noise), 0, noise)
+            for p in (base, dense))
+    assert len(a.rows) == len(b.rows) == 301
+    worst = max(abs(row_error(ra) - row_error(rb)) / abs(row_error(ra))
+                for ra, rb in zip(a.rows, b.rows) if max(row_error(ra), row_error(rb)) > 1e-10)
+    x_rel = np.linalg.norm(a.x_final - b.x_final) / np.linalg.norm(a.x_final)
+    print(f"{family} {method}: worst row {worst:.2e}, x_final {x_rel:.2e}, "
+          f"oracle totals {a.counter.total()} / {b.counter.total()}")
+    assert worst <= 1e-8
+    assert x_rel <= 1e-10
+    if method != "amigo-cg":
+        assert a.counter == b.counter  # CG may stop one iteration apart under rounding
+
+
+class TestBxMemo:
+    def setup_method(self):
+        self.p = gen_quadratic(12, 8, kappa_g=50.0, kappa_L=5.0, seed=7)
+        rng = np.random.default_rng(1)
+        self.x1, self.x2 = rng.standard_normal(12), rng.standard_normal(12)
+        self.y = rng.standard_normal(8)
+
+    def exact(self, x):
+        return self.p.lam * self.y + self.p.B_g @ x, -(self.p.B_g @ x) / self.p.lam
+
+    def check(self, x):
+        grad, ystar = self.exact(x)
+        assert np.array_equal(self.p.grad_gy(x, self.y), grad)
+        assert np.array_equal(self.p.y_star(x), ystar)
+
+    def test_x_mutated_in_place(self):
+        x = self.x1.copy()
+        self.check(x)
+        x[3] += 0.5
+        self.check(x)
+        x *= -2.0
+        self.check(x)
+
+    def test_alternating_x(self):
+        for x in (self.x1, self.x2, self.x1, self.x2, self.x2, self.x1):
+            self.check(x)
+
+    def test_zero_noise_wrapper_is_bit_identical(self):
+        wrapped = make_stochastic(self.p, NoiseSpec(), seed=4)
+        fresh = gen_quadratic(12, 8, kappa_g=50.0, kappa_L=5.0, seed=7)
+        x = self.x1.copy()
+        for step in range(4):
+            got = wrapped.grad_gy(x, self.y)
+            assert np.array_equal(got, fresh.grad_gy(x, self.y))
+            assert np.array_equal(wrapped.hvp_gyy(x, self.y, got), fresh.hvp_gyy(x, self.y, got))
+            x = self.x2 if step % 2 == 0 else x + 1.0
+
+    def test_repeated_x_reuses_the_product(self):
+        self.p.grad_gy(self.x1, self.y)
+        key, product = self.p._bx_memo
+        assert key == self.x1.tobytes()
+        self.p.grad_gy(self.x1.copy(), self.y)
+        self.p.y_star(self.x1.copy())
+        assert self.p._bx_memo[1] is product
+        assert not product.flags.writeable
+        self.p.grad_gy(self.x2, self.y)
+        assert self.p._bx_memo[0] == self.x2.tobytes()
