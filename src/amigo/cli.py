@@ -305,10 +305,12 @@ def cost_to_reach(rows, eps: float, metric: str = "rel_error") -> int | None:
 # Sweeps
 
 
-def make_stop_rule(
-    rel_target: float | None, cost_cap: int | None, metric: str = "rel_error",
-    stall_after_cost: int = 5000, stall_ratio: float = 0.9,
-):
+# The stop rule watches this metric and calls a cell stalled above this ratio.
+_STOP_METRIC = "rel_error"
+_STALL_RATIO = 0.9
+
+
+def make_stop_rule(rel_target: float | None, cost_cap: int | None, stall_after_cost: int = 5000):
     """Stop on target reached, cost budget exhausted, or progress stalled.
 
     A cell stalls when the metric improved by less than 10% over the last
@@ -320,7 +322,7 @@ def make_stop_rule(
     pointer = [0]
 
     def stop(row) -> bool:
-        value = getattr(row, metric)
+        value = getattr(row, _STOP_METRIC)
         history.append((row.cost, value))
         if rel_target is not None and value is not None and value <= rel_target:
             return True
@@ -334,7 +336,7 @@ def make_stop_rule(
             pointer[0] = i
             ref = history[i][1]
             if history[i][0] <= half and ref is not None and ref > 0:
-                if value / ref > stall_ratio:
+                if value / ref > _STALL_RATIO:
                     return True
         return False
 

@@ -104,8 +104,6 @@ def derive_constants(c: SmoothnessConstants, mu_outer: float | None = None) -> D
     When ``mu_outer`` is a positive outer strong-convexity modulus, the outer
     condition number L / mu_outer is reported as well.
     """
-    if not isinstance(c, SmoothnessConstants):
-        c = SmoothnessConstants(*c)  # allow tuples in internal use
     inv = 1.0 / c.mu_g
     L_y = c.Lg_prime * inv
     L_z = c.M_g * c.B * inv**2 + c.L_f * inv

@@ -312,7 +312,7 @@ def _outer_loop(
     t0 = time.perf_counter()
     rows: list[MetricRow] = []
     if tracker is not None:
-        rows.append(tracker.row(0, x, counter.snapshot(), 0.0))
+        rows.append(tracker.row(0, x, counter, 0.0))
     xs = [x.copy()] if store_iterates else None
     ys = [] if store_iterates else None
     zs = [] if (store_iterates and z is not None) else None
@@ -337,7 +337,7 @@ def _outer_loop(
             if tracker is not None:
                 # A diverging run overflows here first; the check below ends it quietly.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    row = tracker.row(k + 1, x, counter.snapshot(), time.perf_counter() - t0)
+                    row = tracker.row(k + 1, x, counter, time.perf_counter() - t0)
                 if not all(v is None or math.isfinite(v) for v in vars(row).values()):
                     raise DivergenceError(f"metric row diverged at outer iteration {k}")
         except DivergenceError as err:

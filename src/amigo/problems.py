@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .oracle import BilevelOracle, Dims, SmoothnessConstants
 
@@ -253,6 +252,8 @@ class QuadraticProblem(_LinearInnerProblem):
     f(x, y) = x' A_f x / 2 + y' C_f and g(x, y) = y' A_g y / 2 + y' B_g x.
     Because f is linear in y, the outer loss L(x) is the quadratic
     x' A_f x / 2 - x' B_g' inv(A_g) C_f, whose Hessian is exactly A_f.
+    A_f must be symmetric positive definite; its spectrum is computed once,
+    here, and x* = -inv(A_f) B_g' z* is one linear solve.
     """
 
     family = "quadratic"
@@ -263,17 +264,15 @@ class QuadraticProblem(_LinearInnerProblem):
         dx = self.dims.dx
         if self.A_f.shape != (dx, dx):
             raise ValueError(f"A_f has shape {self.A_f.shape}, expected ({dx}, {dx})")
+        # eigvalsh reads one triangle only, so symmetry is checked first.
+        if not np.array_equal(self.A_f, self.A_f.T):
+            raise ValueError("A_f is not symmetric positive definite")
+        self._eigs_f = np.linalg.eigvalsh(self.A_f)
+        if not self._eigs_f[0] > 0:
+            raise ValueError("A_f is not symmetric positive definite")
 
     def grad_fx(self, x, y, batch_size=1, rng=None):
         return self.A_f @ x
-
-    @cached_property
-    def _chol_f(self):
-        return cho_factor(self.A_f)
-
-    @cached_property
-    def _eigs_f(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.A_f)
 
     def outer_smoothness(self) -> tuple[float, float]:
         """Exact (L, mu) of the outer loss: the extreme eigenvalues of A_f."""
@@ -281,7 +280,7 @@ class QuadraticProblem(_LinearInnerProblem):
 
     @cached_property
     def x_star(self) -> np.ndarray:
-        return -cho_solve(self._chol_f, self.grad_offset)
+        return -np.linalg.solve(self.A_f, self.grad_offset)
 
     def grad_L(self, x) -> np.ndarray:
         return self.A_f @ x + self.grad_offset
@@ -424,7 +423,6 @@ class RidgeHPOProblem(_DeterministicProblem):
         self._g_tr = self.A_tr.T @ self.b_tr / n_tr
         self._G_val = self.A_val.T @ self.A_val / n_val
         self._g_val = self.A_val.T @ self.b_val / n_val
-        self._ystar_cache: tuple[bytes, np.ndarray] | None = None
 
     @property
     def d(self) -> int:
@@ -449,12 +447,7 @@ class RidgeHPOProblem(_DeterministicProblem):
         return self._G_tr + np.diag(np.exp(x) / self.d)
 
     def y_star(self, x) -> np.ndarray:
-        key = np.asarray(x, dtype=float).tobytes()
-        if self._ystar_cache is not None and self._ystar_cache[0] == key:
-            return self._ystar_cache[1].copy()
-        y = np.linalg.solve(self.hess_g(x), self._g_tr)
-        self._ystar_cache = (key, y.copy())
-        return y
+        return np.linalg.solve(self.hess_g(x), self._g_tr)
 
     def z_star(self, x, y) -> np.ndarray:
         return -np.linalg.solve(self.hess_g(x), self.grad_fy(x, y))
@@ -793,17 +786,12 @@ def load_problem(path):
     if h["family"] == "ridge":
         return RidgeHPOProblem(*arrays, seed=h["seed"], label_noise=h["extra"])
     try:
-        # The constructor diagonalizes A_g and rejects it unless it is symmetric positive definite.
+        # The constructors reject an A_g or A_f that is not symmetric positive definite.
         if h["family"] == "nonconvex":
             return NonconvexOuterProblem(h["extra"], *arrays, seed=h["seed"])
-        problem = QuadraticProblem(*arrays, seed=h["seed"])
+        return QuadraticProblem(*arrays, seed=h["seed"])
     except ValueError as err:
         raise ContainerError("body", str(err)) from None
-    # The spectrum is the one the problem's constants read, so the check costs nothing more.
-    a_f = problem.A_f
-    if not (np.array_equal(a_f, a_f.T) and problem._eigs_f[0] > 0):
-        raise ContainerError("body", "A_f is not symmetric positive definite")
-    return problem
 
 
 def describe_problem(path) -> dict:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -622,3 +625,12 @@ def test_benchmark_tracer_hooks_see_every_layer(tmp_path, monkeypatch):
     for name in ("problems.build", "outer.aid_run", "inner.sgd", "inner.linear.cg", "cli.emit"):
         assert tracer.stats[name].calls > 0, name
     assert tracer.stats["cli.emit"].calls == 2  # one per CSV written
+
+
+def test_cli_import_loads_numpy_only():
+    """numpy is the only runtime dependency: importing the CLI loads no scipy module."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, amigo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

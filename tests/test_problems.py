@@ -11,6 +11,7 @@ from amigo import (
     ConfigurationError,
     InvalidSpectrumError,
     NoiseSpec,
+    QuadraticProblem,
     describe_problem,
     gen_nonconvex,
     gen_quadratic,
@@ -85,6 +86,18 @@ class TestGenQuadratic:
     def test_invalid_kappa(self):
         with pytest.raises(InvalidSpectrumError):
             gen_quadratic(4, 3, kappa_g=0.5, kappa_L=2.0, seed=0)
+
+    @pytest.mark.parametrize("name", ["A_f", "A_g"])
+    @pytest.mark.parametrize("defect", ["asymmetric", "indefinite"])
+    def test_constructor_rejects_non_spd_hessians(self, name, defect):
+        arrays = {k: getattr(self.p, k).copy() for k in ("A_f", "C_f", "A_g", "B_g")}
+        a = arrays[name]
+        if defect == "asymmetric":
+            a += np.triu(np.random.default_rng(0).standard_normal(a.shape), 1)
+        else:
+            a -= 2.0 * np.eye(len(a))  # symmetric, with every eigenvalue below zero
+        with pytest.raises(ValueError, match=f"{name} is not symmetric positive definite"):
+            QuadraticProblem(**arrays)
 
 
 class TestQuadraticReference:
