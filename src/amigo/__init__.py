@@ -9,10 +9,9 @@ references (:mod:`amigo.problems`), inner and linear-system solvers
 (:mod:`amigo.metrics`), and the command-line harness (:mod:`amigo.cli`).
 """
 
-from .hypergrad import ItdResult, UnrollTape, itd_hypergradient, unroll_inner
+from .hypergrad import itd_hypergradient
 from .inner import (
     DivergenceError,
-    InnerResult,
     solve_inner_sgd,
     solve_linear_cg,
     solve_linear_neumann,
@@ -20,14 +19,11 @@ from .inner import (
 )
 from .metrics import (
     CountingOracle,
-    MetricRow,
     MetricsTracker,
     OracleCounter,
     complexity_formula,
 )
 from .oracle import (
-    BilevelOracle,
-    DerivedConstants,
     Dims,
     InvalidConstantsError,
     SmoothnessConstants,
@@ -36,8 +32,6 @@ from .oracle import (
     psi_hat,
 )
 from .outer import (
-    RunRecord,
-    ScheduleDiagnostics,
     SolverConfig,
     aid_run,
     amigo_run,
@@ -48,10 +42,7 @@ from .problems import (
     ConfigurationError,
     InvalidSpectrumError,
     NoiseSpec,
-    NonconvexOuterProblem,
     QuadraticProblem,
-    RidgeHPOProblem,
-    StochasticOracle,
     describe_problem,
     gen_nonconvex,
     gen_quadratic,
@@ -65,29 +56,18 @@ from .problems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BilevelOracle",
     "ConfigurationError",
     "CountingOracle",
-    "DerivedConstants",
     "Dims",
     "DivergenceError",
-    "InnerResult",
     "InvalidConstantsError",
     "InvalidSpectrumError",
-    "ItdResult",
-    "MetricRow",
     "MetricsTracker",
     "NoiseSpec",
-    "NonconvexOuterProblem",
     "OracleCounter",
     "QuadraticProblem",
-    "RidgeHPOProblem",
-    "RunRecord",
-    "ScheduleDiagnostics",
     "SmoothnessConstants",
     "SolverConfig",
-    "StochasticOracle",
-    "UnrollTape",
     "UnsupportedOperationError",
     "aid_run",
     "amigo_run",
@@ -109,5 +89,4 @@ __all__ = [
     "solve_linear_cg",
     "solve_linear_neumann",
     "solve_linear_sgd",
-    "unroll_inner",
 ]

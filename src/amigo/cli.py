@@ -38,8 +38,6 @@ from .problems import (
     save_problem,
 )
 
-WORKERS_ENV = "AMIGO_WORKERS"
-
 # The MetricRow fields every CSV line, sweep row and run summary carries, in order.
 METRIC_COLUMNS = (
     "k", "rel_error", "grad_norm_sq", "avg_grad_norm_sq", "combined_sc", "energy_x", "cost",
@@ -292,10 +290,17 @@ def rows_to_csv(rows, method: str, seed: int, timing: bool = False) -> str:
     ))
 
 
-def cost_to_reach(rows, eps: float, metric: str = "rel_error") -> int | None:
+# Targets are costs to bring this metric down to eps.  The stop rule watches it
+# too, and from this cost on calls a cell stalled above this ratio.
+_STOP_METRIC = "rel_error"
+_STALL_AFTER_COST = 5000
+_STALL_RATIO = 0.9
+
+
+def cost_to_reach(rows, eps: float) -> int | None:
     """Smallest recorded cost at which the target metric first drops to eps."""
     for r in rows:
-        value = getattr(r, metric)
+        value = getattr(r, _STOP_METRIC)
         if value is not None and value <= eps:
             return r.cost
     return None
@@ -305,12 +310,7 @@ def cost_to_reach(rows, eps: float, metric: str = "rel_error") -> int | None:
 # Sweeps
 
 
-# The stop rule watches this metric and calls a cell stalled above this ratio.
-_STOP_METRIC = "rel_error"
-_STALL_RATIO = 0.9
-
-
-def make_stop_rule(rel_target: float | None, cost_cap: int | None, stall_after_cost: int = 5000):
+def make_stop_rule(rel_target: float | None, cost_cap: int | None):
     """Stop on target reached, cost budget exhausted, or progress stalled.
 
     A cell stalls when the metric improved by less than 10% over the last
@@ -328,7 +328,7 @@ def make_stop_rule(rel_target: float | None, cost_cap: int | None, stall_after_c
             return True
         if cost_cap is not None and row.cost >= cost_cap:
             return True
-        if value is not None and row.cost >= stall_after_cost:
+        if value is not None and row.cost >= _STALL_AFTER_COST:
             half = row.cost / 2
             i = pointer[0]
             while i + 1 < len(history) and history[i + 1][0] <= half:
@@ -424,7 +424,11 @@ def run_sweep(
 
 def _sweep(problem_spec, sweep, eps, noise_spec, solver_overrides, workers: int):
     """run_sweep with its grids, K and stop settings as a config's sweep section."""
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     sweep = _section("sweep", sweep)
+    if sweep["seeds"] is None:
+        raise ValueError("sweep seeds must be a non-empty list, got None")
     eps = _typed("top-level", "eps", eps, SCHEMA["top-level"]["eps"][0])
     noise = build_noise(noise_spec)
     solver = _solver_section(sweep["methods"][0], solver_overrides)
@@ -509,14 +513,17 @@ def _central_diff(f, x, h: float = 1e-5) -> np.ndarray:
     return grad
 
 
-def run_checks(problem, noise: NoiseSpec | None = None, seed: int = 0, n_points: int = 5) -> list[dict]:
-    """Oracle property suite; returns one record per check with measured values."""
+def run_checks(problem, noise: NoiseSpec | None = None, seed: int = 0) -> list[dict]:
+    """Oracle property suite; returns one record per check with measured values.
+
+    The gradient is checked by finite differences at five random points.
+    """
     rng = np.random.default_rng(seed)
     checks = []
     dims = problem.dims
 
     max_rel = 0.0
-    for _ in range(n_points):
+    for _ in range(5):
         x = rng.standard_normal(dims.dx) * 0.5
         fd = _central_diff(problem.L_value, x)
         grad = problem.grad_L(x)
@@ -638,14 +645,15 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     """A sweep exits 0 once every cell has finished, diverged cells included."""
     cfg = _config(args)
-    workers = args.workers or int(os.environ.get(WORKERS_ENV, "1"))
-    results, summary = _sweep(cfg["problem"], cfg["sweep"], cfg["eps"], cfg["noise"], cfg["solver"], workers)
+    results, summary = _sweep(
+        cfg["problem"], cfg["sweep"], cfg["eps"], cfg["noise"], cfg["solver"], args.workers
+    )
     out = cfg["out"] or "sweep.csv"
     with open(out, "w") as fh:
         fh.write(sweep_results_to_csv(results))
     with open(out + ".summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, default=str)
-    print(json.dumps({m: summary[m]["best"] for m in summary}, default=str))
+        json.dump(summary, fh, indent=2)
+    print(json.dumps({m: summary[m]["best"] for m in summary}))
     return 0
 
 
@@ -678,13 +686,14 @@ def main(argv=None) -> int:
         p.add_argument("--config", type=str, default=None, help="JSON config path")
         p.add_argument("--out", type=str, default=None, help="output path")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--method", type=str, default=None, choices=sorted(METHODS))
         p.add_argument("--kappa-g", dest="kappa_g", type=float, default=None)
         p.add_argument("--T", dest="T", type=int, default=None)
         p.add_argument("--N", dest="N", type=int, default=None)
         p.add_argument("--eps", type=_targets, default=None, help="comma-separated targets")
         p.add_argument("--timing", action="store_true", help="populate the wall_s CSV column")
+        if name == "sweep":
+            p.add_argument("--workers", type=int, default=1, help="processes, a positive integer")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

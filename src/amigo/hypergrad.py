@@ -9,39 +9,13 @@ stochastic gradients is not well defined without fixing the sample path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .oracle import UnsupportedOperationError
 
-__all__ = ["UnrollTape", "ItdResult", "unroll_inner", "itd_hypergradient"]
-
-
-@dataclass
-class UnrollTape:
-    """Inner iterates y^0 .. y^{T-1} recorded during the forward unroll."""
-
-    x: np.ndarray
-    alpha: float
-    iterates: list[np.ndarray] = field(default_factory=list)
-    y_final: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.iterates)
-
-
-def unroll_inner(oracle, x, y0, alpha: float, T: int) -> UnrollTape:
-    """Run T deterministic gradient steps on g(x, .), storing each input iterate."""
-    if T < 0:
-        raise ValueError(f"T must be nonnegative, got {T}")
-    tape = UnrollTape(x=np.asarray(x, dtype=float), alpha=alpha)
-    y = np.array(y0, dtype=float, copy=True)
-    for _ in range(T):
-        tape.iterates.append(y.copy())
-        y = y - alpha * oracle.grad_gy(x, y)
-    tape.y_final = y
-    return tape
+__all__ = ["ItdResult", "itd_hypergradient"]
 
 
 @dataclass
@@ -53,8 +27,9 @@ class ItdResult:
 def itd_hypergradient(oracle, x, y0, alpha: float, T: int) -> ItdResult:
     """Exact gradient of the unrolled surrogate x -> f(x, y^T(x)).
 
-    Forward pass stores the tape of inner iterates; the reverse pass seeds
-    the adjoint with grad_y f at y^T and walks the tape backwards, peeling
+    The forward pass runs T gradient steps on g(x, .), storing each input
+    iterate y^0 .. y^{T-1}; the reverse pass seeds the adjoint with
+    grad_y f at y^T and walks the stored iterates backwards, peeling
     one step map per iteration:
 
         g <- g - alpha * jvp_gxy(x, y^{t-1}, p)
@@ -66,12 +41,18 @@ def itd_hypergradient(oracle, x, y0, alpha: float, T: int) -> ItdResult:
     """
     if getattr(oracle, "is_stochastic", False):
         raise UnsupportedOperationError("unrolled differentiation requires a deterministic oracle")
-    tape = unroll_inner(oracle, x, y0, alpha, T)
-    g, p = oracle.grad_f(x, tape.y_final)
+    if T < 0:
+        raise ValueError(f"T must be nonnegative, got {T}")
+    iterates = []
+    y = np.array(y0, dtype=float, copy=True)
+    for _ in range(T):
+        # y is rebound, never updated in place, so each stored iterate stays intact.
+        iterates.append(y)
+        y = y - alpha * oracle.grad_gy(x, y)
+    g, p = oracle.grad_f(x, y)
     g = np.array(g, dtype=float, copy=True)
     p = np.array(p, dtype=float, copy=True)
-    for t in range(T, 0, -1):
-        y_prev = tape.iterates[t - 1]
+    for y_prev in reversed(iterates):
         g -= alpha * oracle.jvp_gxy(x, y_prev, p)
         p -= alpha * oracle.hvp_gyy(x, y_prev, p)
-    return ItdResult(grad=g, y_final=tape.y_final)
+    return ItdResult(grad=g, y_final=y)

@@ -115,14 +115,13 @@ class MetricsTracker:
     rel_error and the strongly convex error measures require the problem to
     expose gap(x) and x_star; grad_norm_sq only needs grad_L.  The running
     mean of the squared gradient norm covers rows 1..k (row 0 reports its
-    own value).  rel_error is the gap over ``gap0``, by default the gap of
-    the first row.  The outer energy uses the constant-step weights: for
-    mu_outer > 0 it is mu/2 ||x - x*||^2 + (1 - u)(L(x) - L*); otherwise,
-    when a smoothness bound L_outer is known, ||grad L(x)||^2 / (2 L_outer).
+    own value).  rel_error is the gap over the gap of the first row.  The
+    outer energy uses the constant-step weights: for mu_outer > 0 it is
+    mu/2 ||x - x*||^2 + (1 - u)(L(x) - L*); otherwise, when a smoothness
+    bound L_outer is known, ||grad L(x)||^2 / (2 L_outer).
     """
 
-    def __init__(self, problem, mu_outer: float | None = None, L_outer: float | None = None,
-                 u: int = 0, gap0: float | None = None):
+    def __init__(self, problem, mu_outer: float | None = None, L_outer: float | None = None, u: int = 0):
         if getattr(problem, "grad_L", None) is None:
             raise ValueError(f"{type(problem).__name__} exposes no gradient reference")
         self.problem = problem
@@ -135,7 +134,7 @@ class MetricsTracker:
             and getattr(problem, "gap", None) is not None
             and getattr(problem, "x_star", None) is not None
         )
-        self._gap0: float | None = gap0
+        self._first_gap: float | None = None
         self._gns_sum = 0.0
         self._gns_count = 0
 
@@ -152,9 +151,9 @@ class MetricsTracker:
         rel = combined = energy = None
         if self._has_sc_refs:
             gap = float(self.problem.gap(x))
-            if self._gap0 is None:
-                self._gap0 = gap
-            rel = gap / self._gap0 if self._gap0 > 0 else None
+            if self._first_gap is None:
+                self._first_gap = gap
+            rel = gap / self._first_gap if self._first_gap > 0 else None
             dist_sq = float(np.sum((x - self.problem.x_star) ** 2))
             combined = min(gap, 0.5 * self.mu_outer * dist_sq)
             energy = 0.5 * self.mu_outer * dist_sq + (1 - self.u) * gap

@@ -167,16 +167,13 @@ class BilevelOracle(abc.ABC):
     def is_stochastic(self) -> bool:
         return False
 
-    def _check_xy(self, x, y) -> None:
-        d = self.dims
-        if np.shape(x) != (d.dx,):
-            raise ValueError(f"x has shape {np.shape(x)}, expected ({d.dx},)")
-        if np.shape(y) != (d.dy,):
-            raise ValueError(f"y has shape {np.shape(y)}, expected ({d.dy},)")
 
-    def _check_inner_vec(self, v, name: str = "v") -> None:
-        if np.shape(v) != (self.dims.dy,):
-            raise ValueError(f"{name} has shape {np.shape(v)}, expected ({self.dims.dy},)")
+def vector(name: str, value, dim: int) -> np.ndarray:
+    """value as a float array, which must have shape (dim,); ValueError names it otherwise."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != (dim,):
+        raise ValueError(f"{name} has shape {value.shape}, expected ({dim},)")
+    return value
 
 
 def psi_hat(
@@ -194,8 +191,8 @@ def psi_hat(
     z, each evaluated on a fresh independent batch.  With y = y*(x) and
     z = z*(x, y*(x)) this equals the exact outer gradient.
     """
-    oracle._check_xy(x, y)
-    oracle._check_inner_vec(z, "z")
+    d = oracle.dims
+    x, y, z = vector("x", x, d.dx), vector("y", y, d.dy), vector("z", z, d.dy)
     u = oracle.grad_fx(x, y, batch_size=batch_f, rng=rng)
     w = oracle.jvp_gxy(x, y, z, batch_size=batch_gxy, rng=rng)
     return u + w

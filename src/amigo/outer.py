@@ -35,6 +35,7 @@ from .oracle import (
     SmoothnessConstants,
     UnsupportedOperationError,
     derive_constants,
+    vector,
 )
 from .problems import NoiseSpec
 
@@ -162,8 +163,6 @@ def _exact_inner_budgets(
 def prescribed_schedule(
     constants: SmoothnessConstants,
     mu_outer: float | None = None,
-    c_T: float = 1.0,
-    c_N: float = 1.0,
     exact_mode: bool = False,
     *,
     L_outer: float | None = None,
@@ -172,14 +171,14 @@ def prescribed_schedule(
 ) -> tuple[SolverConfig, ScheduleDiagnostics]:
     """Constant-step configuration: alpha = 1/L_g, beta = 1/(2 L_g), gamma = 1/L.
 
-    The default inner budgets are T = ceil(c_T * kappa_g) and
-    N = ceil(c_N * kappa_g).  ``L_outer`` overrides the generic smoothness
-    bound on the outer loss with an exact one when the problem provides it
-    (the synthetic quadratic does: its outer Hessian is known).  With
-    ``exact_mode`` the diagnostics additionally carry the worst-case inner
-    budgets computed from the six log constants; the returned config keeps
-    the default budgets so callers choose which to adopt.  Every other
-    ``SolverConfig`` field is passed through ``fields`` with its default.
+    The inner budgets are T = N = ceil(kappa_g).  ``L_outer`` overrides the
+    generic smoothness bound on the outer loss with an exact one when the
+    problem provides it (the synthetic quadratic does: its outer Hessian is
+    known).  With ``exact_mode`` the diagnostics additionally carry the
+    worst-case inner budgets computed from the six log constants; the
+    returned config keeps ceil(kappa_g) so callers choose which to adopt.
+    Every other ``SolverConfig`` field is passed through ``fields`` with its
+    default.
     """
     derived = derive_constants(constants, mu_outer)
     L = L_outer if L_outer is not None else derived.L
@@ -191,16 +190,11 @@ def prescribed_schedule(
     strongly_convex = mu_outer is not None and mu_outer > 0
     eta0 = mu_outer if strongly_convex else L
     delta0 = eta0 * gamma
+    # The small slack absorbs eigenvalue roundoff in kappa_g so integral
+    # condition numbers give integral budgets.
+    budget = max(1, math.ceil(derived.kappa_g - 1e-9))
     config = SolverConfig(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        # The small slack absorbs eigenvalue roundoff in kappa_g so integral
-        # condition numbers give integral budgets.
-        T=max(1, math.ceil(c_T * derived.kappa_g - 1e-9)),
-        N=max(1, math.ceil(c_N * derived.kappa_g - 1e-9)),
-        mu_outer=mu_outer,
-        **fields,
+        alpha=alpha, beta=beta, gamma=gamma, T=budget, N=budget, mu_outer=mu_outer, **fields
     )
     noise = noise or NoiseSpec()
     if noise.sigma_gyy_tilde > 0:
@@ -239,7 +233,6 @@ class RunRecord:
     z_final: np.ndarray | None
     xhat_final: np.ndarray | None
     counter: OracleCounter
-    config: SolverConfig
     wall_s: float
     iterations_run: int
     xs: list[np.ndarray] | None = None
@@ -277,15 +270,6 @@ def _solve_linear(co, config: SolverConfig, x, y, v, z_start, rng):
     return solve_linear_cg(co, x, y, v, z0=z_start, tol=config.cg_tol, max_iter=config.N).out
 
 
-def _init_vec(value, dim: int) -> np.ndarray:
-    if value is None:
-        return np.zeros(dim)
-    value = np.asarray(value, dtype=float)
-    if value.shape != (dim,):
-        raise ValueError(f"initial vector has shape {value.shape}, expected ({dim},)")
-    return value
-
-
 def _outer_loop(
     oracle, config: SolverConfig, x0, y, z, step: Callable, linear_solver: str | None,
     delta: float | None, metrics_hook, tracker, store_iterates, stop,
@@ -305,9 +289,7 @@ def _outer_loop(
     check_supported(linear_solver, getattr(oracle, "noise", None))
     counter = OracleCounter()
     co = CountingOracle(oracle, counter)
-    x = np.array(x0, dtype=float, copy=True)
-    if x.shape != (oracle.dims.dx,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({oracle.dims.dx},)")
+    x = vector("x0", x0, oracle.dims.dx).copy()
     xhat = None if delta is None else x.copy()
     t0 = time.perf_counter()
     rows: list[MetricRow] = []
@@ -357,7 +339,7 @@ def _outer_loop(
                 break
     return RunRecord(
         rows=rows, x_final=x, y_final=y, z_final=z, xhat_final=xhat, counter=counter,
-        config=config, wall_s=time.perf_counter() - t0,
+        wall_s=time.perf_counter() - t0,
         iterations_run=iterations, xs=xs, ys=ys, zs=zs, xhats=xhats,
     )
 
@@ -384,8 +366,8 @@ def aid_run(
     aligned (x, y, z) triples.
     """
     dy = oracle.dims.dy
-    y_init = _init_vec(y_init, dy)
-    z_init = _init_vec(z_init, dy)
+    y_init = np.zeros(dy) if y_init is None else vector("y_init", y_init, dy)
+    z_init = np.zeros(dy) if z_init is None else vector("z_init", z_init, dy)
     delta = None
     if config.u == 1:
         if config.mu_outer is None or config.mu_outer <= 0:
@@ -453,7 +435,9 @@ def itd_run(
         result = itd_hypergradient(co, x, y, config.alpha, T_k)
         return result.grad, result.y_final, None
 
+    dy = oracle.dims.dy
+    y_init = np.zeros(dy) if y_init is None else vector("y_init", y_init, dy)
     return _outer_loop(
-        oracle, config, x0, _init_vec(y_init, oracle.dims.dy), None, step, None, None,
-        metrics_hook, tracker, store_iterates, stop,
+        oracle, config, x0, y_init, None, step, None, None, metrics_hook, tracker,
+        store_iterates, stop,
     )

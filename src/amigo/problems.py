@@ -606,34 +606,20 @@ class StochasticOracle(BilevelOracle):
             raise ValueError(f"a random stream is required for noisy {what} queries")
         return rng
 
-    def _gauss(self, rng, sigma: float, dim: int, budget_dim: int, batch_size: int) -> np.ndarray:
-        # Per-sample per-coordinate std sigma / sqrt(budget_dim), so a full
-        # budget_dim-dimensional draw has E||eps||^2 = sigma^2.
-        scale = sigma / math.sqrt(budget_dim * batch_size)
-        if batch_size == 1:
-            return scale * rng.standard_normal(dim)
+    def _gauss(self, rng, sigma: float, dim: int, batch_size: int) -> np.ndarray:
+        # Per-sample per-coordinate std sigma / sqrt(dim), so each sample has E||eps||^2 = sigma^2.
+        scale = sigma / math.sqrt(dim * batch_size)
         return scale * rng.standard_normal((batch_size, dim)).sum(axis=0) / math.sqrt(batch_size)
 
     def _zeta_bar(self, rng, batch_size: int) -> float:
         return float(rng.uniform(-_SQRT3, _SQRT3, size=batch_size).mean())
 
+    # A lone partial of f is its part of one joint draw, under the same noise law.
     def grad_fx(self, x, y, batch_size=1, rng=None):
-        val = self.base.grad_fx(x, y)
-        s = self.noise.sigma_f_tilde
-        if s == 0:
-            return val
-        rng = self._need_rng(rng, "grad_fx")
-        d = self.dims
-        return val + self._gauss(rng, s, d.dx, d.dx + d.dy, batch_size)
+        return self.grad_f(x, y, batch_size=batch_size, rng=rng)[0]
 
     def grad_fy(self, x, y, batch_size=1, rng=None):
-        val = self.base.grad_fy(x, y)
-        s = self.noise.sigma_f_tilde
-        if s == 0:
-            return val
-        rng = self._need_rng(rng, "grad_fy")
-        d = self.dims
-        return val + self._gauss(rng, s, d.dy, d.dx + d.dy, batch_size)
+        return self.grad_f(x, y, batch_size=batch_size, rng=rng)[1]
 
     def grad_f(self, x, y, batch_size=1, rng=None):
         ux = self.base.grad_fx(x, y)
@@ -643,7 +629,7 @@ class StochasticOracle(BilevelOracle):
             return ux, uy
         rng = self._need_rng(rng, "grad_f")
         d = self.dims
-        eps = self._gauss(rng, s, d.dx + d.dy, d.dx + d.dy, batch_size)
+        eps = self._gauss(rng, s, d.dx + d.dy, batch_size)
         return ux + eps[: d.dx], uy + eps[d.dx :]
 
     def grad_gy(self, x, y, batch_size=1, rng=None):
@@ -653,7 +639,7 @@ class StochasticOracle(BilevelOracle):
             return val
         rng = self._need_rng(rng, "grad_gy")
         d = self.dims
-        return val + self._gauss(rng, s, d.dy, d.dy, batch_size)
+        return val + self._gauss(rng, s, d.dy, batch_size)
 
     def hvp_gyy(self, x, y, v, batch_size=1, rng=None):
         val = self.base.hvp_gyy(x, y, v)

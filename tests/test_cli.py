@@ -139,18 +139,18 @@ class TestStopRule:
         assert stop(self.make_row(2, 1.0, 100))
 
     def test_stall_detection(self):
-        # A flat metric trips the stall rule shortly after the cost floor;
+        # A flat metric trips the stall rule at the cost floor;
         # a geometrically improving one never does.
-        stop = make_stop_rule(1e-12, None, stall_after_cost=1000)
+        stop = make_stop_rule(1e-12, None)
         stalled_at = None
         for k in range(1, 10_000):
             if stop(self.make_row(k, 0.5, 10 * k)):
                 stalled_at = 10 * k
                 break
-        assert stalled_at is not None and stalled_at <= 2000
+        assert stalled_at == cli._STALL_AFTER_COST
 
     def test_geometric_progress_never_stalls(self):
-        stop = make_stop_rule(None, 200_000, stall_after_cost=5000)
+        stop = make_stop_rule(None, 200_000)
         for k in range(1, 20_001):
             if stop(self.make_row(k, 0.999**k, 10 * k)):
                 break
@@ -324,6 +324,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_sweep(**kwargs)
 
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2"])
+    def test_bad_worker_count_rejected_before_any_cell(self, monkeypatch, workers):
+        dispatched = []
+        monkeypatch.setattr(cli, "_sweep_cell", dispatched.append)
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            run_sweep(**self.sweep_kwargs(workers=workers))
+        assert dispatched == []
+
+    def test_missing_seed_list_rejected_before_any_cell(self, monkeypatch):
+        dispatched = []
+        monkeypatch.setattr(cli, "_sweep_cell", dispatched.append)
+        with pytest.raises(ValueError, match="seeds must be a non-empty list"):
+            run_sweep(**{**self.sweep_kwargs(), "seeds": None})
+        assert dispatched == []
+
     def test_kappa_axis_produces_per_kappa_cells(self):
         results, summary = run_sweep(
             problem_spec=quad_spec(),
@@ -459,6 +474,26 @@ class TestEndToEnd:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert out.exists() and (tmp_path / "sweep.csv.summary.json").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_sweep_rejects_bad_worker_count(self, tmp_path, capsys, monkeypatch, workers):
+        cfg = {"problem": quad_spec(), "sweep": {"methods": ["amigo-gd"], "T": [1], "N": [1], "K": 3}}
+        dispatched = []
+        monkeypatch.setattr(cli, "_sweep_cell", dispatched.append)
+        out = tmp_path / "out.csv"
+        argv = ["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out), "--workers", workers]
+        assert main(argv) == 2
+        assert f"workers must be a positive integer, got {workers}" in capsys.readouterr().err
+        assert dispatched == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "run", "check"])
+    def test_workers_flag_is_sweep_only(self, tmp_path, command):
+        cfg_path = write_config(tmp_path, {"problem": quad_spec()})
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg_path, "--out", str(tmp_path / "out"), "--workers", "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_check_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -634,3 +669,14 @@ def test_cli_import_loads_numpy_only():
     code = "import sys, amigo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_package_all_lists_exactly_the_names_it_binds():
+    """The package's import list and __all__ cannot drift apart."""
+    import types
+
+    import amigo
+
+    bound = {name for name, value in vars(amigo).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(amigo.__all__) == bound

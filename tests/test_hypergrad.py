@@ -7,7 +7,6 @@ from amigo import (
     gen_quadratic,
     itd_hypergradient,
     make_stochastic,
-    unroll_inner,
 )
 
 from conftest import central_diff, rel_err
@@ -63,16 +62,6 @@ def test_gap_to_implicit_gradient_contracts_geometrically(quad):
     rate = 1 - alpha * c.mu_g
     assert gaps[20] <= gaps[10] * rate**10 * (1 + 1e-6)
     assert gaps[40] <= gaps[20] * rate**20 * (1 + 1e-6)
-
-
-def test_tape_stores_exactly_T_iterates(quad):
-    rng = np.random.default_rng(4)
-    x, y0 = rng.standard_normal(9), rng.standard_normal(7)
-    for T in (0, 1, 13):
-        tape = unroll_inner(quad, x, y0, alpha=0.5, T=T)
-        assert len(tape) == T
-        assert all(np.all(np.isfinite(it)) for it in tape.iterates)
-    assert np.array_equal(tape.iterates[0], y0)
 
 
 def test_rejects_stochastic_oracle(quad):

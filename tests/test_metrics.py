@@ -127,7 +127,7 @@ class TestMetricsTracker:
             values.append(row.grad_norm_sq)
             assert row.avg_grad_norm_sq == pytest.approx(np.mean(values), rel=1e-12)
 
-    def test_first_row_rel_error_is_one_with_gap0(self):
-        tracker = MetricsTracker(self.p, mu_outer=self.mu, gap0=self.p.gap(self.x0))
+    def test_first_row_rel_error_is_one(self):
+        tracker = MetricsTracker(self.p, mu_outer=self.mu)
         row = tracker.row(0, self.x0)
         assert row.rel_error == pytest.approx(1.0, rel=1e-12)

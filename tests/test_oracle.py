@@ -204,6 +204,19 @@ class TestStochasticContract:
         vb = mean_sq(b)
         assert 0.5 * v1 / b <= vb <= 1.5 * v1 / b
 
+    def test_batch_one_gradient_noise_is_one_scaled_draw(self):
+        # Pins noisy sample paths: the noise is sigma/sqrt(dy) times one
+        # standard normal draw of length dy, bit for bit, and the stream
+        # ends where that draw leaves it.
+        sigma, dy = 0.7, self.p.dims.dy
+        oracle = make_stochastic(self.p, NoiseSpec(sigma_g_tilde=sigma), seed=4)
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        det = self.p.grad_gy(self.x, self.y)
+        for _ in range(3):
+            got = oracle.grad_gy(self.x, self.y, batch_size=1, rng=rng)
+            assert np.array_equal(got, det + sigma / math.sqrt(dy) * ref.standard_normal(dy))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_rng_required_when_noisy(self):
         oracle = make_stochastic(self.p, NoiseSpec(sigma_f_tilde=1.0), seed=4)
         with pytest.raises(ValueError):

@@ -45,8 +45,6 @@ class TestPrescribedSchedule:
     def test_budgets_scale_with_conditioning(self):
         config, _ = prescribed_schedule(exact_constants(10.0))
         assert config.T == 10 and config.N == 10
-        config, _ = prescribed_schedule(exact_constants(10.0), c_T=2.5, c_N=0.5)
-        assert config.T == 25 and config.N == 5
 
     def test_strongly_convex_weights(self):
         config, diag = prescribed_schedule(exact_constants(), mu_outer=0.05, L_outer=1.0)
