@@ -5,10 +5,13 @@ cost g(x, .), and solvers for the adjoint linear system H z = -v where H is
 the inner Hessian at (x, y) and v approximates grad_y f(x, y).  The linear
 system is served by stochastic gradient steps (fresh Hessian batch each
 step, v held fixed), by a truncated Neumann series, or by conjugate
-gradient.  The solvers are plain iterations that never inspect their
-iterates: the outer loop decides once per outer iteration whether a run has
-diverged.  Conjugate gradient alone raises DivergenceError, on a curvature
-p'Hp it cannot divide by.
+gradient.  Every solver but conjugate gradient hands its steps to the
+oracle in one bulk call (``gd_steps`` or ``linear_steps``), which the
+quadratic and non-convex families answer in closed form; a noisy stream
+and the ridge family run the oracle's literal loop.  The solvers never
+inspect their iterates: the outer loop decides once per outer iteration
+whether a run has diverged.  Conjugate gradient alone raises
+DivergenceError, on a curvature p'Hp it cannot divide by.
 """
 
 from __future__ import annotations
@@ -63,9 +66,7 @@ def solve_inner_sgd(oracle, x, y0, alpha: float, T: int, batch_g: int = 1, rng=N
             f"inner step size alpha={alpha} exceeds 1/L_g; contraction is not guaranteed",
             stacklevel=2,
         )
-    y = np.array(y0, dtype=float, copy=True)
-    for _ in range(T):
-        y -= alpha * oracle.grad_gy(x, y, batch_size=batch_g, rng=rng)
+    y = oracle.gd_steps(x, y0, alpha, T, batch_size=batch_g, rng=rng)
     return InnerResult(out=y, iterations_used=T)
 
 
@@ -85,17 +86,16 @@ def solve_linear_sgd(
             "contraction is not guaranteed",
             stacklevel=2,
         )
-    z = np.array(z0, dtype=float, copy=True)
-    for _ in range(N):
-        z -= beta * (oracle.hvp_gyy(x, y, z, batch_size=batch_gyy, rng=rng) + v)
+    z = oracle.linear_steps(x, y, v, z0, beta, N, batch_size=batch_gyy, rng=rng)
     return InnerResult(out=z, iterations_used=N)
 
 
 def solve_linear_neumann(oracle, x, y, v, beta: float, N: int) -> InnerResult:
     """Truncated Neumann series approximation of -inv(H) v.
 
-    Evaluates -beta * sum_{i<N} (I - beta H)^i v by accumulating the powers,
-    which costs N - 1 Hessian-vector products for N terms.
+    Evaluates -beta * sum_{i<N} (I - beta H)^i v.  Its partial sums are the
+    iterates of the adjoint step z <- z - beta (H z + v) from -beta v, so N
+    terms are N - 1 such steps and cost N - 1 Hessian-vector products.
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
@@ -104,14 +104,10 @@ def solve_linear_neumann(oracle, x, y, v, beta: float, N: int) -> InnerResult:
             f"Neumann step size beta={beta} exceeds 1/L_g; the series may not converge",
             stacklevel=2,
         )
+    v = np.asarray(v, dtype=float)
     if N == 0:
-        return InnerResult(out=np.zeros_like(np.asarray(v, dtype=float)), iterations_used=0)
-    term = np.array(v, dtype=float, copy=True)
-    acc = term.copy()
-    for _ in range(1, N):
-        term -= beta * oracle.hvp_gyy(x, y, term)
-        acc += term
-    return InnerResult(out=-beta * acc, iterations_used=N)
+        return InnerResult(out=np.zeros_like(v), iterations_used=0)
+    return InnerResult(out=oracle.linear_steps(x, y, v, -beta * v, beta, N - 1), iterations_used=N)
 
 
 def solve_linear_cg(

@@ -3,8 +3,9 @@
 The counting convention: a joint grad_f evaluation (both partials on one
 batch) adds its batch size once to n_grad_f, as does a lone partial f
 query; every Hessian-vector, Jacobian-vector, or grad_g query adds its
-batch size to its own counter.  Under this convention the counter total of
-a warm-started run with the stochastic linear solver equals
+batch size to its own counter, and a bulk call of T (or N) inner steps
+adds T (or N) times its batch size.  Under this convention the counter
+total of a warm-started run with the stochastic linear solver equals
 k * (T |D_g| + N |D_gyy| + |D_gxy| + |D_f|) exactly, which is also what
 ``complexity_formula`` returns.
 """
@@ -83,6 +84,14 @@ class CountingOracle(BilevelOracle):
     def jvp_gxy(self, x, y, z, batch_size=1, rng=None):
         self.counter.n_jvp += batch_size
         return self.base.jvp_gxy(x, y, z, batch_size=batch_size, rng=rng)
+
+    def gd_steps(self, x, y, alpha, T, batch_size=1, rng=None):
+        self.counter.n_grad_g += T * batch_size
+        return self.base.gd_steps(x, y, alpha, T, batch_size=batch_size, rng=rng)
+
+    def linear_steps(self, x, y, v, z, beta, N, batch_size=1, rng=None):
+        self.counter.n_hvp += N * batch_size
+        return self.base.linear_steps(x, y, v, z, beta, N, batch_size=batch_size, rng=rng)
 
 
 def complexity_formula(

@@ -167,6 +167,24 @@ class BilevelOracle(abc.ABC):
     def is_stochastic(self) -> bool:
         return False
 
+    # Bulk inner steps: these loops are the reference, which a problem with
+    # closed-form inner dynamics overrides.  The start vector is not modified.
+    def gd_steps(self, x, y, alpha: float, T: int, batch_size: int = 1, rng=None) -> np.ndarray:
+        """T steps y <- y - alpha * grad_gy(x, y) from y, each on a fresh batch."""
+        y = np.array(y, dtype=float, copy=True)
+        for _ in range(T):
+            y -= alpha * self.grad_gy(x, y, batch_size=batch_size, rng=rng)
+        return y
+
+    def linear_steps(
+        self, x, y, v, z, beta: float, N: int, batch_size: int = 1, rng=None
+    ) -> np.ndarray:
+        """N steps z <- z - beta * (hvp_gyy(x, y, z) + v) from z, each on a fresh Hessian batch."""
+        z = np.array(z, dtype=float, copy=True)
+        for _ in range(N):
+            z -= beta * (self.hvp_gyy(x, y, z, batch_size=batch_size, rng=rng) + v)
+        return z
+
 
 def vector(name: str, value, dim: int) -> np.ndarray:
     """value as a float array, which must have shape (dim,); ValueError names it otherwise."""

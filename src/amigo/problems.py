@@ -8,7 +8,8 @@ deterministic oracle surface plus closed forms (y*, z*, grad of the outer
 loss, and, where it exists, the outer minimizer) so that solver output is
 checkable against an independent reference.  The quadratic and non-convex
 families hold their inner side in the eigenbasis of the inner Hessian, so
-inner queries, y* and z* are elementwise in y.
+inner queries, y* and z* are elementwise in y, and T inner gradient steps
+or N adjoint steps are one closed-form update each.
 
 ``make_stochastic`` wraps any of them into the batched noisy oracle:
 gradient queries get batch-averaged Gaussian noise, Hessian and Jacobian
@@ -105,6 +106,12 @@ def gen_spd(d: int, mu: float, L: float, seed: int) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def _op_norm(b: np.ndarray) -> float:
+    """Largest singular value of b: the root of the top eigenvalue of its smaller Gram matrix."""
+    gram = b @ b.T if b.shape[0] <= b.shape[1] else b.T @ b
+    return math.sqrt(float(np.linalg.eigvalsh(gram)[-1]))
+
+
 class _DeterministicProblem(BilevelOracle):
     """Shared plumbing for the synthetic families (all deterministic)."""
 
@@ -124,7 +131,9 @@ class _LinearInnerProblem(_DeterministicProblem):
     y -> Q'y that diagonalizes A_g = Q diag(lam) Q': ``A_g`` is diag(lam),
     ``B_g`` is Q'B_g and ``C_f`` is Q'C_f.  This is the same instance (x,
     L(x) and every outer quantity are unchanged), but grad_gy is
-    lam * y + B_g x, hvp_gyy is lam * v, and y* and z* are divisions.
+    lam * y + B_g x, hvp_gyy is lam * v, y* and z* are divisions, and the
+    bulk steps gd_steps and linear_steps are closed forms costing O(dy)
+    whatever the step count.
 
     A diagonal A_g, which every generated problem has, is used as is.  Any
     other A_g must be exactly symmetric and is diagonalized once with eigh;
@@ -186,13 +195,26 @@ class _LinearInnerProblem(_DeterministicProblem):
     def jvp_gxy(self, x, y, z, batch_size=1, rng=None):
         return self.B_g.T @ z
 
+    # Each step shrinks the distance to the fixed point by 1 - step * lam.
+    def gd_steps(self, x, y, alpha, T, batch_size=1, rng=None):
+        if T == 0:
+            return np.array(y, dtype=float, copy=True)
+        ys = self.y_star(x)
+        return ys + (1.0 - alpha * self.lam) ** T * (y - ys)
+
+    def linear_steps(self, x, y, v, z, beta, N, batch_size=1, rng=None):
+        if N == 0:
+            return np.array(z, dtype=float, copy=True)
+        zs = -np.asarray(v, dtype=float) / self.lam
+        return zs + (1.0 - beta * self.lam) ** N * (z - zs)
+
     @cached_property
     def _constants(self) -> SmoothnessConstants:
         # f is linear in y, so its smoothness is that of the outer loss.
         return SmoothnessConstants(
             mu_g=float(self.lam.min()),
             L_g=float(self.lam.max()),
-            Lg_prime=float(np.linalg.norm(self.B_g, 2)),
+            Lg_prime=_op_norm(self.B_g),
             M_g=0.0,
             L_f=self.outer_smoothness()[0],
             B=float(np.linalg.norm(self.C_f)),
@@ -648,6 +670,17 @@ class StochasticOracle(BilevelOracle):
             return val
         rng = self._need_rng(rng, "hvp_gyy")
         return val + s * self._zeta_bar(rng, batch_size) * np.asarray(v, dtype=float)
+
+    # A noiseless stream takes the base's (closed-form) steps; a noisy one the literal loop.
+    def gd_steps(self, x, y, alpha, T, batch_size=1, rng=None):
+        if self.noise.sigma_g_tilde == 0:
+            return self.base.gd_steps(x, y, alpha, T)
+        return super().gd_steps(x, y, alpha, T, batch_size=batch_size, rng=rng)
+
+    def linear_steps(self, x, y, v, z, beta, N, batch_size=1, rng=None):
+        if self.noise.sigma_gyy_tilde == 0:
+            return self.base.linear_steps(x, y, v, z, beta, N)
+        return super().linear_steps(x, y, v, z, beta, N, batch_size=batch_size, rng=rng)
 
     def jvp_gxy(self, x, y, z, batch_size=1, rng=None):
         val = self.base.jvp_gxy(x, y, z)

@@ -52,6 +52,16 @@ class TestCountingOracle:
         assert counter.n_jvp == 13
         assert counter.total() == 10 + 7 + 11 + 13
 
+    def test_bulk_steps_charge_each_step_batch(self):
+        p = gen_quadratic(6, 4, kappa_g=3.0, kappa_L=2.0, seed=0)
+        counter = OracleCounter()
+        co = CountingOracle(p, counter)
+        x, y = np.zeros(6), np.ones(4)
+        assert np.array_equal(co.gd_steps(x, y, 0.5, 5, batch_size=3), p.gd_steps(x, y, 0.5, 5))
+        co.linear_steps(x, y, y, y, 0.5, 4, batch_size=2)
+        co.linear_steps(x, y, y, y, 0.5, 0, batch_size=9)
+        assert counter == OracleCounter(n_grad_g=5 * 3, n_hvp=4 * 2)
+
     def test_snapshot_is_independent(self):
         counter = OracleCounter(n_grad_f=1)
         snap = counter.snapshot()

@@ -21,7 +21,7 @@ from amigo import (
     make_stochastic,
     save_problem,
 )
-from amigo.problems import _HEADER_FMT, MAGIC, ContainerError, _problem_bytes
+from amigo.problems import _HEADER_FMT, MAGIC, ContainerError, _op_norm, _problem_bytes
 
 from conftest import central_diff, rel_err
 
@@ -98,6 +98,13 @@ class TestGenQuadratic:
             a -= 2.0 * np.eye(len(a))  # symmetric, with every eigenvalue below zero
         with pytest.raises(ValueError, match=f"{name} is not symmetric positive definite"):
             QuadraticProblem(**arrays)
+
+
+@pytest.mark.parametrize("shape", [(30, 70), (70, 30), (50, 50)])
+def test_op_norm_matches_spectral_norm(shape):
+    b = np.random.default_rng(4).standard_normal(shape)
+    expected = np.linalg.norm(b, 2)
+    assert abs(_op_norm(b) - expected) <= 1e-14 * expected
 
 
 class TestQuadraticReference:
