@@ -107,11 +107,11 @@ SCHEMA = {
         "stop_rel": (float, None),
     },
 }
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _typed(section: str, key: str, value, kind):
-    """value checked as kind: an int takes an integer but not a bool, a float any real number."""
+    """value checked as kind: an int takes an integer but not a bool, a float any finite real."""
     if isinstance(kind, list):
         grid = section == "sweep"
         if not isinstance(value, (list, tuple)) or (grid and not value):
@@ -126,13 +126,15 @@ def _typed(section: str, key: str, value, kind):
         if not isinstance(value, str) or value not in METHODS:
             raise ValueError(f"unknown method {value!r}; choose from {sorted(METHODS)}")
         return value
-    if kind in (bool, str):
-        ok = isinstance(value, kind)
+    if kind is str:
+        ok = isinstance(value, str)
     else:
         number = numbers.Integral if kind is int else numbers.Real
         ok = isinstance(value, number) and not isinstance(value, bool)
     if not ok:
         raise ValueError(f"{section} key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{section} key {key!r} must be finite, got {value!r}")
     return kind(value)
 
 
@@ -166,12 +168,18 @@ def canonical_problem(spec) -> dict:
 
 
 def _solver_section(method, spec) -> dict:
-    """The solver section for method; a key the method fixes is an error naming it."""
+    """The solver section for method; a key the method fixes is an error naming it.
+
+    The values it sets must also make a valid SolverConfig (positive step
+    sizes, say).
+    """
     _typed("top-level", "method", method, METHOD)
     owned = sorted(set(spec).intersection(METHOD_FIELDS)) if isinstance(spec, dict) else []
     if owned:
         raise ValueError(f"solver keys {owned} are fixed by the method {method!r}")
-    return _section("solver", spec)
+    section = _section("solver", spec)
+    SolverConfig(**{k: v for k, v in section.items() if v is not None})
+    return section
 
 
 def _canonical(raw) -> dict:
@@ -504,7 +512,8 @@ def sweep_results_to_csv(results) -> str:
 # Self-checks (finite differences, spectral sandwich, noise contract)
 
 
-def _central_diff(f, x, h: float = 1e-5) -> np.ndarray:
+def _central_diff(f, x) -> np.ndarray:
+    h = 1e-5
     grad = np.zeros_like(x)
     for i in range(x.size):
         step = np.zeros_like(x)
@@ -603,11 +612,10 @@ def cmd_generate(args) -> int:
     problem = build_problem(cfg["problem"])
     out = cfg["out"] or "problem.bin"
     save_problem(problem, out)
-    sidecar = dict(problem.header())
-    sidecar["file"] = os.path.basename(out)
+    header = describe_problem(out)
     with open(out + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-    print(json.dumps(describe_problem(out)))
+        json.dump({**header, "file": os.path.basename(out)}, fh, indent=2)
+    print(json.dumps(header))
     return 0
 
 

@@ -30,7 +30,6 @@ from .inner import (
 )
 from .metrics import CountingOracle, MetricRow, MetricsTracker, OracleCounter
 from .oracle import (
-    DerivedConstants,
     InvalidConstantsError,
     SmoothnessConstants,
     UnsupportedOperationError,
@@ -79,6 +78,11 @@ class SolverConfig:
             )
         if self.u not in (0, 1):
             raise ValueError(f"the averaging switch u must be 0 or 1, got {self.u}")
+        for name in ("alpha", "beta", "gamma"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"step size {name} must be positive, got {getattr(self, name)}")
+        if not self.cg_tol >= 0:
+            raise ValueError(f"cg_tol must be nonnegative, got {self.cg_tol}")
         if self.T < 0 or self.N < 0 or self.K < 0:
             raise ValueError("iteration counts must be nonnegative")
         for name in ("batch_f", "batch_g", "batch_gxy", "batch_gyy"):
@@ -88,7 +92,7 @@ class SolverConfig:
 
 @dataclass
 class ScheduleDiagnostics:
-    """Constant-step weights and, optionally, the exact inner budgets.
+    """Constant-step weights of the prescribed schedule.
 
     delta and eta are the fixed points of the step-weight recursion: for a
     strongly convex outer loss eta = mu and delta = mu * gamma; otherwise
@@ -97,73 +101,11 @@ class ScheduleDiagnostics:
 
     delta: float
     eta: float
-    exact_TN: dict | None = None
-
-
-def _exact_inner_budgets(
-    sc: SmoothnessConstants,
-    dc: DerivedConstants,
-    eta0: float,
-    gamma: float,
-    alpha: float,
-    beta: float,
-    sigma_x_sq: float,
-    sigma_gxy_sq: float,
-    strongly_convex: bool,
-) -> dict:
-    """Exact T and N from the six worst-case log constants.
-
-    Uses the constant-step instantiation: contraction slack 1/2, unit
-    coupling weights, and increments bounded through the warm-start path.
-    """
-    L_y, L_z, L_psi, L = dc.L_y, dc.L_z, dc.L_psi, dc.L
-    if L_y <= 0 or L_z <= 0:
-        missing = [n for n, v in (("Lg_prime (L_y)", L_y), ("M_g/L_f (L_z)", L_z)) if v <= 0]
-        raise InvalidConstantsError(
-            "exact inner budgets undefined; zero-valued derived constants: " + ", ".join(missing)
-        )
-    if strongly_convex:
-        zeta0 = 2.0 * L * L / eta0
-    else:
-        zeta0 = 2.0 * L
-
-    def log_or_inf(v: float) -> float:
-        if v <= 0:
-            return math.inf
-        return math.log(v)
-
-    c1 = 1.0 + 2.0 * math.log(6.0 + 24.0 * L_psi**2 / eta0)
-    c2 = 2.0 * math.log(1.0 + 4.0 * L_y**2 / L**2 * max(eta0, 8.0 * zeta0))
-    c3 = max(
-        0.0,
-        -2.0 * log_or_inf(5.0 * L_psi**2 / eta0),
-        -2.0 * log_or_inf(L / (4.0 * L_y**2)),
-    )
-    c1p = 1.0 + 2.0 * math.log(4.0 + 12.0 / eta0 * (2.0 * L_psi**2 + sigma_x_sq))
-    c2p = 2.0 * math.log(1.0 + 2.0 * L_z**2 / L_y**2 * (1.0 + 16.0 * L_y**2))
-    c3p_arg = gamma * (sigma_gxy_sq + sc.Lg_prime**2)
-    c3p = max(
-        0.0,
-        -2.0 * log_or_inf(L_psi**2 / (4.0 * L_z**2 * eta0)),
-        -2.0 * log_or_inf(c3p_arg),
-    )
-    values = {"C1": c1, "C2": c2, "C3": c3, "C1p": c1p, "C2p": c2p, "C3p": c3p}
-    bad = [name for name, v in values.items() if not math.isfinite(v)]
-    if bad:
-        raise InvalidConstantsError(
-            f"exact inner budgets undefined; non-finite constants: {', '.join(bad)}"
-        )
-    t_exact = math.floor(max(c1, c2, c3) / (alpha * sc.mu_g)) + 1
-    n_exact = math.floor(2.0 * (max(c1, c2, c3) + max(c1p, c2p, c3p)) / (beta * sc.mu_g)) + 1
-    values["T_exact"] = t_exact
-    values["N_exact"] = n_exact
-    return values
 
 
 def prescribed_schedule(
     constants: SmoothnessConstants,
     mu_outer: float | None = None,
-    exact_mode: bool = False,
     *,
     L_outer: float | None = None,
     noise: NoiseSpec | None = None,
@@ -174,11 +116,8 @@ def prescribed_schedule(
     The inner budgets are T = N = ceil(kappa_g).  ``L_outer`` overrides the
     generic smoothness bound on the outer loss with an exact one when the
     problem provides it (the synthetic quadratic does: its outer Hessian is
-    known).  With ``exact_mode`` the diagnostics additionally carry the
-    worst-case inner budgets computed from the six log constants; the
-    returned config keeps ceil(kappa_g) so callers choose which to adopt.
-    Every other ``SolverConfig`` field is passed through ``fields`` with its
-    default.
+    known).  Every other ``SolverConfig`` field is passed through
+    ``fields`` with its default.
     """
     derived = derive_constants(constants, mu_outer)
     L = L_outer if L_outer is not None else derived.L
@@ -187,8 +126,7 @@ def prescribed_schedule(
     gamma = 1.0 / L
     alpha = 1.0 / constants.L_g
     beta = 1.0 / (2.0 * constants.L_g)
-    strongly_convex = mu_outer is not None and mu_outer > 0
-    eta0 = mu_outer if strongly_convex else L
+    eta0 = mu_outer if mu_outer is not None and mu_outer > 0 else L
     delta0 = eta0 * gamma
     # The small slack absorbs eigenvalue roundoff in kappa_g so integral
     # condition numbers give integral budgets.
@@ -196,8 +134,7 @@ def prescribed_schedule(
     config = SolverConfig(
         alpha=alpha, beta=beta, gamma=gamma, T=budget, N=budget, mu_outer=mu_outer, **fields
     )
-    noise = noise or NoiseSpec()
-    if noise.sigma_gyy_tilde > 0:
+    if noise is not None and noise.sigma_gyy_tilde > 0:
         required = noise.sigma_gyy_tilde**2 / (constants.mu_g * constants.L_g)
         if config.batch_gyy < required:
             warnings.warn(
@@ -205,17 +142,7 @@ def prescribed_schedule(
                 f"{required:.3g} for this noise level",
                 stacklevel=2,
             )
-    exact = None
-    if exact_mode:
-        mu_g_sq = constants.mu_g**2
-        sigma_gxy_sq = noise.sigma_gxy_tilde**2 / config.batch_gxy
-        sigma_gyy_sq = noise.sigma_gyy_tilde**2 / config.batch_gyy
-        sigma_x_sq = 2.0 * sigma_gxy_sq + 2.0 * constants.Lg_prime**2 / mu_g_sq * sigma_gyy_sq
-        exact = _exact_inner_budgets(
-            constants, derived, eta0, gamma, alpha, beta, sigma_x_sq, sigma_gxy_sq,
-            strongly_convex,
-        )
-    return config, ScheduleDiagnostics(delta=delta0, eta=eta0, exact_TN=exact)
+    return config, ScheduleDiagnostics(delta=delta0, eta=eta0)
 
 
 @dataclass

@@ -487,26 +487,26 @@ class RidgeHPOProblem(_DeterministicProblem):
     def L_value(self, x) -> float:
         return self.f_value(x, self.y_star(np.asarray(x, dtype=float)))
 
-    def local_constants(self, x=None, y_radius: float | None = None) -> SmoothnessConstants:
+    def local_constants(self, x=None) -> SmoothnessConstants:
         """Smoothness constants local to x and a ball of inner iterates.
 
         The gradient bound B and the second-derivative constants only hold
-        on bounded sets for this family; they are reported over the given
-        y ball and the hyperparameter box [-RIDGE_X_BOX, RIDGE_X_BOX]^d.
+        on bounded sets for this family; they are reported over the y ball
+        of radius 2 ||y*(x)|| + 1 and the hyperparameter box
+        [-RIDGE_X_BOX, RIDGE_X_BOX]^d.
         """
         x = np.zeros(self.d) if x is None else np.asarray(x, dtype=float)
         eigs = np.linalg.eigvalsh(self.hess_g(x))
-        if y_radius is None:
-            y_radius = 2.0 * float(np.linalg.norm(self.y_star(x))) + 1.0
+        radius = 2.0 * float(np.linalg.norm(self.y_star(x))) + 1.0
         g_val_norm = float(np.linalg.norm(self._G_val, 2))
         box_scale = math.exp(RIDGE_X_BOX) / self.d
         return SmoothnessConstants(
             mu_g=float(eigs[0]),
             L_g=float(eigs[-1]),
-            Lg_prime=box_scale * y_radius,
-            M_g=box_scale * max(y_radius, 1.0),
+            Lg_prime=box_scale * radius,
+            M_g=box_scale * max(radius, 1.0),
             L_f=g_val_norm,
-            B=g_val_norm * y_radius + float(np.linalg.norm(self._g_val)),
+            B=g_val_norm * radius + float(np.linalg.norm(self._g_val)),
         )
 
     @cached_property
@@ -555,21 +555,19 @@ class NoiseSpec:
     """Per-sample noise scales before batch averaging.
 
     The sigma values are the square roots of the per-sample second moments;
-    batch averaging divides the second moments by the batch size.  With
-    bounded_hessian_noise set, construction requires sqrt(3) * sigma_gyy
-    below mu_g so every sampled Hessian stays positive definite.
+    batch averaging divides the second moments by the batch size.  Each
+    must be finite and nonnegative.
     """
 
     sigma_f_tilde: float = 0.0
     sigma_g_tilde: float = 0.0
     sigma_gxy_tilde: float = 0.0
     sigma_gyy_tilde: float = 0.0
-    bounded_hessian_noise: bool = True
 
     def __post_init__(self) -> None:
         for name in ("sigma_f_tilde", "sigma_g_tilde", "sigma_gxy_tilde", "sigma_gyy_tilde"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and nonnegative")
 
     @property
     def any_noise(self) -> bool:
@@ -593,14 +591,16 @@ class StochasticOracle(BilevelOracle):
     are unbiased and their second moments scale as 1/batch_size.
 
     With every sigma equal to zero the oracle consumes no randomness and
-    each query returns exactly the deterministic value.
+    each query returns exactly the deterministic value.  Construction
+    requires sqrt(3) * sigma_gyy below mu_g, so every sampled Hessian stays
+    positive definite.
     """
 
     def __init__(self, base, noise: NoiseSpec, seed: int):
         self.base = base
         self.noise = noise
         self.seed = int(seed)
-        if noise.bounded_hessian_noise and noise.sigma_gyy_tilde > 0:
+        if noise.sigma_gyy_tilde > 0:
             mu_g = base.constants().mu_g
             if _SQRT3 * noise.sigma_gyy_tilde >= mu_g:
                 raise ConfigurationError(
@@ -814,7 +814,11 @@ def load_problem(path):
 
 
 def describe_problem(path) -> dict:
-    """Header of a problem container as a plain dict (JSON-friendly)."""
+    """Header of a problem container as a plain dict (JSON-friendly).
+
+    A header float the family leaves undefined (NaN in the container) is None.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER_END)
-    return _read_header(raw)
+    h = _read_header(raw)
+    return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in h.items()}

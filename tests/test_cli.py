@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from amigo import UnsupportedOperationError, save_problem
 from amigo.cli import (
     CSV_COLUMNS,
     METHODS,
+    SCHEMA,
     build_config,
     build_noise,
     build_problem,
@@ -31,6 +33,7 @@ from amigo.metrics import MetricRow
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = Path(__file__).resolve().parents[1] / "README.md"
 RIDGE_SPEC = {"family": "ridge", "n_tr": 30, "n_val": 20, "d": 5, "seed": 0}
 
 
@@ -44,6 +47,15 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def strict_json(text):
+    """text parsed as JSON that holds no NaN or Infinity token."""
+
+    def reject(constant):
+        raise ValueError(f"non-finite {constant} in the JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestMethodMapping:
@@ -391,6 +403,13 @@ BAD_CONFIGS = {
     "solver-u-float": ("solver", {"u": 0.9}, "solver key 'u' must be an integer, got 0.9"),
     "solver-T-bool": ("solver", {"T": True}, "solver key 'T' must be an integer, got True"),
     "solver-gamma-str": ("solver", {"gamma": "0.5"}, "solver key 'gamma' must be a number, got '0.5'"),
+    "solver-gamma-nan": ("solver", {"gamma": math.nan}, "solver key 'gamma' must be finite, got nan"),
+    "solver-cg-tol-nan": ("solver", {"cg_tol": math.nan}, "solver key 'cg_tol' must be finite, got nan"),
+    "solver-gamma-negative": ("solver", {"gamma": -1.0}, "step size gamma must be positive, got -1.0"),
+    "noise-inf": ("noise", {"sigma_g": math.inf}, "noise key 'sigma_g' must be finite, got inf"),
+    "problem-kappa-inf": ("problem", {"kappa_g": -math.inf},
+                          "quadratic problem key 'kappa_g' must be finite, got -inf"),
+    "eps-nan": (None, {"eps": [0.1, math.nan]}, "top-level key 'eps' must be finite, got nan"),
     "out-bool": (None, {"out": True}, "top-level key 'out' must be a string, got True"),
     "out-int": (None, {"out": 7}, "top-level key 'out' must be a string, got 7"),
     "method-unknown": (None, {"method": "sgd-magic"}, "unknown method 'sgd-magic'; choose from"),
@@ -436,6 +455,17 @@ class TestEndToEnd:
         summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
         assert summary["method"] == "amigo-cg"
         assert summary["cost_to_eps"]["0.01"] is not None
+
+    @pytest.mark.parametrize("spec", [{"family": "nonconvex", "dx": 6, "dy": 4}, RIDGE_SPEC],
+                             ids=["nonconvex", "ridge"])
+    def test_generate_writes_strict_json(self, tmp_path, capsys, spec):
+        # These families leave kappa_L (ridge: kappa_g too) undefined.
+        bin_path = tmp_path / "p.bin"
+        argv = ["generate", "--config", write_config(tmp_path, {"problem": spec}), "--out", str(bin_path)]
+        assert main(argv) == 0
+        printed = strict_json(capsys.readouterr().out)
+        assert printed["kappa_L"] is None and printed["family"] == spec["family"]
+        assert strict_json((tmp_path / "p.bin.json").read_text()) == {**printed, "file": "p.bin"}
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
         cfg = {
@@ -618,11 +648,7 @@ class TestEndToEnd:
         out = tmp_path / "run.csv"
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
         rows = out.read_text().strip().split("\n")[1:]
-
-        def reject(constant):
-            raise ValueError(f"non-finite {constant} in the summary")
-
-        summary = json.loads((tmp_path / "run.csv.summary.json").read_text(), parse_constant=reject)
+        summary = strict_json((tmp_path / "run.csv.summary.json").read_text())
         assert summary["diverged_at"] is not None
         # The metrics overflow before x does; such a row ends the run and is not written.
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[2:] if v)
@@ -631,6 +657,21 @@ class TestEndToEnd:
         assert list(summary["cost_to_eps"]) == ["0.01", "0.0001", "1e-06"]
         for key in ("iterations", "oracle_counts", "wall_time_s"):
             assert key not in summary
+
+
+def test_readme_config_table_mirrors_schema():
+    """README's Config schema table lists exactly SCHEMA's keys, section by section."""
+    table = README.read_text().split("### Config schema")[1].split("\n### ")[0]
+    listed, section = {}, None
+    for line in table.splitlines():
+        if not line.startswith("|") or line.startswith(("| section ", "|---")):
+            continue
+        first, second = line.split("|")[1:3]
+        if first.strip():
+            family = re.fullmatch(r"`problem` \((\w+)\)", first.strip())
+            section = f"{family[1]} problem" if family else first.strip().strip("`").replace(" ", "-")
+        listed.setdefault(section, set()).update(re.findall(r"`([^`]+)`", second))
+    assert listed == {name: set(keys) for name, keys in SCHEMA.items()}
 
 
 def test_benchmark_tracer_hooks_see_every_layer(tmp_path, monkeypatch):

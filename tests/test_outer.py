@@ -7,7 +7,6 @@ import pytest
 import amigo.outer
 from amigo import (
     DivergenceError,
-    InvalidConstantsError,
     MetricsTracker,
     NoiseSpec,
     SmoothnessConstants,
@@ -52,34 +51,9 @@ class TestPrescribedSchedule:
         assert diag.delta == pytest.approx(0.05, rel=1e-12)
         assert config.mu_outer == 0.05
 
-    def test_exact_mode_frozen_constants(self):
-        # Frozen values from an independent evaluation of the six log
-        # formulas (mu_g=0.1, L_g=1, L'_g=1, M_g=0, L_f=1, B=0, mu=0.05,
-        # no noise, generic outer bound L=121).
-        _, diag = prescribed_schedule(exact_constants(10.0), mu_outer=0.05, exact_mode=True)
-        e = diag.exact_TN
-        assert e["C1"] == pytest.approx(22.939359899896253, rel=1e-12)
-        assert e["C2"] == pytest.approx(23.519586710742473, rel=1e-12)
-        assert e["C3"] == pytest.approx(2.391348003022482, rel=1e-12)
-        assert e["C1p"] == pytest.approx(22.939291035301256, rel=1e-12)
-        assert e["C2p"] == pytest.approx(16.143686299218317, rel=1e-12)
-        assert e["C3p"] == pytest.approx(9.591581091193483, rel=1e-12)
-        assert e["T_exact"] == 236
-        assert e["N_exact"] == 1859
-
-    def test_exact_mode_reports_but_does_not_adopt(self):
-        config, diag = prescribed_schedule(exact_constants(10.0), mu_outer=0.05, exact_mode=True)
-        assert config.T == 10 and config.N == 10
-        assert diag.exact_TN["T_exact"] > config.T
-
-    def test_exact_mode_missing_symbols(self):
-        degenerate = SmoothnessConstants(mu_g=0.5, L_g=1.0, Lg_prime=0.0, L_f=1.0)
-        with pytest.raises(InvalidConstantsError, match="L_y"):
-            prescribed_schedule(degenerate, mu_outer=0.1, exact_mode=True)
-
     def test_batch_floor_warning(self):
         # Floor is sigma^2 / (mu_g L_g) = 2.5 here, above the unit batch.
-        noise = NoiseSpec(sigma_gyy_tilde=0.5, bounded_hessian_noise=False)
+        noise = NoiseSpec(sigma_gyy_tilde=0.5)
         with pytest.warns(UserWarning, match="batch"):
             prescribed_schedule(exact_constants(10.0), noise=noise, batch_gyy=1)
         prescribed_schedule(exact_constants(10.0), noise=noise, batch_gyy=3)
@@ -91,6 +65,11 @@ class TestPrescribedSchedule:
             SolverConfig(u=2)
         with pytest.raises(ValueError):
             SolverConfig(batch_f=0)
+        for bad in ({"alpha": 0.0}, {"beta": -0.5}, {"gamma": -1.0}, {"gamma": math.nan},
+                    {"cg_tol": -1e-10}, {"cg_tol": math.nan}):
+            with pytest.raises(ValueError, match="must be"):
+                SolverConfig(**bad)
+        SolverConfig(cg_tol=0.0)
 
 
 def schedule_for(problem, K, **kw):

@@ -260,12 +260,11 @@ class TestStochasticWrapper:
         bad = NoiseSpec(sigma_gyy_tilde=mu_g)  # sqrt(3) * mu_g >= mu_g
         with pytest.raises(ConfigurationError):
             make_stochastic(self.p, bad, seed=0)
-        # Disabling the bounded-noise flag skips the margin check.
-        make_stochastic(self.p, NoiseSpec(sigma_gyy_tilde=mu_g, bounded_hessian_noise=False), 0)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NoiseSpec(sigma_g_tilde=-1.0)
+        for sigma in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                NoiseSpec(sigma_g_tilde=sigma)
 
 
 class TestSerialization:
