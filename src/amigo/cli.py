@@ -29,6 +29,7 @@ from .oracle import UnsupportedOperationError
 from .outer import RunRecord, SolverConfig, aid_run, check_supported, itd_run, prescribed_schedule
 from .problems import (
     NoiseSpec,
+    check_condition_numbers,
     describe_problem,
     gen_nonconvex,
     gen_quadratic,
@@ -68,25 +69,26 @@ DEFAULT_EPS = (1e-2, 1e-4, 1e-6)
 FAMILIES = {"quadratic": gen_quadratic, "ridge": gen_ridge_hpo, "nonconvex": gen_nonconvex}
 
 METHOD = "method"  # the kind of a method name
+SEED = "seed"  # the kind of a seed: a nonnegative integer
 
 # The config schema: section -> key -> (kind, default), in the order errors
-# list them.  A kind is a type, METHOD, [kind] for a JSON list of such values
-# (a sweep grid must not be empty) or a (section, key) pair: the kind of that
-# key, whose errors then name it.  dict marks a section, which has its own
+# list them.  A kind is a type, METHOD, SEED, [kind] for a JSON list of such
+# values (a sweep grid must not be empty) or a (section, key) pair: the kind of
+# that key, whose errors then name it.  dict marks a section, which has its own
 # schema.  A key takes null where its default is None; ... means no default.
 SCHEMA = {
     "top-level": {
         "problem": (dict, None), "solver": (dict, None), "noise": (dict, None), "sweep": (dict, None),
-        "method": (METHOD, "amigo-gd"), "seed": (int, 0),
+        "method": (METHOD, "amigo-gd"), "seed": (SEED, 0),
         "out": (str, None),  # None: the command's own output
         "eps": ([float], list(DEFAULT_EPS)),
     },
     "quadratic problem": {"family": (str, "quadratic"), "dx": (int, 200), "dy": (int, 100),
-                          "kappa_g": (float, 10.0), "kappa_L": (float, 10.0), "seed": (int, 0)},
+                          "kappa_g": (float, 10.0), "kappa_L": (float, 10.0), "seed": (SEED, 0)},
     "ridge problem": {"family": (str, "ridge"), "n_tr": (int, 100), "n_val": (int, 100),
-                      "d": (int, 20), "label_noise": (float, 0.1), "seed": (int, 0)},
+                      "d": (int, 20), "label_noise": (float, 0.1), "seed": (SEED, 0)},
     "nonconvex problem": {"family": (str, "nonconvex"), "dx": (int, 50), "dy": (int, 25),
-                          "rho": (float, 1.0), "kappa_g": (float, 10.0), "seed": (int, 0)},
+                          "rho": (float, 1.0), "kappa_g": (float, 10.0), "seed": (SEED, 0)},
     "container problem": {"path": (str, ...)},
     # NoiseSpec's fields in order, without their _tilde suffix.
     "noise": {f.name.removesuffix("_tilde"): (type(f.default), f.default) for f in fields(NoiseSpec)},
@@ -101,17 +103,17 @@ SCHEMA = {
         "T": ([("solver", "T")], [1, 10]),
         "N": ([("solver", "N")], [1, 10]),
         "batch": ([("solver", "batch_f")], [1]),
-        "seeds": ([int], None),  # None: the top-level seed
+        "seeds": ([SEED], None),  # None: the top-level seed
         "K": (("solver", "K"), 2000),
         "cost_cap": (int, None),
         "stop_rel": (float, None),
     },
 }
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+_KIND_NAMES = {int: "an integer", SEED: "an integer", float: "a number", str: "a string"}
 
 
 def _typed(section: str, key: str, value, kind):
-    """value checked as kind: an int takes an integer but not a bool, a float any finite real."""
+    """value checked as kind: an int or seed (>= 0) is an integer, not a bool; a float is finite."""
     if isinstance(kind, list):
         grid = section == "sweep"
         if not isinstance(value, (list, tuple)) or (grid and not value):
@@ -129,13 +131,15 @@ def _typed(section: str, key: str, value, kind):
     if kind is str:
         ok = isinstance(value, str)
     else:
-        number = numbers.Integral if kind is int else numbers.Real
+        number = numbers.Real if kind is float else numbers.Integral
         ok = isinstance(value, number) and not isinstance(value, bool)
     if not ok:
         raise ValueError(f"{section} key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
     if kind is float and not math.isfinite(value):
         raise ValueError(f"{section} key {key!r} must be finite, got {value!r}")
-    return kind(value)
+    if kind is SEED and value < 0:
+        raise ValueError(f"{section} key {key!r} must be nonnegative, got {value!r}")
+    return int(value) if kind is SEED else kind(value)
 
 
 def _section(name: str, spec) -> dict:
@@ -443,10 +447,16 @@ def _sweep(problem_spec, sweep, eps, noise_spec, solver_overrides, workers: int)
     for method in sweep["methods"]:
         # The unrolled methods name no linear solver.
         check_supported(METHODS[method].get("linear_solver"), noise)
+    # Every grid point's solver section must make a valid SolverConfig.
+    solvers = {(T, N, batch): _solver_section(sweep["methods"][0], {
+        **solver, "T": T, "N": N, "K": sweep["K"],
+        "batch_f": batch, "batch_g": batch, "batch_gxy": batch, "batch_gyy": batch,
+    }) for T, N, batch in itertools.product(sweep["T"], sweep["N"], sweep["batch"])}
     problem_spec = canonical_problem(problem_spec)
     pspecs = [problem_spec] if sweep["kappa_g"] is None else [
         canonical_problem({**problem_spec, "kappa_g": kappa}) for kappa in sweep["kappa_g"]
     ]
+    check_condition_numbers(*(pspec["kappa_g"] for pspec in pspecs if "kappa_g" in pspec))
     tasks = []
     for pspec in pspecs:
         grid = itertools.product(sweep["methods"], sweep["T"], sweep["N"], sweep["batch"], sweep["seeds"])
@@ -458,8 +468,7 @@ def _sweep(problem_spec, sweep, eps, noise_spec, solver_overrides, workers: int)
                 "seed": seed,
                 "problem": pspec,
                 "noise": noise,
-                "solver": {**solver, "T": T, "N": N, "K": sweep["K"], "batch_f": batch,
-                           "batch_g": batch, "batch_gxy": batch, "batch_gyy": batch},
+                "solver": solvers[T, N, batch],
                 "cell": cell,
                 "eps": eps,
                 "cost_cap": sweep["cost_cap"],
@@ -602,8 +611,9 @@ def _config(args) -> dict:
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-    flags = {"seed": args.seed, "method": args.method, "out": args.out, "eps": args.eps,
-             "problem": {"kappa_g": args.kappa_g}, "solver": {"T": args.T, "N": args.N}}
+    flag = vars(args).get  # None for a flag the command does not take
+    flags = {"seed": flag("seed"), "method": flag("method"), "out": flag("out"), "eps": flag("eps"),
+             "problem": {"kappa_g": flag("kappa_g")}, "solver": {"T": flag("T"), "N": flag("N")}}
     return canonical_config(raw, flags)
 
 
@@ -680,28 +690,28 @@ def _targets(text: str) -> list[float]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="amigo", description="Bilevel optimization benchmark harness"
-    )
+    parser = argparse.ArgumentParser(prog="amigo",
+                                     description="Bilevel optimization benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("generate", cmd_generate),
-        ("run", cmd_run),
-        ("sweep", cmd_sweep),
-        ("check", cmd_check),
+    flags = {  # each flag's argparse options; _config says which config key it sets
+        "out": dict(type=str, help="output path"), "seed": dict(type=int),
+        "method": dict(type=str, choices=sorted(METHODS)), "kappa_g": dict(type=float),
+        "T": dict(type=int), "N": dict(type=int),
+        "eps": dict(type=_targets, help="comma-separated targets"),
+        "timing": dict(action="store_true", help="populate the wall_s CSV column"),
+        "workers": dict(type=int, default=1, help="processes, a positive integer"),
+    }
+    # Each command registers only the flags it reads, so any other is a usage error.
+    for name, fn, reads in (
+        ("generate", cmd_generate, ("out", "kappa_g")),
+        ("run", cmd_run, ("out", "seed", "method", "kappa_g", "T", "N", "eps", "timing")),
+        ("sweep", cmd_sweep, ("out", "seed", "kappa_g", "eps", "workers")),
+        ("check", cmd_check, ("seed", "kappa_g")),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config path")
-        p.add_argument("--out", type=str, default=None, help="output path")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--method", type=str, default=None, choices=sorted(METHODS))
-        p.add_argument("--kappa-g", dest="kappa_g", type=float, default=None)
-        p.add_argument("--T", dest="T", type=int, default=None)
-        p.add_argument("--N", dest="N", type=int, default=None)
-        p.add_argument("--eps", type=_targets, default=None, help="comma-separated targets")
-        p.add_argument("--timing", action="store_true", help="populate the wall_s CSV column")
-        if name == "sweep":
-            p.add_argument("--workers", type=int, default=1, help="processes, a positive integer")
+        for dest in reads:
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, **flags[dest])
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

@@ -24,14 +24,11 @@ import numpy as np
 __all__ = [
     "DivergenceError",
     "InnerResult",
-    "LINEAR_SOLVERS",
     "solve_inner_sgd",
     "solve_linear_sgd",
     "solve_linear_neumann",
     "solve_linear_cg",
 ]
-
-LINEAR_SOLVERS = ("sgd", "cg", "fixed_point", "neumann")
 
 # Step-size preconditions are warnings, not errors: grid searches probe
 # aggressive steps on purpose.
@@ -57,15 +54,18 @@ class InnerResult:
     final_residual: float | None = None
 
 
+def _check_budget(oracle, count_name: str, count: int, step: float, scale: float, warning: str):
+    """Raise if count < 0; warn the solver's caller, warning.format(step), if scale*step*L_g > 1."""
+    if count < 0:
+        raise ValueError(f"{count_name} must be nonnegative, got {count}")
+    if scale * step * oracle.constants().L_g > _STEP_SLACK:
+        warnings.warn(warning.format(step), stacklevel=3)
+
+
 def solve_inner_sgd(oracle, x, y0, alpha: float, T: int, batch_g: int = 1, rng=None) -> InnerResult:
     """T stochastic gradient steps on g(x, .) from y0, fresh batch per step."""
-    if T < 0:
-        raise ValueError(f"T must be nonnegative, got {T}")
-    if alpha * oracle.constants().L_g > _STEP_SLACK:
-        warnings.warn(
-            f"inner step size alpha={alpha} exceeds 1/L_g; contraction is not guaranteed",
-            stacklevel=2,
-        )
+    _check_budget(oracle, "T", T, alpha, 1.0, "inner step size alpha={} exceeds 1/L_g; "
+                  "contraction is not guaranteed")
     y = oracle.gd_steps(x, y0, alpha, T, batch_size=batch_g, rng=rng)
     return InnerResult(out=y, iterations_used=T)
 
@@ -78,14 +78,8 @@ def solve_linear_sgd(
     Each step draws a fresh Hessian batch; the right-hand-side vector v is
     held fixed throughout.
     """
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
-    if 2.0 * beta * oracle.constants().L_g > _STEP_SLACK:
-        warnings.warn(
-            f"linear-solver step size beta={beta} exceeds 1/(2 L_g); "
-            "contraction is not guaranteed",
-            stacklevel=2,
-        )
+    _check_budget(oracle, "N", N, beta, 2.0, "linear-solver step size beta={} exceeds 1/(2 L_g); "
+                  "contraction is not guaranteed")
     z = oracle.linear_steps(x, y, v, z0, beta, N, batch_size=batch_gyy, rng=rng)
     return InnerResult(out=z, iterations_used=N)
 
@@ -97,13 +91,8 @@ def solve_linear_neumann(oracle, x, y, v, beta: float, N: int) -> InnerResult:
     iterates of the adjoint step z <- z - beta (H z + v) from -beta v, so N
     terms are N - 1 such steps and cost N - 1 Hessian-vector products.
     """
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
-    if beta * oracle.constants().L_g > _STEP_SLACK:
-        warnings.warn(
-            f"Neumann step size beta={beta} exceeds 1/L_g; the series may not converge",
-            stacklevel=2,
-        )
+    _check_budget(oracle, "N", N, beta, 1.0, "Neumann step size beta={} exceeds 1/L_g; "
+                  "the series may not converge")
     v = np.asarray(v, dtype=float)
     if N == 0:
         return InnerResult(out=np.zeros_like(v), iterations_used=0)

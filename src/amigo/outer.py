@@ -21,7 +21,6 @@ import numpy as np
 
 from .hypergrad import itd_hypergradient
 from .inner import (
-    LINEAR_SOLVERS,
     DivergenceError,
     solve_inner_sgd,
     solve_linear_cg,
@@ -50,6 +49,21 @@ __all__ = [
 ]
 
 
+# Each linear-solver kind: (takes Hessian noise, adjoint solve).  A solve maps (co, config,
+# x, y, v, z_start, rng) to the InnerResult of H z = -v; only a noisy kind uses rng.  It looks
+# its solver up in this module when called, so a wrapper set there sees every call.
+LINEAR_SOLVERS = {
+    "sgd": (True, lambda co, c, x, y, v, z, rng: solve_linear_sgd(
+        co, x, y, v, z, c.beta, c.N, batch_gyy=c.batch_gyy, rng=rng)),
+    "fixed_point": (False, lambda co, c, x, y, v, z, rng: solve_linear_sgd(
+        co, x, y, v, z, c.beta, c.N)),
+    "neumann": (False, lambda co, c, x, y, v, z, rng: solve_linear_neumann(
+        co, x, y, v, c.beta, c.N)),
+    "cg": (False, lambda co, c, x, y, v, z, rng: solve_linear_cg(
+        co, x, y, v, z0=z, tol=c.cg_tol, max_iter=c.N)),
+}
+
+
 @dataclass
 class SolverConfig:
     """Step sizes, inner budgets, batch sizes and warm-start switches."""
@@ -74,7 +88,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.linear_solver not in LINEAR_SOLVERS:
             raise ValueError(
-                f"unknown linear solver {self.linear_solver!r}; choose from {LINEAR_SOLVERS}"
+                f"unknown linear solver {self.linear_solver!r}; choose from {list(LINEAR_SOLVERS)}"
             )
         if self.u not in (0, 1):
             raise ValueError(f"the averaging switch u must be 0 or 1, got {self.u}")
@@ -172,29 +186,16 @@ def check_supported(linear_solver: str | None, noise: NoiseSpec | None) -> None:
     """Reject a (method, noise) pair that cannot run, before any oracle query.
 
     ``linear_solver`` is None for the unrolled drivers, which take no noise.
-    Only the ``sgd`` linear solver passes a random stream to Hessian queries.
+    A linear-solver kind takes Hessian noise if its LINEAR_SOLVERS entry says so.
     """
     if noise is None or not noise.any_noise:
         return
     if linear_solver is None:
         raise UnsupportedOperationError("unrolled differentiation requires a deterministic oracle")
-    if linear_solver != "sgd" and noise.sigma_gyy_tilde > 0:
-        raise UnsupportedOperationError(
-            f"the {linear_solver!r} linear solver is deterministic; only 'sgd' takes Hessian noise"
-        )
-
-
-def _solve_linear(co, config: SolverConfig, x, y, v, z_start, rng):
-    kind = config.linear_solver
-    if kind == "sgd":
-        return solve_linear_sgd(
-            co, x, y, v, z_start, config.beta, config.N, batch_gyy=config.batch_gyy, rng=rng
-        ).out
-    if kind == "fixed_point":
-        return solve_linear_sgd(co, x, y, v, z_start, config.beta, config.N).out
-    if kind == "neumann":
-        return solve_linear_neumann(co, x, y, v, config.beta, config.N).out
-    return solve_linear_cg(co, x, y, v, z0=z_start, tol=config.cg_tol, max_iter=config.N).out
+    noisy = [kind for kind, (takes_noise, _) in LINEAR_SOLVERS.items() if takes_noise]
+    if noise.sigma_gyy_tilde > 0 and linear_solver not in noisy:
+        raise UnsupportedOperationError(f"the {linear_solver!r} linear solver is deterministic; "
+                                        f"only {', '.join(map(repr, noisy))} takes Hessian noise")
 
 
 def _outer_loop(
@@ -303,6 +304,8 @@ def aid_run(
         if not 0 < delta <= 1:
             raise ValueError(f"averaging weight delta={delta} outside (0, 1]")
 
+    _, solve_linear = LINEAR_SOLVERS[config.linear_solver]
+
     def step(co, k, x, y, z):
         y_start = y if config.warm_y else y_init
         y = solve_inner_sgd(
@@ -310,7 +313,7 @@ def aid_run(
         ).out
         u_vec, v_vec = co.grad_f(x, y, batch_size=config.batch_f, rng=rng)
         z_start = z if config.warm_z else np.zeros(dy)
-        z = _solve_linear(co, config, x, y, v_vec, z_start, rng)
+        z = solve_linear(co, config, x, y, v_vec, z_start, rng).out
         w_vec = co.jvp_gxy(x, y, z, batch_size=config.batch_gxy, rng=rng)
         return u_vec + w_vec, y, z
 

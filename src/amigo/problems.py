@@ -37,6 +37,7 @@ __all__ = [
     "RidgeHPOProblem",
     "NonconvexOuterProblem",
     "StochasticOracle",
+    "check_condition_numbers",
     "gen_spd",
     "gen_quadratic",
     "gen_ridge_hpo",
@@ -342,6 +343,13 @@ class QuadraticProblem(_LinearInnerProblem):
         return [self.A_f, *self._given]
 
 
+def check_condition_numbers(*kappas: float) -> None:
+    """The generators' rule: every requested condition number is at least 1."""
+    if any(kappa < 1 for kappa in kappas):
+        got = ", ".join(map(str, kappas))
+        raise InvalidSpectrumError(f"condition numbers must be >= 1, got {got}")
+
+
 def gen_quadratic(dx: int, dy: int, kappa_g: float, kappa_L: float, seed: int) -> QuadraticProblem:
     """Quadratic instance with inner conditioning kappa_g and outer conditioning kappa_L.
 
@@ -350,8 +358,7 @@ def gen_quadratic(dx: int, dy: int, kappa_g: float, kappa_L: float, seed: int) -
     scaled to unit operator norm and C_f is a seeded Gaussian direction of
     norm sqrt(dy).  All derived smoothness constants are therefore exact.
     """
-    if kappa_g < 1 or kappa_L < 1:
-        raise InvalidSpectrumError(f"condition numbers must be >= 1, got {kappa_g}, {kappa_L}")
+    check_condition_numbers(kappa_g, kappa_L)
     rng = np.random.default_rng(seed)
     lam, q = _spectrum(dy, 1.0 / kappa_g, 1.0, seed=int(rng.integers(2**62)))
     a_f = gen_spd(dx, 1.0 / kappa_L, 1.0, seed=int(rng.integers(2**62)))
@@ -409,6 +416,7 @@ def gen_nonconvex(
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
+    check_condition_numbers(kappa_g)
     rng = np.random.default_rng(seed)
     lam, q = _spectrum(dy, 1.0 / kappa_g, 1.0, seed=int(rng.integers(2**62)))
     b_g, c_f = _draw_coupling(rng, dx, dy, q)
@@ -706,18 +714,7 @@ _HEADER_KEYS = ("family_tag", "dx", "dy", "n_aux1", "n_aux2", "seed", "kappa_g",
 
 def _problem_bytes(problem) -> bytes:
     h = problem.header()
-    packed = struct.pack(
-        _HEADER_FMT,
-        _FAMILY_TAGS[h["family"]],
-        h["dx"],
-        h["dy"],
-        h["n_aux1"],
-        h["n_aux2"],
-        h["seed"],
-        h["kappa_g"],
-        h["kappa_L"],
-        h["extra"],
-    )
+    packed = struct.pack(_HEADER_FMT, _FAMILY_TAGS[h["family"]], *map(h.get, _HEADER_KEYS[1:]))
     blobs = [arr.astype("<f8").tobytes(order="C") for arr in problem._arrays()]
     return MAGIC + packed + b"".join(blobs)
 

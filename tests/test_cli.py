@@ -413,6 +413,9 @@ BAD_CONFIGS = {
     "out-bool": (None, {"out": True}, "top-level key 'out' must be a string, got True"),
     "out-int": (None, {"out": 7}, "top-level key 'out' must be a string, got 7"),
     "method-unknown": (None, {"method": "sgd-magic"}, "unknown method 'sgd-magic'; choose from"),
+    "seed-negative": (None, {"seed": -1}, "top-level key 'seed' must be nonnegative, got -1"),
+    "problem-seed-negative": ("problem", {"seed": -1},
+                              "quadratic problem key 'seed' must be nonnegative, got -1"),
 }
 # Sweep values, which only a sweep reads.
 BAD_SWEEP_GRIDS = {
@@ -427,6 +430,22 @@ BAD_SWEEP_GRIDS = {
     "sweep-T-empty": ("sweep", {"T": []}, "sweep key 'T' must be a non-empty list, got []"),
     "sweep-methods-empty": ("sweep", {"methods": []}, "sweep key 'methods' must be a non-empty list, got []"),
     "sweep-kappa-empty": ("sweep", {"kappa_g": []}, "sweep key 'kappa_g' must be a non-empty list, got []"),
+    # Values of the right type that a later grid point, a later problem or K would only
+    # reject inside a cell, after the cells before it ran.
+    "sweep-T-negative": ("sweep", {"T": [1, -1]}, "iteration counts must be nonnegative"),
+    "sweep-batch-zero": ("sweep", {"batch": [1, 0]}, "batch_f must be a positive integer"),
+    "sweep-kappa-below-one": ("sweep", {"kappa_g": [10.0, 0.5]},
+                              "condition numbers must be >= 1, got 10.0, 0.5"),
+    "sweep-seed-negative": ("sweep", {"seeds": [0, -1]}, "sweep key 'seeds' must be nonnegative, got -1"),
+    "sweep-K-negative": ("sweep", {"K": -1}, "iteration counts must be nonnegative"),
+}
+
+
+# The flags each command accepted but never read.
+UNREAD_FLAGS = {
+    "generate": ["--seed 7", "--method aid-gd", "--T 3", "--N 3", "--eps 0.1", "--timing"],
+    "check": ["--out out.csv", "--method aid-gd", "--T 3", "--N 3", "--eps 0.1", "--timing"],
+    "sweep": ["--method aid-gd", "--T 3", "--N 3", "--timing"],
 }
 
 
@@ -520,10 +539,24 @@ class TestEndToEnd:
     @pytest.mark.parametrize("command", ["generate", "run", "check"])
     def test_workers_flag_is_sweep_only(self, tmp_path, command):
         cfg_path = write_config(tmp_path, {"problem": quad_spec()})
+        out = [] if command == "check" else ["--out", str(tmp_path / "out")]
         with pytest.raises(SystemExit) as exc:
-            main([command, "--config", cfg_path, "--out", str(tmp_path / "out"), "--workers", "2"])
+            main([command, "--config", cfg_path, *out, "--workers", "2"])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in UNREAD_FLAGS.items() for flag in flags
+    ])
+    def test_unread_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command, flag):
+        # A command registers only the flags it reads: amigo generate --seed 7 once wrote seed 0's problem.
+        monkeypatch.chdir(tmp_path)
+        cfg = {"problem": quad_spec(), "sweep": {"methods": ["amigo-gd"], "T": [1], "N": [1], "K": 3}}
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", write_config(tmp_path, cfg), *flag.split()])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_check_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -613,9 +646,12 @@ class TestEndToEnd:
         assert dispatched == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("section, flag", [("solver", ["--T", "3"]), ("problem", ["--kappa-g", "5"])],
-                             ids=["solver", "problem"])
+    # sweep takes no flag that writes into the solver section.
+    @pytest.mark.parametrize("section, flag, command", [
+        ("problem", ["--kappa-g", "5"], "run"),
+        ("problem", ["--kappa-g", "5"], "sweep"),
+        ("solver", ["--T", "3"], "run"),
+    ], ids=["problem-run", "problem-sweep", "solver-run"])
     def test_non_object_section_rejected_before_flags(
         self, tmp_path, capsys, monkeypatch, command, section, flag
     ):
@@ -672,6 +708,28 @@ def test_readme_config_table_mirrors_schema():
             section = f"{family[1]} problem" if family else first.strip().strip("`").replace(" ", "-")
         listed.setdefault(section, set()).update(re.findall(r"`([^`]+)`", second))
     assert listed == {name: set(keys) for name, keys in SCHEMA.items()}
+
+
+def test_readme_methods_table_mirrors_methods():
+    """README's Methods table lists every method with its warm starts, linear-solver kind and noise rule."""
+    table = README.read_text().split("### Methods")[1].split("\n### ")[0]
+    listed = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            name, _, warm_y, warm_z, solver, noise = (c.strip() for c in line.strip("|").split("|"))
+            kind = re.match(r"`(\w+)`", solver)
+            listed[name.strip("`")] = (warm_y, warm_z, kind[1] if kind else solver, noise)
+    yes_no = {True: "yes", False: "no"}
+    expected = {}
+    for name, mapping in METHODS.items():
+        if mapping["driver"] == "itd":  # unrolled: no adjoint, no noise
+            expected[name] = (yes_no[mapping["warm_y"]], "-", "-", "none")
+            continue
+        kind = mapping["linear_solver"]
+        takes_noise, _ = outer.LINEAR_SOLVERS[kind]
+        expected[name] = (yes_no[mapping["warm_y"]], yes_no[mapping["warm_z"]], kind,
+                          "any" if takes_noise else "all but `sigma_gyy`")
+    assert listed == expected
 
 
 def test_benchmark_tracer_hooks_see_every_layer(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,24 @@ class TestInnerSgd:
         x, y0 = point
         with pytest.warns(UserWarning):
             solve_inner_sgd(quad, x, y0, alpha=5.0, T=1)
+
+
+def test_step_solvers_share_their_preconditions(quad, point):
+    # A negative count raises; a step above its bound warns, attributed to the solver's caller.
+    x, y = point
+    v = np.ones(8)
+    calls = {
+        "inner step size alpha=5.0 exceeds 1/L_g": lambda s, n: solve_inner_sgd(quad, x, y, s, n),
+        "linear-solver step size beta=5.0 exceeds 1/(2 L_g)":
+            lambda s, n: solve_linear_sgd(quad, x, y, v, y, s, n),
+        "Neumann step size beta=5.0 exceeds 1/L_g": lambda s, n: solve_linear_neumann(quad, x, y, v, s, n),
+    }
+    for message, call in calls.items():
+        with pytest.warns(UserWarning, match=re.escape(message)) as record:
+            call(5.0, 1)
+        assert [r.filename for r in record] == [__file__]
+        with pytest.raises(ValueError, match="must be nonnegative, got -1"):
+            call(0.1, -1)
 
 
 class TestLinearSolvers:

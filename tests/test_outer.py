@@ -304,11 +304,21 @@ class TestItdRun:
         assert len(record.rows) == record.iterations_run + 1
 
 
+# The amigo.outer attribute each linear-solver kind's adjoint solve calls.
+SOLVER_OF_KIND = {
+    "sgd": "solve_linear_sgd",
+    "fixed_point": "solve_linear_sgd",
+    "neumann": "solve_linear_neumann",
+    "cg": "solve_linear_cg",
+}
+
+
 def test_drivers_look_solvers_up_at_call_time(quad, monkeypatch):
     # Benchmark tracing wraps these module attributes; a solver table bound
-    # at import time would bypass the wrappers.
+    # at import time would bypass the wrappers.  Every kind is covered.
+    assert set(SOLVER_OF_KIND) == set(amigo.outer.LINEAR_SOLVERS)
     calls = {}
-    for name in ("solve_inner_sgd", "solve_linear_cg", "itd_hypergradient"):
+    for name in ("solve_inner_sgd", *set(SOLVER_OF_KIND.values()), "itd_hypergradient"):
         original = getattr(amigo.outer, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -316,10 +326,12 @@ def test_drivers_look_solvers_up_at_call_time(quad, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(amigo.outer, name, counted)
-    config = schedule_for(quad, K=3, linear_solver="cg")
-    aid_run(quad, config, np.ones(12))
-    itd_run(quad, config, np.ones(12))
-    assert calls == {"solve_inner_sgd": 3, "solve_linear_cg": 3, "itd_hypergradient": 3}
+    for kind, solver in SOLVER_OF_KIND.items():
+        calls.clear()
+        config = schedule_for(quad, K=3, linear_solver=kind)
+        aid_run(quad, config, np.ones(12))
+        itd_run(quad, config, np.ones(12))
+        assert calls == {"solve_inner_sgd": 3, solver: 3, "itd_hypergradient": 3}, kind
 
 
 # (driver, solver overrides, expected diverging outer iteration or None)
