@@ -30,6 +30,7 @@ from .outer import RunRecord, SolverConfig, aid_run, check_supported, itd_run, p
 from .problems import (
     NoiseSpec,
     check_condition_numbers,
+    check_generator_args,
     describe_problem,
     gen_nonconvex,
     gen_quadratic,
@@ -92,10 +93,10 @@ SCHEMA = {
     "container problem": {"path": (str, ...)},
     # NoiseSpec's fields in order, without their _tilde suffix.
     "noise": {f.name.removesuffix("_tilde"): (type(f.default), f.default) for f in fields(NoiseSpec)},
-    # None leaves the field to the prescribed schedule; mu_outer is a float.
+    # None leaves the field to the prescribed schedule; mu_outer is the problem's.
     "solver": {
-        f.name: (float if f.default is None else type(f.default), None)
-        for f in fields(SolverConfig) if f.name not in METHOD_FIELDS
+        f.name: (type(f.default), None)
+        for f in fields(SolverConfig) if f.name not in (*METHOD_FIELDS, "mu_outer")
     },
     "sweep": {
         "methods": ([METHOD], ["amigo-gd", "aid-gd"]),
@@ -236,13 +237,12 @@ def _outer_bounds(problem) -> tuple[float | None, float | None]:
 def build_config(problem, method: str, solver_spec: dict | None, noise: NoiseSpec) -> SolverConfig:
     """Solver configuration: prescribed schedule defaults, explicit overrides.
 
-    mu_outer defaults to the problem's exact modulus when that is positive.
+    mu_outer is the problem's exact modulus when that is positive, else None.
     """
     overrides = {k: v for k, v in _solver_section(method, solver_spec).items() if v is not None}
-    L_outer, mu_exact = _outer_bounds(problem)
-    mu_outer = overrides.pop("mu_outer", None)
-    if mu_outer is None and mu_exact is not None and mu_exact > 0:
-        mu_outer = mu_exact
+    L_outer, mu_outer = _outer_bounds(problem)
+    if mu_outer is not None and mu_outer <= 0:
+        mu_outer = None
     owned = {name: METHODS[method][name] for name in METHOD_FIELDS if name in METHODS[method]}
     config, _ = prescribed_schedule(
         problem.constants(), mu_outer=mu_outer, L_outer=L_outer, noise=noise, **owned
@@ -456,7 +456,11 @@ def _sweep(problem_spec, sweep, eps, noise_spec, solver_overrides, workers: int)
     pspecs = [problem_spec] if sweep["kappa_g"] is None else [
         canonical_problem({**problem_spec, "kappa_g": kappa}) for kappa in sweep["kappa_g"]
     ]
+    # The grid's condition numbers in one message, then each problem as its generator checks it.
     check_condition_numbers(*(pspec["kappa_g"] for pspec in pspecs if "kappa_g" in pspec))
+    for pspec in pspecs:
+        if "family" in pspec:
+            check_generator_args(**pspec)
     tasks = []
     for pspec in pspecs:
         grid = itertools.product(sweep["methods"], sweep["T"], sweep["N"], sweep["batch"], sweep["seeds"])

@@ -38,11 +38,10 @@ _STEP_SLACK = 1.0 + 1e-12
 class DivergenceError(RuntimeError):
     """A run diverged in outer iteration outer_iteration; partial_rows holds its finite rows."""
 
-    def __init__(self, message: str, outer_iteration: int | None = None,
-                 partial_rows: list | None = None):
+    def __init__(self, message: str):
         super().__init__(message)
-        self.outer_iteration = outer_iteration
-        self.partial_rows = [] if partial_rows is None else partial_rows
+        self.outer_iteration: int | None = None
+        self.partial_rows: list = []
 
 
 @dataclass

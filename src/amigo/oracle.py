@@ -86,8 +86,7 @@ class DerivedConstants:
 
     L_y bounds the variation of y*(x), L_z that of z*(x, y), L_psi controls
     how inner-solve errors propagate into the assembled gradient estimate,
-    and L is the resulting smoothness bound on L(x).  kappa_L is present
-    only when an outer strong-convexity modulus was supplied.
+    and L is the resulting smoothness bound on L(x).
     """
 
     L_y: float
@@ -95,15 +94,10 @@ class DerivedConstants:
     L_psi: float
     L: float
     kappa_g: float
-    kappa_L: float | None = None
 
 
-def derive_constants(c: SmoothnessConstants, mu_outer: float | None = None) -> DerivedConstants:
-    """Compute the closed-form derived constants from the primitive ones.
-
-    When ``mu_outer`` is a positive outer strong-convexity modulus, the outer
-    condition number L / mu_outer is reported as well.
-    """
+def derive_constants(c: SmoothnessConstants) -> DerivedConstants:
+    """Compute the closed-form derived constants from the primitive ones."""
     inv = 1.0 / c.mu_g
     L_y = c.Lg_prime * inv
     L_z = c.M_g * c.B * inv**2 + c.L_f * inv
@@ -111,12 +105,7 @@ def derive_constants(c: SmoothnessConstants, mu_outer: float | None = None) -> D
     L = (c.L_f + c.Lg_prime * c.M_g * c.B * inv**2 + inv * (c.Lg_prime * c.L_f + c.M_g * c.B)) * (
         1.0 + inv * c.Lg_prime
     )
-    kappa_L = None
-    if mu_outer is not None and mu_outer > 0:
-        kappa_L = L / mu_outer
-    return DerivedConstants(
-        L_y=L_y, L_z=L_z, L_psi=L_psi, L=L, kappa_g=c.L_g * inv, kappa_L=kappa_L
-    )
+    return DerivedConstants(L_y=L_y, L_z=L_z, L_psi=L_psi, L=L, kappa_g=c.L_g * inv)
 
 
 class BilevelOracle(abc.ABC):

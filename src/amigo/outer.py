@@ -29,6 +29,7 @@ from .inner import (
 )
 from .metrics import CountingOracle, MetricRow, MetricsTracker, OracleCounter
 from .oracle import (
+    DerivedConstants,
     InvalidConstantsError,
     SmoothnessConstants,
     UnsupportedOperationError,
@@ -39,7 +40,6 @@ from .problems import NoiseSpec
 
 __all__ = [
     "SolverConfig",
-    "ScheduleDiagnostics",
     "RunRecord",
     "prescribed_schedule",
     "check_supported",
@@ -104,19 +104,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be a positive integer")
 
 
-@dataclass
-class ScheduleDiagnostics:
-    """Constant-step weights of the prescribed schedule.
-
-    delta and eta are the fixed points of the step-weight recursion: for a
-    strongly convex outer loss eta = mu and delta = mu * gamma; otherwise
-    eta = L and delta = L * gamma.
-    """
-
-    delta: float
-    eta: float
-
-
 def prescribed_schedule(
     constants: SmoothnessConstants,
     mu_outer: float | None = None,
@@ -124,24 +111,24 @@ def prescribed_schedule(
     L_outer: float | None = None,
     noise: NoiseSpec | None = None,
     **fields,
-) -> tuple[SolverConfig, ScheduleDiagnostics]:
+) -> tuple[SolverConfig, DerivedConstants]:
     """Constant-step configuration: alpha = 1/L_g, beta = 1/(2 L_g), gamma = 1/L.
 
+    Returns the configuration and the derived constants it was taken from.
     The inner budgets are T = N = ceil(kappa_g).  ``L_outer`` overrides the
     generic smoothness bound on the outer loss with an exact one when the
     problem provides it (the synthetic quadratic does: its outer Hessian is
-    known).  Every other ``SolverConfig`` field is passed through
-    ``fields`` with its default.
+    known).  ``mu_outer``, the outer strong-convexity modulus, is stored for
+    the averaging weight mu_outer * gamma.  Every other ``SolverConfig``
+    field is passed through ``fields`` with its default.
     """
-    derived = derive_constants(constants, mu_outer)
+    derived = derive_constants(constants)
     L = L_outer if L_outer is not None else derived.L
     if L <= 0:
         raise InvalidConstantsError(f"outer smoothness bound must be positive, got {L}")
     gamma = 1.0 / L
     alpha = 1.0 / constants.L_g
     beta = 1.0 / (2.0 * constants.L_g)
-    eta0 = mu_outer if mu_outer is not None and mu_outer > 0 else L
-    delta0 = eta0 * gamma
     # The small slack absorbs eigenvalue roundoff in kappa_g so integral
     # condition numbers give integral budgets.
     budget = max(1, math.ceil(derived.kappa_g - 1e-9))
@@ -156,7 +143,7 @@ def prescribed_schedule(
                 f"{required:.3g} for this noise level",
                 stacklevel=2,
             )
-    return config, ScheduleDiagnostics(delta=delta0, eta=eta0)
+    return config, derived
 
 
 @dataclass
@@ -277,7 +264,6 @@ def aid_run(
     config: SolverConfig,
     x0,
     y_init=None,
-    z_init=None,
     rng=None,
     metrics_hook: Callable | None = None,
     tracker: MetricsTracker | None = None,
@@ -288,18 +274,17 @@ def aid_run(
 
     Per iteration: refresh y by inner SGD (warm or from y_init), take both
     partials of f on a fresh batch, solve the adjoint system with the
-    configured linear solver (warm or from zero), assemble the gradient
-    estimate and step x.  ``metrics_hook(k, x_k, y_k, z_k, counts)`` fires
-    once per iteration with the pre-update iterate so hook consumers see
-    aligned (x, y, z) triples.
+    configured linear solver (warm, or from zero, where z starts), assemble
+    the gradient estimate and step x.  ``metrics_hook(k, x_k, y_k, z_k,
+    counts)`` fires once per iteration with the pre-update iterate so hook
+    consumers see aligned (x, y, z) triples.
     """
     dy = oracle.dims.dy
     y_init = np.zeros(dy) if y_init is None else vector("y_init", y_init, dy)
-    z_init = np.zeros(dy) if z_init is None else vector("z_init", z_init, dy)
     delta = None
     if config.u == 1:
         if config.mu_outer is None or config.mu_outer <= 0:
-            raise ValueError("averaging (u=1) requires a positive mu_outer")
+            raise ValueError("averaging (u=1) requires a positive outer modulus mu_outer")
         delta = config.mu_outer * config.gamma
         if not 0 < delta <= 1:
             raise ValueError(f"averaging weight delta={delta} outside (0, 1]")
@@ -318,28 +303,16 @@ def aid_run(
         return u_vec + w_vec, y, z
 
     return _outer_loop(
-        oracle, config, x0, y_init.copy(), z_init.copy(), step, config.linear_solver, delta,
+        oracle, config, x0, y_init.copy(), np.zeros(dy), step, config.linear_solver, delta,
         metrics_hook, tracker, store_iterates, stop,
     )
 
 
-def amigo_run(
-    oracle,
-    config: SolverConfig,
-    x0,
-    y_init=None,
-    z_init=None,
-    rng=None,
-    metrics_hook: Callable | None = None,
-    **kwargs,
-) -> RunRecord:
-    """The fully warm-started driver; requires both warm-start switches on."""
+def amigo_run(oracle, config: SolverConfig, x0, **kwargs) -> RunRecord:
+    """aid_run for a configuration that warm-starts both inner solvers, as AmIGO does."""
     if not (config.warm_y and config.warm_z):
         raise ValueError("this driver warm-starts both inner solvers; use aid_run otherwise")
-    return aid_run(
-        oracle, config, x0, y_init=y_init, z_init=z_init, rng=rng,
-        metrics_hook=metrics_hook, **kwargs,
-    )
+    return aid_run(oracle, config, x0, **kwargs)
 
 
 def itd_run(

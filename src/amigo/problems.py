@@ -38,6 +38,7 @@ __all__ = [
     "NonconvexOuterProblem",
     "StochasticOracle",
     "check_condition_numbers",
+    "check_generator_args",
     "gen_spd",
     "gen_quadratic",
     "gen_ridge_hpo",
@@ -70,6 +71,16 @@ def _seeded_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def _check_spectrum(d: int, mu: float, L: float) -> None:
+    """_spectrum's rule; see there."""
+    if not (0 < mu <= L) or not (math.isfinite(mu) and math.isfinite(L)):
+        raise InvalidSpectrumError(f"need 0 < mu <= L, got mu={mu}, L={L}")
+    if d < 1:
+        raise InvalidSpectrumError(f"dimension must be positive, got {d}")
+    if d == 1 and mu != L:
+        raise InvalidSpectrumError("d=1 cannot attain two distinct spectrum endpoints")
+
+
 def _spectrum(d: int, mu: float, L: float, seed: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Log-spaced spectrum on [mu, L] and its seeded eigenbasis; no basis when mu == L.
 
@@ -80,14 +91,9 @@ def _spectrum(d: int, mu: float, L: float, seed: int) -> tuple[np.ndarray, np.nd
         InvalidSpectrumError: if the range is not 0 < mu <= L, or if d == 1
             with mu != L (a 1x1 matrix cannot attain two distinct endpoints).
     """
-    if not (0 < mu <= L) or not (math.isfinite(mu) and math.isfinite(L)):
-        raise InvalidSpectrumError(f"need 0 < mu <= L, got mu={mu}, L={L}")
-    if d < 1:
-        raise InvalidSpectrumError(f"dimension must be positive, got {d}")
+    _check_spectrum(d, mu, L)
     if mu == L:
         return np.full(d, mu), None
-    if d == 1:
-        raise InvalidSpectrumError("d=1 cannot attain two distinct spectrum endpoints")
     eigs = np.geomspace(mu, L, d)
     eigs[0] = mu
     eigs[-1] = L
@@ -350,6 +356,31 @@ def check_condition_numbers(*kappas: float) -> None:
         raise InvalidSpectrumError(f"condition numbers must be >= 1, got {got}")
 
 
+# Each generator's dimension arguments, and the (dimension, condition number)
+# argument pairs it draws a spectrum on [1/kappa, 1] for.
+_GENERATOR_ARGS = {
+    "quadratic": (("dx", "dy"), (("dy", "kappa_g"), ("dx", "kappa_L"))),
+    "nonconvex": (("dx", "dy"), (("dy", "kappa_g"),)),
+    "ridge": (("n_tr", "n_val", "d"), ()),
+}
+
+
+def check_generator_args(family: str, **args) -> None:
+    """Raise what the family's generator raises for these arguments, before it draws anything.
+
+    Every dimension must be positive, every condition number at least 1, and
+    each spectrum must obey _spectrum's rule, under which dimension 1 admits
+    only kappa = 1.  Other arguments are ignored.
+    """
+    dims, spectra = _GENERATOR_ARGS[family]
+    for name in dims:
+        if args[name] < 1:
+            raise ValueError(f"{name} must be positive, got {args[name]}")
+    check_condition_numbers(*(args[kappa] for _, kappa in spectra))
+    for d, kappa in spectra:
+        _check_spectrum(args[d], 1.0 / args[kappa], 1.0)
+
+
 def gen_quadratic(dx: int, dy: int, kappa_g: float, kappa_L: float, seed: int) -> QuadraticProblem:
     """Quadratic instance with inner conditioning kappa_g and outer conditioning kappa_L.
 
@@ -358,7 +389,7 @@ def gen_quadratic(dx: int, dy: int, kappa_g: float, kappa_L: float, seed: int) -
     scaled to unit operator norm and C_f is a seeded Gaussian direction of
     norm sqrt(dy).  All derived smoothness constants are therefore exact.
     """
-    check_condition_numbers(kappa_g, kappa_L)
+    check_generator_args("quadratic", dx=dx, dy=dy, kappa_g=kappa_g, kappa_L=kappa_L)
     rng = np.random.default_rng(seed)
     lam, q = _spectrum(dy, 1.0 / kappa_g, 1.0, seed=int(rng.integers(2**62)))
     a_f = gen_spd(dx, 1.0 / kappa_L, 1.0, seed=int(rng.integers(2**62)))
@@ -414,9 +445,7 @@ def gen_nonconvex(
     C_f is rescaled so that ||B_g' z*||_inf equals rho / 2, which guarantees
     stationary points of the outer loss exist.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    check_condition_numbers(kappa_g)
+    check_generator_args("nonconvex", dx=dx, dy=dy, kappa_g=kappa_g)
     rng = np.random.default_rng(seed)
     lam, q = _spectrum(dy, 1.0 / kappa_g, 1.0, seed=int(rng.integers(2**62)))
     b_g, c_f = _draw_coupling(rng, dx, dy, q)
@@ -545,6 +574,7 @@ def gen_ridge_hpo(
     n_tr: int, n_val: int, d: int, label_noise: float, seed: int
 ) -> RidgeHPOProblem:
     """Ridge instance with seeded Gaussian designs and a planted weight vector."""
+    check_generator_args("ridge", n_tr=n_tr, n_val=n_val, d=d)
     if label_noise < 0:
         raise ValueError(f"label_noise must be nonnegative, got {label_noise}")
     rng = np.random.default_rng(seed)

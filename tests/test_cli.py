@@ -416,6 +416,17 @@ BAD_CONFIGS = {
     "seed-negative": (None, {"seed": -1}, "top-level key 'seed' must be nonnegative, got -1"),
     "problem-seed-negative": ("problem", {"seed": -1},
                               "quadratic problem key 'seed' must be nonnegative, got -1"),
+    # Dimensions the generators reject before they draw anything.
+    "problem-dx-zero": ("problem", {"dx": 0}, "dx must be positive, got 0"),
+    "problem-dy-negative": ("problem", {"dy": -1}, "dy must be positive, got -1"),
+    "problem-nonconvex-dx-zero": (None, {"problem": {"family": "nonconvex", "dx": 0}},
+                                  "dx must be positive, got 0"),
+    "problem-ridge-n-tr-zero": (None, {"problem": {**RIDGE_SPEC, "n_tr": 0}}, "n_tr must be positive, got 0"),
+    "problem-ridge-n-val-zero": (None, {"problem": {**RIDGE_SPEC, "n_val": 0}},
+                                 "n_val must be positive, got 0"),
+    "problem-ridge-n-tr-negative": (None, {"problem": {**RIDGE_SPEC, "n_tr": -1}},
+                                    "n_tr must be positive, got -1"),
+    "problem-ridge-d-zero": (None, {"problem": {**RIDGE_SPEC, "d": 0}}, "d must be positive, got 0"),
 }
 # Sweep values, which only a sweep reads.
 BAD_SWEEP_GRIDS = {
@@ -438,6 +449,10 @@ BAD_SWEEP_GRIDS = {
                               "condition numbers must be >= 1, got 10.0, 0.5"),
     "sweep-seed-negative": ("sweep", {"seeds": [0, -1]}, "sweep key 'seeds' must be nonnegative, got -1"),
     "sweep-K-negative": ("sweep", {"K": -1}, "iteration counts must be nonnegative"),
+    "sweep-kappa-one-dimension": (None, {
+        "problem": {"dx": 4, "dy": 1},
+        "sweep": {"methods": ["amigo-gd"], "kappa_g": [1.0, 10.0], "T": [1], "N": [1], "K": 3},
+    }, "d=1 cannot attain two distinct spectrum endpoints"),
 }
 
 

@@ -77,3 +77,10 @@ def test_zero_variance_wrapper_accepted(quad):
     a = itd_hypergradient(quad, x, y0, alpha=0.5, T=5)
     b = itd_hypergradient(oracle, x, y0, alpha=0.5, T=5)
     assert np.array_equal(a.grad, b.grad)
+
+
+@pytest.mark.parametrize("T", [-1, -4])
+def test_rejects_negative_unroll_length(quad, T):
+    with pytest.raises(ValueError) as err:
+        itd_hypergradient(quad, np.zeros(9), np.zeros(7), alpha=0.5, T=T)
+    assert str(err.value) == f"T must be nonnegative, got {T}"

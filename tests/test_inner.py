@@ -1,9 +1,11 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
 from amigo import (
+    DivergenceError,
     NoiseSpec,
     gen_quadratic,
     make_stochastic,
@@ -269,3 +271,24 @@ class TestConjugateGradient:
         res = solve_linear_cg(self.p, self.x, self.y, self.v, tol=1e-8, max_iter=30)
         assert res.final_residual is not None
         assert res.final_residual <= 1e-8 * max(1.0, np.linalg.norm(self.v))
+
+    def test_neumann_without_terms_is_zero(self):
+        res = solve_linear_neumann(self.p, self.x, self.y, self.v, beta=0.5, N=0)
+        assert np.array_equal(res.out, np.zeros(20)) and res.iterations_used == 0
+
+
+class ScaledIdentity:
+    """A stub oracle whose inner Hessian is scale * I, which CG cannot solve for scale <= 0."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def hvp_gyy(self, x, y, v, batch_size=1, rng=None):
+        return self.scale * np.asarray(v)
+
+
+@pytest.mark.parametrize("scale, curvature", [(0.0, "0.0"), (-1.0, "-3.0"), (math.nan, "nan")])
+def test_cg_breakdown_raises_divergence(scale, curvature):
+    with pytest.raises(DivergenceError) as err:
+        solve_linear_cg(ScaledIdentity(scale), None, None, np.ones(3))
+    assert str(err.value) == f"CG breakdown at iteration 1: p'Hp = {curvature}"

@@ -27,17 +27,15 @@ class TestDeriveConstants:
         assert d.L_psi == 1.0
         assert d.L == 1.0
         assert d.kappa_g == 1.0
-        assert d.kappa_L is None
 
     def test_coupled_problem_frozen_values(self):
         # Expected values evaluated by hand from the closed forms before coding.
-        d = derive_constants(SmoothnessConstants(0.5, 1.0, 1.0, 0.0, 1.0, 2.0), mu_outer=1.0)
+        d = derive_constants(SmoothnessConstants(0.5, 1.0, 1.0, 0.0, 1.0, 2.0))
         assert d.L_y == pytest.approx(2.0, rel=1e-15)
         assert d.L_z == pytest.approx(2.0, rel=1e-15)
         assert d.L_psi == pytest.approx(3.0, rel=1e-15)
         assert d.L == pytest.approx(9.0, rel=1e-15)
         assert d.kappa_g == pytest.approx(2.0, rel=1e-15)
-        assert d.kappa_L == pytest.approx(9.0, rel=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -59,11 +57,6 @@ class TestDeriveConstants:
             SmoothnessConstants(mu_g=2.0, L_g=1.0)
         with pytest.raises(InvalidConstantsError):
             SmoothnessConstants(mu_g=1.0, L_g=1.0, L_f=float("nan"))
-
-    def test_kappa_L_absent_without_modulus(self):
-        c = SmoothnessConstants(0.5, 1.0)
-        assert derive_constants(c).kappa_L is None
-        assert derive_constants(c, mu_outer=-1.0).kappa_L is None
 
 
 class TestDims:

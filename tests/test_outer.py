@@ -7,6 +7,7 @@ import pytest
 import amigo.outer
 from amigo import (
     DivergenceError,
+    InvalidConstantsError,
     MetricsTracker,
     NoiseSpec,
     SmoothnessConstants,
@@ -34,21 +35,18 @@ def exact_constants(kappa_g=10.0):
 class TestPrescribedSchedule:
     def test_unit_constants_step_sizes(self):
         c = SmoothnessConstants(mu_g=1.0, L_g=1.0, L_f=1.0)
-        config, diag = prescribed_schedule(c, L_outer=1.0)
+        config, _ = prescribed_schedule(c, L_outer=1.0)
         assert config.alpha == 1.0
         assert config.beta == 0.5
         assert config.gamma == 1.0
         assert config.T == 1 and config.N == 1
-        assert diag.eta == 1.0 and diag.delta == 1.0  # non-convex branch: eta = L
 
     def test_budgets_scale_with_conditioning(self):
         config, _ = prescribed_schedule(exact_constants(10.0))
         assert config.T == 10 and config.N == 10
 
     def test_strongly_convex_weights(self):
-        config, diag = prescribed_schedule(exact_constants(), mu_outer=0.05, L_outer=1.0)
-        assert diag.eta == 0.05
-        assert diag.delta == pytest.approx(0.05, rel=1e-12)
+        config, _ = prescribed_schedule(exact_constants(), mu_outer=0.05, L_outer=1.0)
         assert config.mu_outer == 0.05
 
     def test_batch_floor_warning(self):
@@ -70,6 +68,26 @@ class TestPrescribedSchedule:
             with pytest.raises(ValueError, match="must be"):
                 SolverConfig(**bad)
         SolverConfig(cg_tol=0.0)
+
+
+# Schedules and averaged runs that are rejected: (call, error type, message).
+BAD_SETTINGS = {
+    "outer-smoothness-zero": (lambda quad: prescribed_schedule(exact_constants(), L_outer=0.0),
+                              InvalidConstantsError, "outer smoothness bound must be positive, got 0.0"),
+    "outer-smoothness-negative": (lambda quad: prescribed_schedule(exact_constants(), L_outer=-2.0),
+                                  InvalidConstantsError, "outer smoothness bound must be positive, got -2.0"),
+    "averaging-weight-above-one": (
+        lambda quad: aid_run(quad, SolverConfig(u=1, K=3, mu_outer=2.0), np.zeros(12)),
+        ValueError, "averaging weight delta=2.0 outside (0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SETTINGS)
+def test_bad_settings_rejected(quad, case):
+    call, error, message = BAD_SETTINGS[case]
+    with pytest.raises(error) as err:
+        call(quad)
+    assert type(err.value) is error and str(err.value) == message
 
 
 def schedule_for(problem, K, **kw):

@@ -21,7 +21,14 @@ from amigo import (
     make_stochastic,
     save_problem,
 )
-from amigo.problems import _HEADER_FMT, MAGIC, ContainerError, _op_norm, _problem_bytes
+from amigo.problems import (
+    _HEADER_FMT,
+    MAGIC,
+    ContainerError,
+    RidgeHPOProblem,
+    _op_norm,
+    _problem_bytes,
+)
 
 from conftest import central_diff, rel_err
 
@@ -98,6 +105,37 @@ class TestGenQuadratic:
             a -= 2.0 * np.eye(len(a))  # symmetric, with every eigenvalue below zero
         with pytest.raises(ValueError, match=f"{name} is not symmetric positive definite"):
             QuadraticProblem(**arrays)
+
+
+# Generator and constructor arguments each family rejects: (build, error type, message).
+BAD_ARGUMENTS = {
+    "spectrum-dimension": (lambda: gen_spd(0, 0.5, 1.0, seed=0), InvalidSpectrumError,
+                           "dimension must be positive, got 0"),
+    "spectrum-one-dimension": (lambda: gen_quadratic(1, 3, kappa_g=2.0, kappa_L=2.0, seed=0),
+                               InvalidSpectrumError, "d=1 cannot attain two distinct spectrum endpoints"),
+    "generator-dimension": (lambda: gen_quadratic(4, 0, kappa_g=2.0, kappa_L=2.0, seed=0), ValueError,
+                            "dy must be positive, got 0"),
+    "inner-shapes": (lambda: QuadraticProblem(np.eye(2), np.ones(3), np.eye(2), np.ones((2, 2))),
+                     ValueError, "A_g (2, 2) or C_f (3,) mismatch B_g (2, 2)"),
+    "quadratic-A_f-shape": (lambda: QuadraticProblem(np.eye(3), np.ones(2), np.eye(2), np.ones((2, 2))),
+                            ValueError, "A_f has shape (3, 3), expected (2, 2)"),
+    "nonconvex-rho": (lambda: gen_nonconvex(4, 3, rho=0.0, seed=0), ValueError,
+                      "rho must be positive, got 0.0"),
+    "ridge-features": (lambda: RidgeHPOProblem(np.ones((3, 2)), np.ones(3), np.ones((3, 3)), np.ones(3)),
+                       ValueError, "train and validation designs must share the feature dimension"),
+    "ridge-rows": (lambda: gen_ridge_hpo(0, 4, 2, label_noise=0.1, seed=0), ValueError,
+                   "n_tr must be positive, got 0"),
+    "ridge-label-noise": (lambda: gen_ridge_hpo(5, 4, 2, label_noise=-0.1, seed=0), ValueError,
+                          "label_noise must be nonnegative, got -0.1"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_bad_arguments_rejected(case):
+    build, error, message = BAD_ARGUMENTS[case]
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error and str(err.value) == message
 
 
 @pytest.mark.parametrize("shape", [(30, 70), (70, 30), (50, 50)])
