@@ -227,20 +227,13 @@ def build_noise(spec: dict | None) -> NoiseSpec:
     return NoiseSpec(*_section("noise", spec).values())
 
 
-def _outer_bounds(problem) -> tuple[float | None, float | None]:
-    """(L_outer, mu_outer) where the problem knows them exactly, else (None, None)."""
-    if hasattr(problem, "outer_smoothness"):
-        return problem.outer_smoothness()
-    return None, None
-
-
 def build_config(problem, method: str, solver_spec: dict | None, noise: NoiseSpec) -> SolverConfig:
     """Solver configuration: prescribed schedule defaults, explicit overrides.
 
     mu_outer is the problem's exact modulus when that is positive, else None.
     """
     overrides = {k: v for k, v in _solver_section(method, solver_spec).items() if v is not None}
-    L_outer, mu_outer = _outer_bounds(problem)
+    L_outer, mu_outer = problem.outer_smoothness()
     if mu_outer is not None and mu_outer <= 0:
         mu_outer = None
     owned = {name: METHODS[method][name] for name in METHOD_FIELDS if name in METHODS[method]}
@@ -261,7 +254,7 @@ def run_single(
     """One (method, seed) run with metric tracking wired in."""
     mapping = METHODS[method]
     oracle = make_stochastic(problem, noise, seed) if noise.any_noise else problem
-    L_outer, _ = _outer_bounds(problem)
+    L_outer, _ = problem.outer_smoothness()
     tracker = MetricsTracker(problem, mu_outer=config.mu_outer, L_outer=L_outer, u=config.u)
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(problem.dims.dx)
@@ -302,18 +295,16 @@ def rows_to_csv(rows, method: str, seed: int, timing: bool = False) -> str:
     ))
 
 
-# Targets are costs to bring this metric down to eps.  The stop rule watches it
+# Targets are costs to bring rel_error down to eps.  The stop rule watches it
 # too, and from this cost on calls a cell stalled above this ratio.
-_STOP_METRIC = "rel_error"
 _STALL_AFTER_COST = 5000
 _STALL_RATIO = 0.9
 
 
 def cost_to_reach(rows, eps: float) -> int | None:
-    """Smallest recorded cost at which the target metric first drops to eps."""
+    """Smallest recorded cost at which rel_error first drops to eps."""
     for r in rows:
-        value = getattr(r, _STOP_METRIC)
-        if value is not None and value <= eps:
+        if r.rel_error is not None and r.rel_error <= eps:
             return r.cost
     return None
 
@@ -325,7 +316,7 @@ def cost_to_reach(rows, eps: float) -> int | None:
 def make_stop_rule(rel_target: float | None, cost_cap: int | None):
     """Stop on target reached, cost budget exhausted, or progress stalled.
 
-    A cell stalls when the metric improved by less than 10% over the last
+    A cell stalls when rel_error improved by less than 10% over the last
     half of its oracle spending; a cell able to reach a small target within
     any realistic budget improves much faster per cost doubling, so the rule
     only prunes cells that cannot reach the target anyway.
@@ -334,7 +325,7 @@ def make_stop_rule(rel_target: float | None, cost_cap: int | None):
     pointer = [0]
 
     def stop(row) -> bool:
-        value = getattr(row, _STOP_METRIC)
+        value = row.rel_error
         history.append((row.cost, value))
         if rel_target is not None and value is not None and value <= rel_target:
             return True
@@ -560,10 +551,7 @@ def run_checks(problem, noise: NoiseSpec | None = None, seed: int = 0) -> list[d
     x = rng.standard_normal(dims.dx) * 0.1
     y = rng.standard_normal(dims.dy) * 0.1
     # Families with x-dependent curvature report constants local to the probe.
-    if hasattr(problem, "local_constants"):
-        c = problem.local_constants(x)
-    else:
-        c = problem.constants()
+    c = problem.local_constants(x)
     lo, hi = np.inf, -np.inf
     for _ in range(100):
         v = rng.standard_normal(dims.dy)

@@ -39,7 +39,7 @@ def itd_hypergradient(oracle, x, y0, alpha: float, T: int) -> ItdResult:
     inner problems the result converges geometrically to the implicit
     outer gradient.
     """
-    if getattr(oracle, "is_stochastic", False):
+    if oracle.is_stochastic:
         raise UnsupportedOperationError("unrolled differentiation requires a deterministic oracle")
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")

@@ -49,14 +49,11 @@ class CountingOracle(BilevelOracle):
     def __init__(self, base, counter: OracleCounter):
         self.base = base
         self.counter = counter
+        self.noise = base.noise
 
     @property
     def dims(self) -> Dims:
         return self.base.dims
-
-    @property
-    def is_stochastic(self) -> bool:
-        return self.base.is_stochastic
 
     def constants(self) -> SmoothnessConstants:
         return self.base.constants()
@@ -121,8 +118,9 @@ class MetricRow:
 class MetricsTracker:
     """Computes trace metrics against a problem's closed-form references.
 
-    rel_error and the strongly convex error measures require the problem to
-    expose gap(x) and x_star; grad_norm_sq only needs grad_L.  The running
+    grad_norm_sq needs the problem's grad_L.  rel_error and the strongly
+    convex error measures are computed when mu_outer > 0, which only a
+    problem with gap(x) and x_star (the quadratic family) reports.  The running
     mean of the squared gradient norm covers rows 1..k (row 0 reports its
     own value).  rel_error is the gap over the gap of the first row.  The
     outer energy uses the constant-step weights: for mu_outer > 0 it is
@@ -131,18 +129,11 @@ class MetricsTracker:
     """
 
     def __init__(self, problem, mu_outer: float | None = None, L_outer: float | None = None, u: int = 0):
-        if getattr(problem, "grad_L", None) is None:
-            raise ValueError(f"{type(problem).__name__} exposes no gradient reference")
         self.problem = problem
         self.mu_outer = mu_outer
         self.L_outer = L_outer
         self.u = u
-        self._has_sc_refs = (
-            mu_outer is not None
-            and mu_outer > 0
-            and getattr(problem, "gap", None) is not None
-            and getattr(problem, "x_star", None) is not None
-        )
+        self._has_sc_refs = mu_outer is not None and mu_outer > 0
         self._first_gap: float | None = None
         self._gns_sum = 0.0
         self._gns_count = 0

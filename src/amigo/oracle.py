@@ -152,9 +152,13 @@ class BilevelOracle(abc.ABC):
     @abc.abstractmethod
     def constants(self) -> SmoothnessConstants: ...
 
+    # The NoiseSpec a noisy oracle draws its perturbations from; None for an exact one.
+    noise = None
+
     @property
     def is_stochastic(self) -> bool:
-        return False
+        """Whether some query stream is noisy, so queries need a random stream."""
+        return self.noise is not None and self.noise.any_noise
 
     # Bulk inner steps: these loops are the reference, which a problem with
     # closed-form inner dynamics overrides.  The start vector is not modified.

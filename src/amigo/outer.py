@@ -152,7 +152,8 @@ class RunRecord:
 
     rows[k] holds the metrics of the iterate after k outer updates together
     with the cumulative oracle counts spent to produce it; a completed run
-    has K + 1 rows.  Iterate storage is opt-in.
+    has K + 1 rows.  Storage of the x (and xhat) iterates is opt-in; the
+    drivers' ``metrics_hook`` sees each y_k and z_k.
     """
 
     rows: list[MetricRow]
@@ -164,8 +165,6 @@ class RunRecord:
     wall_s: float
     iterations_run: int
     xs: list[np.ndarray] | None = None
-    ys: list[np.ndarray] | None = None
-    zs: list[np.ndarray] | None = None
     xhats: list[np.ndarray] | None = None
 
 
@@ -201,7 +200,7 @@ def _outer_loop(
     rows recorded before it; ``metrics_hook`` and iterate storage never see
     a non-finite vector.
     """
-    check_supported(linear_solver, getattr(oracle, "noise", None))
+    check_supported(linear_solver, oracle.noise)
     counter = OracleCounter()
     co = CountingOracle(oracle, counter)
     x = vector("x0", x0, oracle.dims.dx).copy()
@@ -211,8 +210,6 @@ def _outer_loop(
     if tracker is not None:
         rows.append(tracker.row(0, x, counter, 0.0))
     xs = [x.copy()] if store_iterates else None
-    ys = [] if store_iterates else None
-    zs = [] if (store_iterates and z is not None) else None
     xhats = [xhat.copy()] if (store_iterates and xhat is not None) else None
     iterations = 0
     for k in range(config.K):
@@ -223,10 +220,6 @@ def _outer_loop(
             if metrics_hook is not None:
                 zk = None if z is None else z.copy()
                 metrics_hook(k, x.copy(), y.copy(), zk, counter.snapshot())
-            if store_iterates:
-                ys.append(y.copy())
-                if zs is not None:
-                    zs.append(z.copy())
             x = x - config.gamma * psi
             if not np.isfinite(x).all():
                 raise DivergenceError(f"outer iterate diverged at outer iteration {k}")
@@ -255,7 +248,7 @@ def _outer_loop(
     return RunRecord(
         rows=rows, x_final=x, y_final=y, z_final=z, xhat_final=xhat, counter=counter,
         wall_s=time.perf_counter() - t0,
-        iterations_run=iterations, xs=xs, ys=ys, zs=zs, xhats=xhats,
+        iterations_run=iterations, xs=xs, xhats=xhats,
     )
 
 
@@ -263,7 +256,6 @@ def aid_run(
     oracle,
     config: SolverConfig,
     x0,
-    y_init=None,
     rng=None,
     metrics_hook: Callable | None = None,
     tracker: MetricsTracker | None = None,
@@ -272,15 +264,16 @@ def aid_run(
 ) -> RunRecord:
     """Warm-start-configurable implicit-differentiation outer loop.
 
-    Per iteration: refresh y by inner SGD (warm or from y_init), take both
-    partials of f on a fresh batch, solve the adjoint system with the
-    configured linear solver (warm, or from zero, where z starts), assemble
+    y and z start at zero.  Per iteration: refresh y by inner SGD (warm, or
+    from zero), take both partials of f on a fresh batch, solve the adjoint
+    system with the configured linear solver (warm, or from zero), assemble
     the gradient estimate and step x.  ``metrics_hook(k, x_k, y_k, z_k,
     counts)`` fires once per iteration with the pre-update iterate so hook
-    consumers see aligned (x, y, z) triples.
+    consumers see aligned (x, y, z) triples.  A noisy oracle needs ``rng``.
     """
+    if oracle.is_stochastic and rng is None:
+        raise ValueError("a noisy oracle needs a random stream: pass rng")
     dy = oracle.dims.dy
-    y_init = np.zeros(dy) if y_init is None else vector("y_init", y_init, dy)
     delta = None
     if config.u == 1:
         if config.mu_outer is None or config.mu_outer <= 0:
@@ -292,7 +285,7 @@ def aid_run(
     _, solve_linear = LINEAR_SOLVERS[config.linear_solver]
 
     def step(co, k, x, y, z):
-        y_start = y if config.warm_y else y_init
+        y_start = y if config.warm_y else np.zeros(dy)
         y = solve_inner_sgd(
             co, x, y_start, config.alpha, config.T, batch_g=config.batch_g, rng=rng
         ).out
@@ -303,7 +296,7 @@ def aid_run(
         return u_vec + w_vec, y, z
 
     return _outer_loop(
-        oracle, config, x0, y_init.copy(), np.zeros(dy), step, config.linear_solver, delta,
+        oracle, config, x0, np.zeros(dy), np.zeros(dy), step, config.linear_solver, delta,
         metrics_hook, tracker, store_iterates, stop,
     )
 
@@ -319,7 +312,6 @@ def itd_run(
     oracle,
     config: SolverConfig,
     x0,
-    y_init=None,
     metrics_hook: Callable | None = None,
     tracker: MetricsTracker | None = None,
     store_iterates: bool = False,
@@ -328,9 +320,10 @@ def itd_run(
 ) -> RunRecord:
     """Outer loop driven by unrolled-differentiation hypergradients.
 
-    The inner variable is always warm-started across outer iterations.  With
-    ``increasing_T`` the unroll length grows as ceil(T * log(k + 2)).
-    Deterministic oracles only; the averaging switch u is ignored.
+    The inner variable starts at zero and is always warm-started across
+    outer iterations.  With ``increasing_T`` the unroll length grows as
+    ceil(T * log(k + 2)).  Deterministic oracles only; the averaging switch
+    u is ignored.
     """
 
     def step(co, k, x, y, z):
@@ -338,9 +331,7 @@ def itd_run(
         result = itd_hypergradient(co, x, y, config.alpha, T_k)
         return result.grad, result.y_final, None
 
-    dy = oracle.dims.dy
-    y_init = np.zeros(dy) if y_init is None else vector("y_init", y_init, dy)
     return _outer_loop(
-        oracle, config, x0, y_init, None, step, None, None, metrics_hook, tracker,
-        store_iterates, stop,
+        oracle, config, x0, np.zeros(oracle.dims.dy), None, step, None, None, metrics_hook,
+        tracker, store_iterates, stop,
     )

@@ -129,6 +129,14 @@ class _DeterministicProblem(BilevelOracle):
     def dims(self) -> Dims:
         return self._dims
 
+    def outer_smoothness(self) -> tuple[float | None, float | None]:
+        """(L, mu) of the outer loss where the family knows them exactly, else (None, None)."""
+        return None, None
+
+    def local_constants(self, x) -> SmoothnessConstants:
+        """Smoothness constants that hold near x; the global ones unless curvature varies with x."""
+        return self.constants()
+
 
 class _LinearInnerProblem(_DeterministicProblem):
     """Quadratic inner cost under an outer cost that is linear in y, held in A_g's eigenbasis.
@@ -234,17 +242,13 @@ class _LinearInnerProblem(_DeterministicProblem):
     def y_star(self, x) -> np.ndarray:
         return -self._bx(x) / self.lam
 
-    @cached_property
-    def z_star_vec(self) -> np.ndarray:
-        return -self.C_f / self.lam
-
     def z_star(self, x=None, y=None) -> np.ndarray:
-        return self.z_star_vec.copy()
+        return -self.C_f / self.lam
 
     @cached_property
     def grad_offset(self) -> np.ndarray:
         """B_g' z*, the constant part of the outer gradient."""
-        return self.B_g.T @ self.z_star_vec
+        return self.B_g.T @ self.z_star()
 
     def header(self) -> dict:
         return {
@@ -356,26 +360,31 @@ def check_condition_numbers(*kappas: float) -> None:
         raise InvalidSpectrumError(f"condition numbers must be >= 1, got {got}")
 
 
-# Each generator's dimension arguments, and the (dimension, condition number)
+# Each generator's arguments that must be positive (its dimensions, and rho),
+# those that must be nonnegative, and the (dimension, condition number)
 # argument pairs it draws a spectrum on [1/kappa, 1] for.
 _GENERATOR_ARGS = {
-    "quadratic": (("dx", "dy"), (("dy", "kappa_g"), ("dx", "kappa_L"))),
-    "nonconvex": (("dx", "dy"), (("dy", "kappa_g"),)),
-    "ridge": (("n_tr", "n_val", "d"), ()),
+    "quadratic": (("dx", "dy"), (), (("dy", "kappa_g"), ("dx", "kappa_L"))),
+    "nonconvex": (("dx", "dy", "rho"), (), (("dy", "kappa_g"),)),
+    "ridge": (("n_tr", "n_val", "d"), ("label_noise",), ()),
 }
 
 
 def check_generator_args(family: str, **args) -> None:
     """Raise what the family's generator raises for these arguments, before it draws anything.
 
-    Every dimension must be positive, every condition number at least 1, and
-    each spectrum must obey _spectrum's rule, under which dimension 1 admits
-    only kappa = 1.  Other arguments are ignored.
+    Every dimension and rho must be positive, label_noise nonnegative, every
+    condition number at least 1, and each spectrum must obey _spectrum's
+    rule, under which dimension 1 admits only kappa = 1.  Other arguments
+    are ignored.
     """
-    dims, spectra = _GENERATOR_ARGS[family]
-    for name in dims:
-        if args[name] < 1:
+    positive, nonnegative, spectra = _GENERATOR_ARGS[family]
+    for name in positive:
+        if not args[name] > 0:
             raise ValueError(f"{name} must be positive, got {args[name]}")
+    for name in nonnegative:
+        if args[name] < 0:
+            raise ValueError(f"{name} must be nonnegative, got {args[name]}")
     check_condition_numbers(*(args[kappa] for _, kappa in spectra))
     for d, kappa in spectra:
         _check_spectrum(args[d], 1.0 / args[kappa], 1.0)
@@ -445,7 +454,7 @@ def gen_nonconvex(
     C_f is rescaled so that ||B_g' z*||_inf equals rho / 2, which guarantees
     stationary points of the outer loss exist.
     """
-    check_generator_args("nonconvex", dx=dx, dy=dy, kappa_g=kappa_g)
+    check_generator_args("nonconvex", dx=dx, dy=dy, rho=rho, kappa_g=kappa_g)
     rng = np.random.default_rng(seed)
     lam, q = _spectrum(dy, 1.0 / kappa_g, 1.0, seed=int(rng.integers(2**62)))
     b_g, c_f = _draw_coupling(rng, dx, dy, q)
@@ -574,9 +583,7 @@ def gen_ridge_hpo(
     n_tr: int, n_val: int, d: int, label_noise: float, seed: int
 ) -> RidgeHPOProblem:
     """Ridge instance with seeded Gaussian designs and a planted weight vector."""
-    check_generator_args("ridge", n_tr=n_tr, n_val=n_val, d=d)
-    if label_noise < 0:
-        raise ValueError(f"label_noise must be nonnegative, got {label_noise}")
+    check_generator_args("ridge", n_tr=n_tr, n_val=n_val, d=d, label_noise=label_noise)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(d)
     a_tr = rng.standard_normal((n_tr, d))
@@ -655,10 +662,6 @@ class StochasticOracle(BilevelOracle):
 
     def constants(self) -> SmoothnessConstants:
         return self.base.constants()
-
-    @property
-    def is_stochastic(self) -> bool:
-        return self.noise.any_noise
 
     @staticmethod
     def _need_rng(rng, what: str):

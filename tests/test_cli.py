@@ -383,6 +383,12 @@ class TestChecks:
         checks = run_checks(problem, seed=0)
         assert all(c["passed"] for c in checks)
 
+    def test_check_command_skips_grad_g_checks_without_grad_g_noise(self, tmp_path, capsys):
+        cfg = {"problem": quad_spec(), "noise": {"sigma_f": 0.5, "sigma_gyy": 0.01}}
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
+        names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert names == ["[check] finite-difference gradient", "[check] hvp spectral sandwich"]
+
 
 # Config entries every command rejects: (section or None for the top level, entry, message).
 BAD_CONFIGS = {
@@ -427,6 +433,8 @@ BAD_CONFIGS = {
     "problem-ridge-n-tr-negative": (None, {"problem": {**RIDGE_SPEC, "n_tr": -1}},
                                     "n_tr must be positive, got -1"),
     "problem-ridge-d-zero": (None, {"problem": {**RIDGE_SPEC, "d": 0}}, "d must be positive, got 0"),
+    "problem-family-unknown": ("problem", {"family": "cubic"},
+                               "unknown problem family 'cubic'; choose from ['quadratic', 'ridge', 'nonconvex']"),
 }
 # Sweep values, which only a sweep reads.
 BAD_SWEEP_GRIDS = {
@@ -453,6 +461,10 @@ BAD_SWEEP_GRIDS = {
         "problem": {"dx": 4, "dy": 1},
         "sweep": {"methods": ["amigo-gd"], "kappa_g": [1.0, 10.0], "T": [1], "N": [1], "K": 3},
     }, "d=1 cannot attain two distinct spectrum endpoints"),
+    "sweep-nonconvex-rho-negative": (None, {"problem": {"family": "nonconvex", "dx": 6, "dy": 4, "rho": -1.0}},
+                                     "rho must be positive, got -1.0"),
+    "sweep-ridge-label-noise-negative": (None, {"problem": {**RIDGE_SPEC, "label_noise": -0.1}},
+                                         "label_noise must be nonnegative, got -0.1"),
 }
 
 
@@ -693,6 +705,34 @@ class TestEndToEnd:
         assert "problem container body" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, filled", [
+        (RIDGE_SPEC, ("grad_norm_sq", "avg_grad_norm_sq")),
+        ({"family": "nonconvex", "dx": 8, "dy": 4}, ("grad_norm_sq", "avg_grad_norm_sq", "energy_x")),
+    ], ids=["ridge", "nonconvex"])
+    def test_run_without_strong_convexity(self, tmp_path, spec, filled):
+        # Only the quadratic family has a positive outer modulus, so the other
+        # two fill no relative error or strongly convex columns.
+        cfg = {"problem": spec, "method": "amigo-gd", "solver": {"K": 3}}
+        out = tmp_path / "run.csv"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        header, *lines = out.read_text().splitlines()
+        assert header == ",".join(CSV_COLUMNS) and len(lines) == 4
+        for line in lines:
+            row = dict(zip(CSV_COLUMNS, line.split(",")))
+            for column in ("rel_error", "combined_sc", "energy_x"):
+                assert (row[column] != "") == (column in filled), column
+            assert all(math.isfinite(float(row[column])) for column in filled)
+
+    def test_run_without_out_writes_csv_to_stdout(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_config(tmp_path, {"problem": quad_spec(), "solver": {"K": 2}})
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", cfg_path]) == 0
+        *csv_lines, summary = capsys.readouterr().out.splitlines()
+        assert csv_lines[0] == ",".join(CSV_COLUMNS)
+        assert [line.split(",")[CSV_COLUMNS.index("k")] for line in csv_lines[1:]] == ["0", "1", "2"]
+        assert json.loads(summary)["diverged_at"] is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_diverged_run_summary_keeps_partial_progress(self, tmp_path):
         cfg = {"problem": quad_spec(), "method": "aid-cg", "solver": {"gamma": 1e8, "K": 200},
                "eps": [1e-2, 1e-4, 1e-6]}
@@ -783,6 +823,23 @@ def test_cli_import_loads_numpy_only():
     code = "import sys, amigo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_source_has_no_capability_probes():
+    """Consumers reach problems and oracles through their base classes' contract, not by probing.
+
+    A hasattr call or a getattr with a default asks whether an object has a
+    name; a two-argument getattr over known field names stays allowed.
+    """
+    import ast
+
+    probes = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "hasattr" or (node.func.id == "getattr" and len(node.args) == 3):
+                    probes.append(f"{path.name}:{node.lineno} {node.func.id}")
+    assert probes == []
 
 
 def test_package_all_lists_exactly_the_names_it_binds():

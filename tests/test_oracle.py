@@ -57,6 +57,8 @@ class TestDeriveConstants:
             SmoothnessConstants(mu_g=2.0, L_g=1.0)
         with pytest.raises(InvalidConstantsError):
             SmoothnessConstants(mu_g=1.0, L_g=1.0, L_f=float("nan"))
+        with pytest.raises(InvalidConstantsError, match="nonnegative"):
+            SmoothnessConstants(mu_g=1.0, L_g=1.0, B=-1.0)
 
 
 class TestDims:

@@ -170,30 +170,34 @@ class TestAidLoop:
 
     def test_warm_start_threading(self, quad):
         # With T = N = 1 each refresh is a single explicit update, so the
-        # recorded trace verifies exactly which vectors were warm-threaded.
+        # hooked trace verifies exactly which vectors were warm-threaded.
         config = schedule_for(quad, K=6)
         config.T = config.N = 1
-        record = aid_run(quad, config, np.ones(12), store_iterates=True)
+        seen = []
+        aid_run(quad, config, np.ones(12), metrics_hook=lambda k, x, y, z, c: seen.append((x, y, z)))
+        assert len(seen) == 6
         y_prev = np.zeros(8)
         z_prev = np.zeros(8)
-        for k in range(6):
-            x_k = record.xs[k]
+        for x_k, y, z in seen:
             y_k = y_prev - config.alpha * quad.grad_gy(x_k, y_prev)
-            assert np.allclose(record.ys[k], y_k, rtol=0, atol=1e-14)
+            assert np.allclose(y, y_k, rtol=0, atol=1e-14)
             v_k = quad.grad_fy(x_k, y_k)
             z_k = z_prev - config.beta * (quad.hvp_gyy(x_k, y_k, z_prev) + v_k)
-            assert np.allclose(record.zs[k], z_k, rtol=0, atol=1e-14)
-            y_prev, z_prev = record.ys[k], record.zs[k]
+            assert np.allclose(z, z_k, rtol=0, atol=1e-14)
+            y_prev, z_prev = y, z
 
     def test_cold_restart_resets_initializations(self, quad):
+        # Cold solvers restart y and z from zero in every outer iteration.
         config = schedule_for(quad, K=4, warm_y=False, warm_z=False)
         config.T = config.N = 1
-        y_init = np.full(8, 0.5)
-        record = aid_run(quad, config, np.ones(12), y_init=y_init, store_iterates=True)
-        for k in range(4):
-            x_k = record.xs[k]
-            expected_y = y_init - config.alpha * quad.grad_gy(x_k, y_init)
-            assert np.allclose(record.ys[k], expected_y, rtol=0, atol=1e-14)
+        seen = []
+        aid_run(quad, config, np.ones(12), metrics_hook=lambda k, x, y, z, c: seen.append((x, y, z)))
+        assert len(seen) == 4
+        zero = np.zeros(8)
+        for x_k, y, z in seen:
+            expected_y = -config.alpha * quad.grad_gy(x_k, zero)
+            assert np.allclose(y, expected_y, rtol=0, atol=1e-14)
+            assert np.allclose(z, -config.beta * quad.grad_fy(x_k, y), rtol=0, atol=1e-14)
 
     def test_seed_determinism(self, quad):
         noise = NoiseSpec(sigma_g_tilde=0.5, sigma_f_tilde=0.5)
@@ -227,6 +231,16 @@ class TestAidLoop:
             xhat = (1 - delta) * xhat + delta * record.xs[k]
             assert np.max(np.abs(xhat - record.xhats[k])) <= 1e-14
         assert np.array_equal(record.xhat_final, record.xhats[-1])
+
+    def test_noisy_oracle_without_rng_rejected_before_any_query(self, quad):
+        queries = []
+        for name in ("grad_fx", "grad_fy", "grad_f", "grad_gy", "hvp_gyy", "jvp_gxy",
+                     "gd_steps", "linear_steps"):
+            setattr(quad, name, lambda *args, _name=name, **kwargs: queries.append(_name))
+        oracle = make_stochastic(quad, NoiseSpec(sigma_f_tilde=0.5), seed=0)
+        with pytest.raises(ValueError, match="noisy oracle needs a random stream"):
+            aid_run(oracle, schedule_for(quad, K=3), np.zeros(12))
+        assert queries == []
 
     def test_averaging_requires_modulus(self, quad):
         config = schedule_for(quad, K=3, u=1)
@@ -279,11 +293,10 @@ class TestItdRun:
     def test_zero_unroll_descends_frozen_surrogate(self, quad):
         config = schedule_for(quad, K=5)
         config.T = 0
-        y_init = np.full(8, 0.3)
-        record = itd_run(quad, config, np.ones(12), y_init=y_init, store_iterates=True)
+        record = itd_run(quad, config, np.ones(12), store_iterates=True)
         x = np.ones(12)
         for k in range(5):
-            x = x - config.gamma * quad.grad_fx(x, y_init)
+            x = x - config.gamma * quad.grad_fx(x, np.zeros(8))
             assert np.allclose(record.xs[k + 1], x, rtol=0, atol=1e-14)
 
     def test_oracle_accounting_per_step(self, quad):
@@ -405,7 +418,6 @@ def test_divergence_is_decided_once_per_outer_iteration(case):
     rows = err.value.partial_rows
     assert [r.k for r in rows] == list(range(k + 1))
     assert all(v is None or math.isfinite(v) for r in rows for v in vars(r).values())
-    loop = _outer_loop_locals(err.value)
-    stored = loop["xs"] + loop["ys"] + (loop["zs"] or [])
-    assert len(seen) >= 2 * k and len(stored) >= 2 * k
+    stored = _outer_loop_locals(err.value)["xs"]
+    assert len(seen) >= 2 * k and len(stored) == k + 1
     assert all(np.isfinite(v).all() for v in seen + stored)
