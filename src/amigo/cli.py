@@ -251,18 +251,26 @@ def run_single(
     noise: NoiseSpec,
     stop=None,
 ) -> RunRecord:
-    """One (method, seed) run with metric tracking wired in."""
+    """One (method, seed) run with metric tracking wired in.
+
+    x0 is drawn, and x_final and xhat_final are reported, in the coordinates
+    the problem was given in; the run takes x in the problem's basis (x_in).
+    """
     mapping = METHODS[method]
     oracle = make_stochastic(problem, noise, seed) if noise.any_noise else problem
     L_outer, _ = problem.outer_smoothness()
     tracker = MetricsTracker(problem, mu_outer=config.mu_outer, L_outer=L_outer, u=config.u)
     rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal(problem.dims.dx)
+    x0 = problem.x_in(rng.standard_normal(problem.dims.dx))
     if mapping["driver"] == "itd":
-        return itd_run(
+        record = itd_run(
             oracle, config, x0, tracker=tracker, stop=stop, increasing_T=mapping["increasing_T"]
         )
-    return aid_run(oracle, config, x0, rng=rng, tracker=tracker, stop=stop)
+    else:
+        record = aid_run(oracle, config, x0, rng=rng, tracker=tracker, stop=stop)
+    xhat = record.xhat_final
+    return replace(record, x_final=problem.x_out(record.x_final),
+                   xhat_final=None if xhat is None else problem.x_out(xhat))
 
 
 def _run_rows(problem, method: str, config: SolverConfig, seed: int, noise: NoiseSpec, stop=None):

@@ -9,7 +9,9 @@ loss, and, where it exists, the outer minimizer) so that solver output is
 checkable against an independent reference.  The quadratic and non-convex
 families hold their inner side in the eigenbasis of the inner Hessian, so
 inner queries, y* and z* are elementwise in y, and T inner gradient steps
-or N adjoint steps are one closed-form update each.
+or N adjoint steps are one closed-form update each.  The quadratic family
+holds x in the eigenbasis of the outer Hessian too, so its outer queries,
+closed forms and metrics are elementwise in x.
 
 ``make_stochastic`` wraps any of them into the batched noisy oracle:
 gradient queries get batch-averaged Gaussian noise, Hessian and Jacobian
@@ -100,17 +102,38 @@ def _spectrum(d: int, mu: float, L: float, seed: int) -> tuple[np.ndarray, np.nd
     return eigs, _seeded_orthogonal(d, np.random.default_rng(seed))
 
 
+def _spd(eigs: np.ndarray, q: np.ndarray | None) -> np.ndarray:
+    """The dense matrix q diag(eigs) q', exactly symmetric; diag(eigs) when q is None."""
+    if q is None:
+        return np.diag(eigs)
+    a = (q * eigs) @ q.T
+    return (a + a.T) / 2.0
+
+
 def gen_spd(d: int, mu: float, L: float, seed: int) -> np.ndarray:
     """Symmetric positive-definite matrix with a log-spaced spectrum on [mu, L].
 
     The spectrum and eigenvectors are those of ``_spectrum``; see there for
     the InvalidSpectrumError cases.
     """
-    eigs, q = _spectrum(d, mu, L, seed)
-    if q is None:
-        return np.diag(eigs)
-    a = (q * eigs) @ q.T
-    return (a + a.T) / 2.0
+    return _spd(*_spectrum(d, mu, L, seed))
+
+
+def _eigenbasis(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues and eigenvectors of a symmetric positive-definite a; no vectors if a is diagonal.
+
+    Raises ValueError naming a unless a is exactly symmetric with a positive
+    spectrum: eigh reads one triangle only, so it would symmetrize silently.
+    """
+    if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+        eigs, q = np.diagonal(a).copy(), None
+    elif np.array_equal(a, a.T):
+        eigs, q = np.linalg.eigh(a)
+    else:
+        raise ValueError(f"{name} is not symmetric positive definite")
+    if not eigs.min() > 0:
+        raise ValueError(f"{name} is not symmetric positive definite")
+    return eigs, q
 
 
 def _op_norm(b: np.ndarray) -> float:
@@ -136,6 +159,16 @@ class _DeterministicProblem(BilevelOracle):
     def local_constants(self, x) -> SmoothnessConstants:
         """Smoothness constants that hold near x; the global ones unless curvature varies with x."""
         return self.constants()
+
+    # A family may hold x in another basis than the one it is given in; these
+    # map x between the two, and are the identity unless a family says otherwise.
+    def x_in(self, x) -> np.ndarray:
+        """x in the coordinates the queries take, from the coordinates the problem was given in."""
+        return x
+
+    def x_out(self, x) -> np.ndarray:
+        """The inverse of x_in: x back in the coordinates the problem was given in."""
+        return x
 
 
 class _LinearInnerProblem(_DeterministicProblem):
@@ -172,17 +205,11 @@ class _LinearInnerProblem(_DeterministicProblem):
             raise ValueError(f"A_g {a_g.shape} or C_f {c_f.shape} mismatch B_g {dy, dx}")
         self._dims = Dims(dx, dy)
         self._given = [c_f, a_g, b_g]
-        if np.count_nonzero(a_g) == np.count_nonzero(np.diagonal(a_g)):
-            self.lam = np.diagonal(a_g).copy()
+        self.lam, q = _eigenbasis(a_g, "A_g")
+        if q is None:
             self.C_f, self.A_g, self.B_g = c_f, a_g, b_g
         else:
-            # eigh reads one triangle only, so an asymmetric A_g would be symmetrized silently.
-            if not np.array_equal(a_g, a_g.T):
-                raise ValueError("A_g is not symmetric positive definite")
-            self.lam, q = np.linalg.eigh(a_g)
             self.C_f, self.A_g, self.B_g = q.T @ c_f, np.diag(self.lam), q.T @ b_g
-        if not self.lam.min() > 0:
-            raise ValueError("A_g is not symmetric positive definite")
         self._bx_memo: tuple[bytes, np.ndarray] | None = None
 
     def _bx(self, x) -> np.ndarray:
@@ -280,46 +307,64 @@ def _draw_coupling(rng: np.random.Generator, dx: int, dy: int, q) -> tuple[np.nd
 
 
 class QuadraticProblem(_LinearInnerProblem):
-    """Quadratic outer and inner costs with closed forms.
+    """Quadratic outer and inner costs with closed forms, held in the eigenbases of both Hessians.
 
     f(x, y) = x' A_f x / 2 + y' C_f and g(x, y) = y' A_g y / 2 + y' B_g x.
     Because f is linear in y, the outer loss L(x) is the quadratic
     x' A_f x / 2 - x' B_g' inv(A_g) C_f, whose Hessian is exactly A_f.
-    A_f must be symmetric positive definite; its spectrum is computed once,
-    here, and x* = -inv(A_f) B_g' z* is one linear solve.
+
+    On top of the inner change of variables, x is held after x -> Q_f'x,
+    which diagonalizes A_f = Q_f diag(lam_f) Q_f': ``B_g`` is Q'B_g Q_f,
+    grad_fx is lam_f * x, and grad_L, gap, L_value, f_value and x* are
+    elementwise.  Queries, closed forms and metrics all take x in this
+    basis; x_in and x_out map x from and back to the given coordinates, and
+    Q_f is None where the two coincide.
+
+    A_f is given dense, as a container holds it, or as the pair (lam_f, Q_f)
+    that _spectrum draws, which is never multiplied out.  A dense A_f must
+    be symmetric positive definite and is diagonalized once with eigh unless
+    it is diagonal.  Either form is kept for ``_arrays``, which forms a drawn
+    A_f with gen_spd's expression, so saved bytes match gen_spd's.
     """
 
     family = "quadratic"
 
     def __init__(self, A_f, C_f, A_g, B_g, seed: int = -1):
         super().__init__(C_f, A_g, B_g, seed)
-        self.A_f = np.asarray(A_f, dtype=float)
-        dx = self.dims.dx
-        if self.A_f.shape != (dx, dx):
-            raise ValueError(f"A_f has shape {self.A_f.shape}, expected ({dx}, {dx})")
-        # eigvalsh reads one triangle only, so symmetry is checked first.
-        if not np.array_equal(self.A_f, self.A_f.T):
-            raise ValueError("A_f is not symmetric positive definite")
-        self._eigs_f = np.linalg.eigvalsh(self.A_f)
-        if not self._eigs_f[0] > 0:
-            raise ValueError("A_f is not symmetric positive definite")
+        if isinstance(A_f, tuple):
+            self.lam_f, self.Q_f = A_f
+        else:
+            A_f = np.asarray(A_f, dtype=float)
+            dx = self.dims.dx
+            if A_f.shape != (dx, dx):
+                raise ValueError(f"A_f has shape {A_f.shape}, expected ({dx}, {dx})")
+            self.lam_f, self.Q_f = _eigenbasis(A_f, "A_f")
+        self._a_f = A_f
+        if self.Q_f is not None:
+            self.B_g = self.B_g @ self.Q_f
+
+    def x_in(self, x) -> np.ndarray:
+        return x if self.Q_f is None else self.Q_f.T @ x
+
+    def x_out(self, x) -> np.ndarray:
+        return x if self.Q_f is None else self.Q_f @ x
 
     def grad_fx(self, x, y, batch_size=1, rng=None):
-        return self.A_f @ x
+        return self.lam_f * x
 
     def outer_smoothness(self) -> tuple[float, float]:
         """Exact (L, mu) of the outer loss: the extreme eigenvalues of A_f."""
-        return float(self._eigs_f[-1]), float(self._eigs_f[0])
+        return float(self.lam_f.max()), float(self.lam_f.min())
 
     @cached_property
     def x_star(self) -> np.ndarray:
-        return -np.linalg.solve(self.A_f, self.grad_offset)
+        return -self.grad_offset / self.lam_f
 
     def grad_L(self, x) -> np.ndarray:
-        return self.A_f @ x + self.grad_offset
+        return self.lam_f * (x - self.x_star)
 
     def L_value(self, x) -> float:
-        return float(0.5 * x @ (self.A_f @ x) + x @ self.grad_offset)
+        return float(0.5 * x @ (self.lam_f * x) + x @ self.grad_offset)
 
     @cached_property
     def L_star(self) -> float:
@@ -328,10 +373,10 @@ class QuadraticProblem(_LinearInnerProblem):
     def gap(self, x) -> float:
         # Evaluating through the displacement avoids cancellation near x*.
         d = x - self.x_star
-        return float(0.5 * d @ (self.A_f @ d))
+        return float(0.5 * d @ (self.lam_f * d))
 
     def f_value(self, x, y) -> float:
-        return float(0.5 * x @ (self.A_f @ x) + y @ self.C_f)
+        return float(0.5 * x @ (self.lam_f * x) + y @ self.C_f)
 
     def reference(self, x) -> dict:
         """All closed-form quantities at x."""
@@ -346,11 +391,13 @@ class QuadraticProblem(_LinearInnerProblem):
         }
 
     def header(self) -> dict:
-        ef = self._eigs_f
+        # kappa_L of the A_f the container holds, as eigvalsh reports it; only a save pays for it.
+        ef = np.linalg.eigvalsh(self._arrays()[0])
         return {**super().header(), "kappa_L": float(ef[-1] / ef[0])}
 
     def _arrays(self) -> list[np.ndarray]:
-        return [self.A_f, *self._given]
+        a_f = _spd(*self._a_f) if isinstance(self._a_f, tuple) else self._a_f
+        return [a_f, *self._given]
 
 
 def check_condition_numbers(*kappas: float) -> None:
@@ -401,9 +448,10 @@ def gen_quadratic(dx: int, dy: int, kappa_g: float, kappa_L: float, seed: int) -
     check_generator_args("quadratic", dx=dx, dy=dy, kappa_g=kappa_g, kappa_L=kappa_L)
     rng = np.random.default_rng(seed)
     lam, q = _spectrum(dy, 1.0 / kappa_g, 1.0, seed=int(rng.integers(2**62)))
-    a_f = gen_spd(dx, 1.0 / kappa_L, 1.0, seed=int(rng.integers(2**62)))
+    # A_f as gen_spd draws it at this seed, kept as its spectrum and eigenvectors.
+    spectrum_f = _spectrum(dx, 1.0 / kappa_L, 1.0, seed=int(rng.integers(2**62)))
     b_g, c_f = _draw_coupling(rng, dx, dy, q)
-    return QuadraticProblem(a_f, c_f, np.diag(lam), b_g, seed=seed)
+    return QuadraticProblem(spectrum_f, c_f, np.diag(lam), b_g, seed=seed)
 
 
 class NonconvexOuterProblem(_LinearInnerProblem):
@@ -652,9 +700,12 @@ class StochasticOracle(BilevelOracle):
                     "Hessian noise too large for positive definiteness: need "
                     f"sqrt(3) * sigma_gyy_tilde < mu_g = {mu_g}"
                 )
-        d = base.dims
-        p = np.random.default_rng(seed).standard_normal((d.dx, d.dy))
-        self._P = p / np.linalg.norm(p, 2)
+        # P serves noisy jvp_gxy queries alone, so an oracle without that noise builds none.
+        self._P = None
+        if noise.sigma_gxy_tilde > 0:
+            d = base.dims
+            p = np.random.default_rng(seed).standard_normal((d.dx, d.dy))
+            self._P = p / np.linalg.norm(p, 2)
 
     @property
     def dims(self) -> Dims:

@@ -1,9 +1,10 @@
-"""The linear-inner families in A_g's eigenbasis.
+"""The linear-inner families in A_g's eigenbasis, and the quadratic family in A_f's too.
 
-A problem whose A_g arrives dense (as a foreign container holds it) is
-diagonalized once on construction; runs on it must agree with runs on the
-generated eigenbasis problem to rounding.  The B_g x memo behind grad_gy
-and y_star must never serve a stale product.
+A problem whose A_g and A_f arrive dense (as a foreign container holds them)
+is diagonalized once on construction; runs on it must agree with runs on the
+generated eigenbasis problem to rounding, with x drawn and reported in the
+given coordinates.  The B_g x memo behind grad_gy and y_star must never
+serve a stale product.
 """
 
 import numpy as np
@@ -22,13 +23,18 @@ def generated(family):
 
 
 def rotated(problem, seed=5):
-    """The same problem with its inner side rotated by a random orthogonal R into dense arrays."""
+    """The same problem as dense arrays: y rotated by a random orthogonal R, x as given.
+
+    The quadratic family's A_f is the dense matrix its container holds, so
+    the outer side arrives in the given basis instead of A_f's eigenbasis.
+    """
     dy = problem.dims.dy
     r, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dy, dy)))
+    *outer, c_f, _, b_g = problem._arrays()
     a_g = (r * problem.lam) @ r.T
-    inner = (r @ problem.C_f, (a_g + a_g.T) / 2, r @ problem.B_g)
+    inner = (r @ c_f, (a_g + a_g.T) / 2, r @ b_g)
     if problem.family == "quadratic":
-        return QuadraticProblem(problem.A_f, *inner, seed=problem.seed)
+        return QuadraticProblem(*outer, *inner, seed=problem.seed)
     return NonconvexOuterProblem(problem.rho, *inner, seed=problem.seed)
 
 
@@ -44,6 +50,9 @@ def test_dense_basis_runs_agree(family, method):
     dense = rotated(base)
     assert np.count_nonzero(dense._arrays()[-2]) > base.dims.dy  # A_g was given dense
     assert np.allclose(dense.lam, base.lam, rtol=1e-12, atol=0)
+    if family == "quadratic":
+        assert np.count_nonzero(dense._arrays()[0]) > base.dims.dx  # and so was A_f
+        assert np.allclose(dense.lam_f, base.lam_f, rtol=1e-12, atol=0)
     noise = NoiseSpec()
     spec = {"K": 300, "T": 10, "N": 10}
     a, b = (cli.run_single(p, method, cli.build_config(p, method, spec, noise), 0, noise)

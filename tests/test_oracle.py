@@ -78,10 +78,11 @@ class TestPsiHat:
         self.rng = np.random.default_rng(0)
 
     def test_linear_in_y_so_y_irrelevant(self):
-        # f is linear in y here, so psi_hat(x, y, z) = A_f x + B_g' z for any y.
+        # f is linear in y here, so psi_hat(x, y, z) = A_f x + B_g' z for any y,
+        # with x (and so A_f) in A_f's eigenbasis.
         x = self.rng.standard_normal(15)
         z = self.rng.standard_normal(9)
-        expected = self.p.A_f @ x + self.p.B_g.T @ z
+        expected = self.p.lam_f * x + self.p.B_g.T @ z
         for _ in range(3):
             y = self.rng.standard_normal(9)
             assert np.allclose(psi_hat(self.p, x, y, z), expected, rtol=0, atol=1e-14)
@@ -110,10 +111,12 @@ class TestPsiHat:
 
 class TestGradLReference:
     def test_quadratic_formula_against_dense_construction(self):
+        # The dense arrays a container holds, with x in the given coordinates.
         p = gen_quadratic(8, 6, kappa_g=4.0, kappa_L=3.0, seed=2)
+        a_f, c_f, a_g, b_g = p._arrays()
         x = np.random.default_rng(5).standard_normal(8)
-        expected = p.A_f @ x - p.B_g.T @ np.linalg.solve(p.A_g, p.C_f)
-        assert rel_err(p.grad_L(x), expected) <= 1e-13
+        expected = a_f @ x - b_g.T @ np.linalg.solve(a_g, c_f)
+        assert rel_err(p.x_out(p.grad_L(p.x_in(x))), expected) <= 1e-13
 
     def test_zero_at_minimizer(self):
         p = gen_quadratic(8, 6, kappa_g=4.0, kappa_L=3.0, seed=2)

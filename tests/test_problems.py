@@ -73,7 +73,7 @@ class TestGenQuadratic:
 
     def test_spectra(self):
         eg = np.linalg.eigvalsh(self.p.A_g)
-        ef = np.linalg.eigvalsh(self.p.A_f)
+        ef = np.linalg.eigvalsh(self.p._arrays()[0])
         assert abs(eg[0] - 1e-2) <= 1e-9 and abs(eg[-1] - 1.0) <= 1e-9
         assert abs(ef[0] - 0.1) <= 1e-9 and abs(ef[-1] - 1.0) <= 1e-9
 
@@ -97,7 +97,7 @@ class TestGenQuadratic:
     @pytest.mark.parametrize("name", ["A_f", "A_g"])
     @pytest.mark.parametrize("defect", ["asymmetric", "indefinite"])
     def test_constructor_rejects_non_spd_hessians(self, name, defect):
-        arrays = {k: getattr(self.p, k).copy() for k in ("A_f", "C_f", "A_g", "B_g")}
+        arrays = dict(zip(("A_f", "C_f", "A_g", "B_g"), (a.copy() for a in self.p._arrays())))
         a = arrays[name]
         if defect == "asymmetric":
             a += np.triu(np.random.default_rng(0).standard_normal(a.shape), 1)
@@ -293,6 +293,13 @@ class TestStochasticWrapper:
         # Bounded noise keeps sampled Hessians positive definite.
         assert mu_g - math.sqrt(3) * sigma > 0
 
+    def test_jacobian_perturbation_built_only_under_its_noise(self):
+        quiet = NoiseSpec(sigma_f_tilde=1.0, sigma_g_tilde=1.0, sigma_gyy_tilde=0.1)
+        assert make_stochastic(self.p, quiet, seed=3)._P is None
+        noisy = make_stochastic(self.p, NoiseSpec(sigma_gxy_tilde=0.5), seed=3)
+        p = np.random.default_rng(3).standard_normal((6, 5))
+        assert np.array_equal(noisy._P, p / np.linalg.norm(p, 2))
+
     def test_positive_definiteness_margin_enforced(self):
         mu_g = self.p.constants().mu_g
         bad = NoiseSpec(sigma_gyy_tilde=mu_g)  # sqrt(3) * mu_g >= mu_g
@@ -320,6 +327,18 @@ class TestSerialization:
         save_problem(p, path)
         q = load_problem(path)
         assert _problem_bytes(p) == _problem_bytes(q)
+        again = tmp_path / "again.bin"
+        save_problem(q, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("dx, kappa_L, seed", [(12, 4.0, 9), (30, 10.0, 0), (5, 1.0, 2)])
+    def test_saved_outer_hessian_is_gen_spd(self, dx, kappa_L, seed):
+        """gen_quadratic never forms A_f, yet its container holds gen_spd's A_f at the derived seed."""
+        p = gen_quadratic(dx, 8, kappa_g=5.0, kappa_L=kappa_L, seed=seed)
+        rng = np.random.default_rng(seed)
+        rng.integers(2**62)  # A_g's seed
+        a_f = gen_spd(dx, 1.0 / kappa_L, 1.0, seed=int(rng.integers(2**62)))
+        assert np.array_equal(p._arrays()[0], a_f)
 
     def test_file_size_formula(self, tmp_path):
         dx, dy = 30, 20
@@ -443,14 +462,17 @@ class TestContainerValidation:
             problem = gen_quadratic(8, 5, kappa_g=5.0, kappa_L=2.0, seed=1)
         else:
             problem = gen_nonconvex(8, 5, rho=1.0, seed=1)
-        a = getattr(problem, name)
+        raw = _problem_bytes(problem)
+        arrays = problem._arrays()
+        a = arrays[0 if name == "A_f" else -2]
         rng = np.random.default_rng(0)
         if defect == "asymmetric":
             a += np.triu(rng.standard_normal(a.shape), 1)  # the upper triangle no longer mirrors the lower
         else:
             a -= 2.0 * np.eye(len(a))  # symmetric, with every eigenvalue below zero
+        body = b"".join(arr.astype("<f8").tobytes() for arr in arrays)
         with pytest.raises(ContainerError, match=f"{name} is not symmetric positive definite") as err:
-            self.load(tmp_path, _problem_bytes(problem))
+            self.load(tmp_path, raw[:HEADER_BYTES] + body)
         assert err.value.field == "body"
 
     def test_short_header_and_unknown_tag(self, tmp_path):
