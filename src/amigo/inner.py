@@ -6,12 +6,14 @@ the inner Hessian at (x, y) and v approximates grad_y f(x, y).  The linear
 system is served by stochastic gradient steps (fresh Hessian batch each
 step, v held fixed), by a truncated Neumann series, or by conjugate
 gradient.  Every solver but conjugate gradient hands its steps to the
-oracle in one bulk call (``gd_steps`` or ``linear_steps``), which the
-quadratic and non-convex families answer in closed form; a noisy stream
-and the ridge family run the oracle's literal loop.  The solvers never
-inspect their iterates: the outer loop decides once per outer iteration
-whether a run has diverged.  Conjugate gradient alone raises
-DivergenceError, on a curvature p'Hp it cannot divide by.
+oracle in one bulk call (``gd_steps`` or ``linear_steps``).  The quadratic
+and non-convex families answer it in closed form.  Under noise, the
+gradient noise of T steps is one Gaussian draw, and N adjoint steps run
+elementwise on Hessian noise drawn in one call.  The ridge family runs the
+oracle's literal loop, query by query.  The solvers never inspect their
+iterates: the outer loop decides once per outer iteration whether a run
+has diverged.  Conjugate gradient alone raises DivergenceError, on a
+curvature p'Hp it cannot divide by.
 """
 
 from __future__ import annotations

@@ -162,21 +162,62 @@ class BilevelOracle(abc.ABC):
 
     # Bulk inner steps: these loops are the reference, which a problem with
     # closed-form inner dynamics overrides.  The start vector is not modified.
-    def gd_steps(self, x, y, alpha: float, T: int, batch_size: int = 1, rng=None) -> np.ndarray:
+    # With sigma > 0 each step carries the noise of its query at per-sample
+    # scale sigma, drawn from rng as StochasticOracle draws it; a noisy
+    # oracle passes its own scale to its problem's steps this way.
+    def gd_steps(
+        self, x, y, alpha: float, T: int, batch_size: int = 1, rng=None, sigma: float = 0.0
+    ) -> np.ndarray:
         """T steps y <- y - alpha * grad_gy(x, y) from y, each on a fresh batch."""
         y = np.array(y, dtype=float, copy=True)
         for _ in range(T):
-            y -= alpha * self.grad_gy(x, y, batch_size=batch_size, rng=rng)
+            g = self.grad_gy(x, y, batch_size=batch_size, rng=rng)
+            if sigma > 0:
+                g = g + gaussian_mean(need_rng(rng, "grad_gy"), sigma, self.dims.dy, batch_size)
+            y -= alpha * g
         return y
 
     def linear_steps(
-        self, x, y, v, z, beta: float, N: int, batch_size: int = 1, rng=None
+        self, x, y, v, z, beta: float, N: int, batch_size: int = 1, rng=None, sigma: float = 0.0
     ) -> np.ndarray:
         """N steps z <- z - beta * (hvp_gyy(x, y, z) + v) from z, each on a fresh Hessian batch."""
         z = np.array(z, dtype=float, copy=True)
         for _ in range(N):
-            z -= beta * (self.hvp_gyy(x, y, z, batch_size=batch_size, rng=rng) + v)
+            hz = self.hvp_gyy(x, y, z, batch_size=batch_size, rng=rng)
+            if sigma > 0:
+                hz = hz + sigma * uniform_means(need_rng(rng, "hvp_gyy"), batch_size, 1)[0] * z
+            z -= beta * (hz + v)
         return z
+
+
+def need_rng(rng, what: str):
+    """rng, which a noisy query needs; ValueError naming the query (what) if it is None."""
+    if rng is None:
+        raise ValueError(f"a random stream is required for noisy {what} queries")
+    return rng
+
+
+def gaussian_mean(rng, sigma: float, dim: int, batch_size: int) -> np.ndarray:
+    """Mean of batch_size i.i.d. Gaussian vectors of length dim, each with E||eps||^2 = sigma^2.
+
+    Each has per-coordinate standard deviation sigma / sqrt(dim), so their
+    mean is Gaussian with sigma / sqrt(dim * batch_size): one draw of dim
+    standard normals at that scale has its law.
+    """
+    return sigma / math.sqrt(dim * batch_size) * rng.standard_normal(dim)
+
+
+# The uniforms behind Hessian and Jacobian noise lie in [-ZETA_BOUND, ZETA_BOUND].
+ZETA_BOUND = math.sqrt(3.0)
+
+
+def uniform_means(rng, batch_size: int, n: int) -> np.ndarray:
+    """n means of batch_size i.i.d. uniforms on [-sqrt(3), sqrt(3)] (zero mean, unit variance).
+
+    A mean of uniforms is not uniform, so each takes its batch_size draws;
+    the n rows are drawn in one call, in the order n calls would draw them.
+    """
+    return rng.uniform(-ZETA_BOUND, ZETA_BOUND, size=(n, batch_size)).mean(axis=1)
 
 
 def vector(name: str, value, dim: int) -> np.ndarray:

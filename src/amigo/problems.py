@@ -28,7 +28,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .oracle import BilevelOracle, Dims, SmoothnessConstants
+from .oracle import (
+    ZETA_BOUND,
+    BilevelOracle,
+    Dims,
+    SmoothnessConstants,
+    gaussian_mean,
+    need_rng,
+    uniform_means,
+)
 
 __all__ = [
     "InvalidSpectrumError",
@@ -237,16 +245,31 @@ class _LinearInnerProblem(_DeterministicProblem):
     def jvp_gxy(self, x, y, z, batch_size=1, rng=None):
         return self.B_g.T @ z
 
-    # Each step shrinks the distance to the fixed point by 1 - step * lam.
-    def gd_steps(self, x, y, alpha, T, batch_size=1, rng=None):
+    # Each step shrinks the distance to the fixed point by r = 1 - alpha * lam.
+    # Under noise, T steps add -alpha * sum_t r^(T-1-t) xi_t, with xi_t step
+    # t's batch-mean noise.  That sum is one Gaussian, with xi's per-coordinate
+    # variance times sum_{t<T} r^(2t), so it is drawn once.
+    def gd_steps(self, x, y, alpha, T, batch_size=1, rng=None, sigma=0.0):
         if T == 0:
             return np.array(y, dtype=float, copy=True)
         ys = self.y_star(x)
-        return ys + (1.0 - alpha * self.lam) ** T * (y - ys)
+        r = 1.0 - alpha * self.lam
+        y = ys + r**T * (y - ys)
+        if sigma > 0:
+            xi = gaussian_mean(need_rng(rng, "grad_gy"), sigma, self.dims.dy, batch_size)
+            y -= alpha * np.sqrt(_squared_power_sum(alpha * self.lam, T)) * xi
+        return y
 
-    def linear_steps(self, x, y, v, z, beta, N, batch_size=1, rng=None):
+    # A noisy Hessian is lam + sigma * zeta_bar elementwise, with a fresh
+    # zeta_bar each step; the N steps run elementwise on all N drawn at once.
+    def linear_steps(self, x, y, v, z, beta, N, batch_size=1, rng=None, sigma=0.0):
         if N == 0:
             return np.array(z, dtype=float, copy=True)
+        if sigma > 0:
+            z = np.array(z, dtype=float, copy=True)
+            for c in sigma * uniform_means(need_rng(rng, "hvp_gyy"), batch_size, N):
+                z -= beta * (self.lam * z + c * z + v)
+            return z
         zs = -np.asarray(v, dtype=float) / self.lam
         return zs + (1.0 - beta * self.lam) ** N * (z - zs)
 
@@ -289,6 +312,19 @@ class _LinearInnerProblem(_DeterministicProblem):
             "kappa_L": float("nan"),
             "extra": 0.0,
         }
+
+
+def _squared_power_sum(step: np.ndarray, T: int) -> np.ndarray:
+    """sum_{t<T} r^(2t) with r = 1 - step, elementwise, for T >= 1.
+
+    The closed form (1 - r^(2T)) / (1 - r^2) takes 1 - r^2 as step * (2 - step),
+    free of cancellation, and 1 - r^(2T) through expm1 and log1p, so it stays
+    accurate where r^2 is near 1.  The sum is T where r^2 = 1, and 1 at r = 0,
+    where log1p(-1) = -inf.
+    """
+    gap = step * (2.0 - step)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(gap == 0.0, float(T), -np.expm1(T * np.log1p(-gap)) / gap)
 
 
 def _draw_coupling(rng: np.random.Generator, dx: int, dy: int, q) -> tuple[np.ndarray, np.ndarray]:
@@ -669,9 +705,6 @@ class NoiseSpec:
         ) > 0
 
 
-_SQRT3 = math.sqrt(3.0)
-
-
 class StochasticOracle(BilevelOracle):
     """Batched noisy view of a deterministic problem.
 
@@ -695,7 +728,7 @@ class StochasticOracle(BilevelOracle):
         self.seed = int(seed)
         if noise.sigma_gyy_tilde > 0:
             mu_g = base.constants().mu_g
-            if _SQRT3 * noise.sigma_gyy_tilde >= mu_g:
+            if ZETA_BOUND * noise.sigma_gyy_tilde >= mu_g:
                 raise ConfigurationError(
                     "Hessian noise too large for positive definiteness: need "
                     f"sqrt(3) * sigma_gyy_tilde < mu_g = {mu_g}"
@@ -714,20 +747,6 @@ class StochasticOracle(BilevelOracle):
     def constants(self) -> SmoothnessConstants:
         return self.base.constants()
 
-    @staticmethod
-    def _need_rng(rng, what: str):
-        if rng is None:
-            raise ValueError(f"a random stream is required for noisy {what} queries")
-        return rng
-
-    def _gauss(self, rng, sigma: float, dim: int, batch_size: int) -> np.ndarray:
-        # Per-sample per-coordinate std sigma / sqrt(dim), so each sample has E||eps||^2 = sigma^2.
-        scale = sigma / math.sqrt(dim * batch_size)
-        return scale * rng.standard_normal((batch_size, dim)).sum(axis=0) / math.sqrt(batch_size)
-
-    def _zeta_bar(self, rng, batch_size: int) -> float:
-        return float(rng.uniform(-_SQRT3, _SQRT3, size=batch_size).mean())
-
     # A lone partial of f is its part of one joint draw, under the same noise law.
     def grad_fx(self, x, y, batch_size=1, rng=None):
         return self.grad_f(x, y, batch_size=batch_size, rng=rng)[0]
@@ -741,9 +760,8 @@ class StochasticOracle(BilevelOracle):
         s = self.noise.sigma_f_tilde
         if s == 0:
             return ux, uy
-        rng = self._need_rng(rng, "grad_f")
         d = self.dims
-        eps = self._gauss(rng, s, d.dx + d.dy, batch_size)
+        eps = gaussian_mean(need_rng(rng, "grad_f"), s, d.dx + d.dy, batch_size)
         return ux + eps[: d.dx], uy + eps[d.dx :]
 
     def grad_gy(self, x, y, batch_size=1, rng=None):
@@ -751,36 +769,33 @@ class StochasticOracle(BilevelOracle):
         s = self.noise.sigma_g_tilde
         if s == 0:
             return val
-        rng = self._need_rng(rng, "grad_gy")
-        d = self.dims
-        return val + self._gauss(rng, s, d.dy, batch_size)
+        return val + gaussian_mean(need_rng(rng, "grad_gy"), s, self.dims.dy, batch_size)
 
     def hvp_gyy(self, x, y, v, batch_size=1, rng=None):
         val = self.base.hvp_gyy(x, y, v)
         s = self.noise.sigma_gyy_tilde
         if s == 0:
             return val
-        rng = self._need_rng(rng, "hvp_gyy")
-        return val + s * self._zeta_bar(rng, batch_size) * np.asarray(v, dtype=float)
+        zeta = uniform_means(need_rng(rng, "hvp_gyy"), batch_size, 1)[0]
+        return val + s * zeta * np.asarray(v, dtype=float)
 
-    # A noiseless stream takes the base's (closed-form) steps; a noisy one the literal loop.
+    # The base takes the bulk steps under this oracle's noise scale: in closed
+    # form on the linear-inner families, by its literal loop otherwise.
     def gd_steps(self, x, y, alpha, T, batch_size=1, rng=None):
-        if self.noise.sigma_g_tilde == 0:
-            return self.base.gd_steps(x, y, alpha, T)
-        return super().gd_steps(x, y, alpha, T, batch_size=batch_size, rng=rng)
+        sigma = self.noise.sigma_g_tilde
+        return self.base.gd_steps(x, y, alpha, T, batch_size, rng, sigma=sigma)
 
     def linear_steps(self, x, y, v, z, beta, N, batch_size=1, rng=None):
-        if self.noise.sigma_gyy_tilde == 0:
-            return self.base.linear_steps(x, y, v, z, beta, N)
-        return super().linear_steps(x, y, v, z, beta, N, batch_size=batch_size, rng=rng)
+        sigma = self.noise.sigma_gyy_tilde
+        return self.base.linear_steps(x, y, v, z, beta, N, batch_size, rng, sigma=sigma)
 
     def jvp_gxy(self, x, y, z, batch_size=1, rng=None):
         val = self.base.jvp_gxy(x, y, z)
         s = self.noise.sigma_gxy_tilde
         if s == 0:
             return val
-        rng = self._need_rng(rng, "jvp_gxy")
-        return val + s * self._zeta_bar(rng, batch_size) * (self._P @ np.asarray(z, dtype=float))
+        zeta = uniform_means(need_rng(rng, "jvp_gxy"), batch_size, 1)[0]
+        return val + s * zeta * (self._P @ np.asarray(z, dtype=float))
 
 
 def make_stochastic(problem, noise: NoiseSpec, seed: int) -> StochasticOracle:

@@ -3,14 +3,25 @@
 ``BilevelOracle.gd_steps`` and ``linear_steps`` hold the step-by-step loops;
 the linear-inner families override them with closed forms.  Calling the base
 method unbound on a problem runs the literal loop on that same problem, so
-the two paths can be compared directly.  A noisy stream must keep the loop
-and its draws; a stream without noise must take the closed form.
+the two paths can be compared directly, with noise too, through the steps'
+sigma argument.  On the linear-inner families noisy gradient steps are one
+Gaussian draw, checked against the loop in law; noisy adjoint steps keep
+the loop's draws bit for bit.  The ridge family keeps the literal loops
+draw for draw, and a stream without noise takes the closed form.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from amigo import gen_nonconvex, gen_quadratic, make_stochastic, solve_linear_neumann
+from amigo import (
+    gen_nonconvex,
+    gen_quadratic,
+    gen_ridge_hpo,
+    make_stochastic,
+    solve_linear_neumann,
+)
 from amigo.oracle import BilevelOracle
 from amigo.problems import NoiseSpec
 
@@ -73,29 +84,102 @@ def test_neumann_is_steps_from_minus_beta_v(problem, N):
     assert rel(literal, series) <= RTOL
 
 
+SIGMA = 1.0
+SAMPLES = 100
+
+
+@pytest.mark.parametrize("b", [1, 16])
+@pytest.mark.parametrize("T", STEPS)
+def test_noisy_gd_steps_follow_the_literal_loops_law(problem, T, b):
+    # Each sample on its own seed; c10's tolerances: mean within 4 SE per
+    # coordinate, total variance about the noiseless steps within 20%.
+    x, y0, _ = point(problem)
+    alpha = 1.0 / problem.constants().L_g
+
+    def samples(steps, seeds):
+        return np.array([
+            steps(problem, x, y0, alpha, T, batch_size=b, rng=np.random.default_rng(s),
+                  sigma=SIGMA)
+            for s in seeds
+        ])
+
+    bulk = samples(type(problem).gd_steps, range(SAMPLES))
+    literal = samples(BilevelOracle.gd_steps, range(SAMPLES, 2 * SAMPLES))
+    se = np.hypot(bulk.std(axis=0), literal.std(axis=0)) / math.sqrt(SAMPLES)
+    assert np.all(np.abs(bulk.mean(axis=0) - literal.mean(axis=0)) <= 4 * se)
+    mean = problem.gd_steps(x, y0, alpha, T)
+    var_bulk, var_literal = (float(np.mean(np.sum((s - mean) ** 2, axis=1)))
+                             for s in (bulk, literal))
+    assert 0.8 * var_literal <= var_bulk <= 1.2 * var_literal
+
+
+class TestNoisyClosedFormEdges:
+    """T noisy steps from y* are y* - alpha * sqrt(sum_{t<T} r^(2t)) * xi, xi one batch-mean draw.
+
+    At x = 0, y* = 0, so the steps return the noise term exactly negated.
+    """
+
+    def setup_method(self):
+        self.p = gen_quadratic(6, 4, kappa_g=5.0, kappa_L=2.0, seed=9)
+        self.x = np.zeros(6)
+        self.ys = self.p.y_star(self.x)
+
+    def noise(self, alpha, T, b=3, seed=11):
+        """The noise term of T noisy steps from y*, and the draw it scales."""
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = self.p.gd_steps(self.x, self.ys, alpha, T, batch_size=b, rng=rng, sigma=SIGMA)
+        xi = SIGMA / math.sqrt(4 * b) * ref.standard_normal(4)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        return -out, xi
+
+    def test_noisy_steps_need_a_stream(self):
+        with pytest.raises(ValueError, match="random stream"):
+            self.p.gd_steps(self.x, self.ys, 0.5, 3, sigma=SIGMA)
+        with pytest.raises(ValueError, match="random stream"):
+            self.p.linear_steps(self.x, self.ys, self.ys, self.ys, 0.5, 3, sigma=SIGMA)
+
+    @pytest.mark.parametrize("T", [1, 7, 1000])
+    def test_only_the_last_draw_survives_at_r_zero(self, T):
+        # alpha = 1 / lam_max zeroes r on that coordinate.
+        top = int(np.argmax(self.p.lam))
+        alpha = 1.0 / self.p.lam[top]
+        got, xi = self.noise(alpha, T)
+        assert got[top] == alpha * xi[top]
+        r = 1.0 - alpha * self.p.lam
+        total = np.sum(r[:, None] ** (2 * np.arange(T)), axis=1)
+        assert np.allclose(got, alpha * np.sqrt(total) * xi, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("step", [1e-7, 2.0 - 1e-9, 2.0])
+    def test_near_unit_r_squared_matches_the_sum(self, step):
+        T = 100_000
+        lam = self.p.lam
+        alpha = step / lam.max()
+        got, xi = self.noise(alpha, T)
+        r = 1.0 - alpha * lam
+        total = np.sum(r[:, None] ** (2 * np.arange(T)), axis=1)
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, alpha * np.sqrt(total) * xi, rtol=1e-9, atol=0.0)
+
+
 def test_zero_steps_return_a_copy_of_the_start(problem):
+    # Noisy or not, zero steps draw nothing.
     x, y, v = point(problem)
-    for out in (problem.gd_steps(x, y, 0.5, 0), problem.linear_steps(x, y, v, y, 0.5, 0)):
-        assert np.array_equal(out, y) and not np.shares_memory(out, y)
+    rng = np.random.default_rng(11)
+    start = rng.bit_generator.state
+    for sigma in (0.0, SIGMA):
+        for out in (problem.gd_steps(x, y, 0.5, 0, batch_size=3, rng=rng, sigma=sigma),
+                    problem.linear_steps(x, y, v, y, 0.5, 0, batch_size=3, rng=rng, sigma=sigma)):
+            assert np.array_equal(out, y) and not np.shares_memory(out, y)
+    assert rng.bit_generator.state == start
 
 
 class TestNoisyStreams:
-    """A noisy stream runs the literal loop draw for draw; a quiet one the closed form."""
+    """Noisy adjoint steps keep the loop's draws; a quiet stream takes the closed form."""
 
     def setup_method(self):
         self.p = gen_quadratic(6, 4, kappa_g=5.0, kappa_L=2.0, seed=9)
         rng = np.random.default_rng(0)
         self.x, self.y, self.v, self.z = (rng.standard_normal(d) for d in (6, 4, 4, 4))
-
-    def test_noisy_gd_steps_are_single_draws(self):
-        oracle = make_stochastic(self.p, NoiseSpec(sigma_g_tilde=0.7), seed=4)
-        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-        got = oracle.gd_steps(self.x, self.y, 0.3, 7, batch_size=3, rng=rng)
-        want = self.y.copy()
-        for _ in range(7):
-            want -= 0.3 * oracle.grad_gy(self.x, want, batch_size=3, rng=ref)
-        assert np.array_equal(got, want)
-        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_noisy_linear_steps_are_single_draws(self):
         oracle = make_stochastic(self.p, NoiseSpec(sigma_gyy_tilde=0.05), seed=4)
@@ -122,3 +206,44 @@ class TestNoisyStreams:
         got = oracle.linear_steps(self.x, self.y, self.v, self.z, 0.3, 7, batch_size=3, rng=rng)
         assert np.array_equal(got, self.p.linear_steps(self.x, self.y, self.v, self.z, 0.3, 7))
         assert rng.bit_generator.state == start
+
+
+class TestRidgeKeepsTheLiteralLoops:
+    """Ridge has no closed form: its noisy bulk steps are the query loop, draw for draw."""
+
+    def setup_method(self):
+        self.p = gen_ridge_hpo(30, 20, 4, label_noise=0.1, seed=3)
+        rng = np.random.default_rng(0)
+        self.x, self.y, self.v, self.z = (rng.standard_normal(4) for _ in range(4))
+        self.step = 0.5 / self.p.constants().L_g
+        self.noise = NoiseSpec(sigma_g_tilde=0.7,
+                               sigma_gyy_tilde=0.5 * self.p.constants().mu_g / math.sqrt(3.0))
+        self.oracle = make_stochastic(self.p, self.noise, seed=4)
+
+    def test_noisy_gd_steps_are_single_draws(self):
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        got = self.p.gd_steps(self.x, self.y, self.step, 7, batch_size=3, rng=rng,
+                              sigma=self.noise.sigma_g_tilde)
+        want = self.y.copy()
+        for _ in range(7):
+            want -= self.step * self.oracle.grad_gy(self.x, want, batch_size=3, rng=ref)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # The noisy oracle hands its scale to these same steps.
+        again = self.oracle.gd_steps(self.x, self.y, self.step, 7, batch_size=3,
+                                     rng=np.random.default_rng(11))
+        assert np.array_equal(again, got)
+
+    def test_noisy_linear_steps_are_single_draws(self):
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        got = self.p.linear_steps(self.x, self.y, self.v, self.z, self.step, 7, batch_size=3,
+                                  rng=rng, sigma=self.noise.sigma_gyy_tilde)
+        want = self.z.copy()
+        for _ in range(7):
+            hz = self.oracle.hvp_gyy(self.x, self.y, want, batch_size=3, rng=ref)
+            want -= self.step * (hz + self.v)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        again = self.oracle.linear_steps(self.x, self.y, self.v, self.z, self.step, 7,
+                                         batch_size=3, rng=np.random.default_rng(11))
+        assert np.array_equal(again, got)

@@ -215,6 +215,25 @@ class TestStochasticContract:
             assert np.array_equal(got, det + sigma / math.sqrt(dy) * ref.standard_normal(dy))
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    def test_batch_gradient_noise_is_one_scaled_draw(self):
+        # A batch mean of 16 Gaussian samples is drawn as one Gaussian at
+        # sigma / sqrt(dim * 16), for grad_gy and for the joint grad_f.
+        sigma, b, d = 0.7, 16, self.p.dims
+        oracle = make_stochastic(self.p, NoiseSpec(sigma_f_tilde=sigma, sigma_g_tilde=sigma),
+                                 seed=4)
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        det_g = self.p.grad_gy(self.x, self.y)
+        det_f = np.concatenate([self.p.grad_fx(self.x, self.y), self.p.grad_fy(self.x, self.y)])
+        for _ in range(3):
+            got = oracle.grad_gy(self.x, self.y, batch_size=b, rng=rng)
+            want = det_g + sigma / math.sqrt(d.dy * b) * ref.standard_normal(d.dy)
+            assert np.array_equal(got, want)
+            got = np.concatenate(oracle.grad_f(self.x, self.y, batch_size=b, rng=rng))
+            dim = d.dx + d.dy
+            want = det_f + sigma / math.sqrt(dim * b) * ref.standard_normal(dim)
+            assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_rng_required_when_noisy(self):
         oracle = make_stochastic(self.p, NoiseSpec(sigma_f_tilde=1.0), seed=4)
         with pytest.raises(ValueError):
