@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
+import io
 import itertools
 import json
 import math
 import numbers
-import operator
 import os
 import sys
 from dataclasses import fields, replace
@@ -24,7 +25,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .inner import DivergenceError
-from .metrics import MetricsTracker
+from .metrics import MetricRow, MetricsTracker
 from .oracle import UnsupportedOperationError
 from .outer import RunRecord, SolverConfig, aid_run, check_supported, itd_run, prescribed_schedule
 from .problems import (
@@ -41,12 +42,9 @@ from .problems import (
 )
 
 # The MetricRow fields every CSV line, sweep row and run summary carries, in order.
-METRIC_COLUMNS = (
-    "k", "rel_error", "grad_norm_sq", "avg_grad_norm_sq", "combined_sc", "energy_x", "cost",
-)
+METRIC_COLUMNS = MetricRow._fields[:-1]
 CSV_COLUMNS = ("method", "seed", *METRIC_COLUMNS, "wall_s")
 SWEEP_COLUMNS = ("method", "kappa_g", "T", "N", "batch", "seed", *METRIC_COLUMNS, "wall_s")
-_metric_values = operator.attrgetter(*METRIC_COLUMNS)
 
 # Method names map bijectively onto (driver, warm-start switches, linear
 # solver) as used throughout the experiments.
@@ -282,24 +280,18 @@ def _run_rows(problem, method: str, config: SolverConfig, seed: int, noise: Nois
     return record, record.rows, None
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _csv_text(columns, lines) -> str:
     """Header, then one line per value tuple; None is an empty field, floats use repr."""
-    text = [",".join(columns)]
-    text.extend(",".join(map(_fmt, values)) for values in lines)
-    return "\n".join(text) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(lines)
+    return buf.getvalue()
 
 
 def rows_to_csv(rows, method: str, seed: int, timing: bool = False) -> str:
     return _csv_text(CSV_COLUMNS, (
-        (method, seed, *_metric_values(r), r.wall_s if timing else None) for r in rows
+        (method, seed, *r[:-1], r.wall_s if timing else None) for r in rows
     ))
 
 
@@ -387,7 +379,7 @@ def _sweep_cell(task: dict) -> dict:
         "cell": task["cell"],
         # Wall time is dropped here so sweep results are identical across
         # worker counts; per-row timing remains available via cmd_run.
-        "rows": [_metric_values(r) for r in rows],
+        "rows": [r[:-1] for r in rows],
         "cost_to_eps": {repr(e): cost_to_reach(rows, e) for e in task["eps"]},
         "min_rel_error": _min_present(r.rel_error for r in rows),
         "diverged_at": diverged_at,
@@ -646,7 +638,7 @@ def cmd_run(args) -> int:
     # A diverged run keeps its rows, so final metrics and target costs come
     # from them; iteration and oracle counts and wall time need a completed run.
     summary = {} if record is None else {"iterations": record.iterations_run}
-    summary["final"] = dict(zip(METRIC_COLUMNS, _metric_values(rows[-1]))) if rows else None
+    summary["final"] = dict(zip(METRIC_COLUMNS, rows[-1])) if rows else None
     summary["cost_to_eps"] = {repr(e): cost_to_reach(rows, e) for e in cfg["eps"]}
     if record is not None:
         counts = {name.removeprefix("n_"): n for name, n in vars(record.counter).items()}

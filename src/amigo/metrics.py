@@ -1,18 +1,22 @@
 """Oracle-call accounting and convergence metrics.
 
-The counting convention: a joint grad_f evaluation (both partials on one
-batch) adds its batch size once to n_grad_f, as does a lone partial f
-query; every Hessian-vector, Jacobian-vector, or grad_g query adds its
-batch size to its own counter, and a bulk call of T (or N) inner steps
-adds T (or N) times its batch size.  Under this convention the counter
-total of a warm-started run with the stochastic linear solver equals
-k * (T |D_g| + N |D_gyy| + |D_gxy| + |D_f|) exactly, which is also what
-``complexity_formula`` returns.
+The counting convention: a grad_f query (both partials on one batch)
+adds its batch size once to n_grad_f, and a lone partial, being part of
+one grad_f query, is charged the same; every Hessian-vector,
+Jacobian-vector, or grad_g query adds its batch size to its own counter,
+and a bulk call of T (or N) inner steps adds T (or N) times its batch
+size.  Under this convention the counter total of a warm-started run with
+the stochastic linear solver equals k * (T |D_g| + N |D_gyy| + |D_gxy| +
+|D_f|) exactly, which is also what ``complexity_formula`` returns.
+
+A trace row is a MetricRow: an immutable named tuple whose fields are the
+CSV's metric columns in order, then wall_s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,14 +62,6 @@ class CountingOracle(BilevelOracle):
     def constants(self) -> SmoothnessConstants:
         return self.base.constants()
 
-    def grad_fx(self, x, y, batch_size=1, rng=None):
-        self.counter.n_grad_f += batch_size
-        return self.base.grad_fx(x, y, batch_size=batch_size, rng=rng)
-
-    def grad_fy(self, x, y, batch_size=1, rng=None):
-        self.counter.n_grad_f += batch_size
-        return self.base.grad_fy(x, y, batch_size=batch_size, rng=rng)
-
     def grad_f(self, x, y, batch_size=1, rng=None):
         self.counter.n_grad_f += batch_size
         return self.base.grad_f(x, y, batch_size=batch_size, rng=rng)
@@ -101,15 +97,14 @@ def complexity_formula(
     return k * (T * batch_g + N * batch_gyy + batch_gxy + batch_f)
 
 
-@dataclass
-class MetricRow:
-    """One trace row; reference-dependent fields are None when unavailable."""
+class MetricRow(NamedTuple):
+    """One trace row, in CSV column order; reference-dependent fields are None when unavailable."""
 
     k: int
     rel_error: float | None
     grad_norm_sq: float
-    combined_sc: float | None
     avg_grad_norm_sq: float
+    combined_sc: float | None
     energy_x: float | None
     cost: int
     wall_s: float
@@ -160,14 +155,5 @@ class MetricsTracker:
         elif self.L_outer is not None and self.L_outer > 0:
             energy = gns / (2.0 * self.L_outer)
         cost = counter.total() if counter is not None else 0
-        return MetricRow(
-            k=k,
-            rel_error=rel,
-            grad_norm_sq=gns,
-            combined_sc=combined,
-            avg_grad_norm_sq=avg,
-            energy_x=energy,
-            cost=cost,
-            wall_s=wall_s,
-        )
+        return MetricRow(k, rel, gns, avg, combined, energy, cost, wall_s)
 

@@ -2,11 +2,13 @@
 
 A bilevel problem minimizes the outer loss L(x) = f(x, y*(x)) where y*(x) is
 the unique minimizer of a strongly convex inner cost g(x, .).  Solvers touch
-(f, g) only through the query surface defined here: partial gradients of f
-and g, Hessian-vector products of g in y, and the cross Jacobian-vector
-product that maps inner adjoint vectors back to the outer space.  The same
-surface serves deterministic and stochastic problems; deterministic
-implementations simply ignore the batch size and random stream arguments.
+(f, g) only through the query surface defined here: the gradient of f,
+whose two partials come from one batch (grad_fx and grad_fy are its parts),
+the gradient of g in y, Hessian-vector products of g in y, and the cross
+Jacobian-vector product that maps inner adjoint vectors back to the outer
+space.  The same surface serves deterministic and stochastic problems;
+deterministic implementations simply ignore the batch size and random
+stream arguments.
 """
 
 from __future__ import annotations
@@ -123,19 +125,17 @@ class BilevelOracle(abc.ABC):
     def dims(self) -> Dims: ...
 
     @abc.abstractmethod
+    def grad_f(self, x, y, batch_size: int = 1, rng=None) -> tuple[np.ndarray, np.ndarray]:
+        """Both partial gradients of f, (grad_x f, grad_y f), evaluated jointly on one batch."""
+
+    # A lone partial is its part of one grad_f query, drawn and charged as one.
     def grad_fx(self, x, y, batch_size: int = 1, rng=None) -> np.ndarray:
         """Partial gradient of f with respect to x."""
+        return self.grad_f(x, y, batch_size=batch_size, rng=rng)[0]
 
-    @abc.abstractmethod
     def grad_fy(self, x, y, batch_size: int = 1, rng=None) -> np.ndarray:
         """Partial gradient of f with respect to y."""
-
-    def grad_f(self, x, y, batch_size: int = 1, rng=None) -> tuple[np.ndarray, np.ndarray]:
-        """Both partial gradients of f, evaluated jointly on one batch."""
-        return (
-            self.grad_fx(x, y, batch_size=batch_size, rng=rng),
-            self.grad_fy(x, y, batch_size=batch_size, rng=rng),
-        )
+        return self.grad_f(x, y, batch_size=batch_size, rng=rng)[1]
 
     @abc.abstractmethod
     def grad_gy(self, x, y, batch_size: int = 1, rng=None) -> np.ndarray:

@@ -228,7 +228,7 @@ def _outer_loop(
                 # A diverging run overflows here first; the check below ends it quietly.
                 with np.errstate(over="ignore", invalid="ignore"):
                     row = tracker.row(k + 1, x, counter, time.perf_counter() - t0)
-                if not all(v is None or math.isfinite(v) for v in vars(row).values()):
+                if not all(v is None or math.isfinite(v) for v in row):
                     raise DivergenceError(f"metric row diverged at outer iteration {k}")
         except DivergenceError as err:
             err.outer_iteration = k

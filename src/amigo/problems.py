@@ -201,8 +201,8 @@ class _LinearInnerProblem(_DeterministicProblem):
 
     Because f is linear in y, the adjoint z* = -C_f / lam does not depend on
     (x, y) and the outer gradient is the gradient of the x term plus the
-    constant B_g' z*.  Subclasses define the x term: grad_fx, grad_L,
-    L_value, f_value, outer_smoothness and _arrays.
+    constant B_g' z*.  Subclasses define the x term: grad_f (whose y part is
+    C_f), grad_L, L_value, f_value, outer_smoothness and _arrays.
     """
 
     def __init__(self, C_f, A_g, B_g, seed: int):
@@ -233,9 +233,6 @@ class _LinearInnerProblem(_DeterministicProblem):
         return bx
 
     # Oracle surface. Deterministic: batch_size and rng are ignored.
-    def grad_fy(self, x, y, batch_size=1, rng=None):
-        return self.C_f.copy()
-
     def grad_gy(self, x, y, batch_size=1, rng=None):
         return self.lam * y + self._bx(x)
 
@@ -351,8 +348,8 @@ class QuadraticProblem(_LinearInnerProblem):
 
     On top of the inner change of variables, x is held after x -> Q_f'x,
     which diagonalizes A_f = Q_f diag(lam_f) Q_f': ``B_g`` is Q'B_g Q_f,
-    grad_fx is lam_f * x, and grad_L, gap, L_value, f_value and x* are
-    elementwise.  Queries, closed forms and metrics all take x in this
+    grad_f's x part is lam_f * x, and grad_L, gap, L_value, f_value and x*
+    are elementwise.  Queries, closed forms and metrics all take x in this
     basis; x_in and x_out map x from and back to the given coordinates, and
     Q_f is None where the two coincide.
 
@@ -385,8 +382,8 @@ class QuadraticProblem(_LinearInnerProblem):
     def x_out(self, x) -> np.ndarray:
         return x if self.Q_f is None else self.Q_f @ x
 
-    def grad_fx(self, x, y, batch_size=1, rng=None):
-        return self.lam_f * x
+    def grad_f(self, x, y, batch_size=1, rng=None):
+        return self.lam_f * x, self.C_f.copy()
 
     def outer_smoothness(self) -> tuple[float, float]:
         """Exact (L, mu) of the outer loss: the extreme eigenvalues of A_f."""
@@ -507,8 +504,8 @@ class NonconvexOuterProblem(_LinearInnerProblem):
         super().__init__(C_f, A_g, B_g, seed)
         self.rho = float(rho)
 
-    def grad_fx(self, x, y, batch_size=1, rng=None):
-        return -self.rho * np.sin(x)
+    def grad_f(self, x, y, batch_size=1, rng=None):
+        return -self.rho * np.sin(x), self.C_f.copy()
 
     def outer_smoothness(self) -> tuple[float, float]:
         """(L, mu) of the outer loss; mu = -rho marks the non-convex regime."""
@@ -580,11 +577,8 @@ class RidgeHPOProblem(_DeterministicProblem):
     def d(self) -> int:
         return self.dims.dx
 
-    def grad_fx(self, x, y, batch_size=1, rng=None):
-        return np.zeros(self.d)
-
-    def grad_fy(self, x, y, batch_size=1, rng=None):
-        return self._G_val @ y - self._g_val
+    def grad_f(self, x, y, batch_size=1, rng=None):
+        return np.zeros(self.d), self._G_val @ y - self._g_val
 
     def grad_gy(self, x, y, batch_size=1, rng=None):
         return self._G_tr @ y - self._g_tr + np.exp(x) * y / self.d
@@ -747,16 +741,8 @@ class StochasticOracle(BilevelOracle):
     def constants(self) -> SmoothnessConstants:
         return self.base.constants()
 
-    # A lone partial of f is its part of one joint draw, under the same noise law.
-    def grad_fx(self, x, y, batch_size=1, rng=None):
-        return self.grad_f(x, y, batch_size=batch_size, rng=rng)[0]
-
-    def grad_fy(self, x, y, batch_size=1, rng=None):
-        return self.grad_f(x, y, batch_size=batch_size, rng=rng)[1]
-
     def grad_f(self, x, y, batch_size=1, rng=None):
-        ux = self.base.grad_fx(x, y)
-        uy = self.base.grad_fy(x, y)
+        ux, uy = self.base.grad_f(x, y)
         s = self.noise.sigma_f_tilde
         if s == 0:
             return ux, uy

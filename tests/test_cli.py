@@ -28,6 +28,7 @@ from amigo.cli import (
     run_checks,
     run_single,
     run_sweep,
+    sweep_results_to_csv,
 )
 from amigo.metrics import MetricRow
 
@@ -129,16 +130,55 @@ class TestCsvEmission:
 
     def test_cost_to_reach_first_crossing(self):
         rows = [self.row(0, cost=0), self.row(1, cost=10), self.row(2, cost=20)]
-        rows[1].rel_error = 0.09
-        rows[2].rel_error = 0.01
+        rows[1] = rows[1]._replace(rel_error=0.09)
+        rows[2] = rows[2]._replace(rel_error=0.01)
         assert cost_to_reach(rows, 0.1) == 10
         assert cost_to_reach(rows, 0.01) == 20
         assert cost_to_reach(rows, 1e-9) is None
 
+    # Two rows that reach every formatting case: None, nan, both infinities,
+    # -0.0, the least subnormal, the least power of ten that repr writes in
+    # exponent form, and a cost past 64 bits.
+    PINNED_ROWS = [
+        dict(k=0, rel_error=None, grad_norm_sq=1e16, avg_grad_norm_sq=5e-324, combined_sc=-0.0,
+             energy_x=float("nan"), cost=0, wall_s=0.0),
+        dict(k=1, rel_error=0.1, grad_norm_sq=float("inf"), avg_grad_norm_sq=float("-inf"),
+             combined_sc=None, energy_x=None, cost=12345678901234567890123, wall_s=1.5e-07),
+    ]
+
+    def test_run_csv_bytes_are_pinned(self):
+        rows = [MetricRow(**r) for r in self.PINNED_ROWS]
+        header = "method,seed,k,rel_error,grad_norm_sq,avg_grad_norm_sq,combined_sc,energy_x,cost,wall_s\n"
+        assert rows_to_csv(rows, "amigo-gd", 3) == header + (
+            "amigo-gd,3,0,,1e+16,5e-324,-0.0,nan,0,\n"
+            "amigo-gd,3,1,0.1,inf,-inf,,,12345678901234567890123,\n"
+        )
+        assert rows_to_csv(rows, "aid-n", 0, timing=True) == header + (
+            "aid-n,0,0,,1e+16,5e-324,-0.0,nan,0,0.0\n"
+            "aid-n,0,1,0.1,inf,-inf,,,12345678901234567890123,1.5e-07\n"
+        )
+
+    def test_sweep_csv_bytes_are_pinned(self):
+        columns = [c for c in self.PINNED_ROWS[0] if c != "wall_s"]
+        rows = [tuple(r[c] for c in columns) for r in self.PINNED_ROWS]
+        results = [
+            {"method": "aid-cg", "seed": 4, "rows": rows,
+             "cell": {"kappa_g": None, "T": 10, "N": 100, "batch": 1}},
+            {"method": "amigo-cg", "seed": 0, "rows": rows[:1],
+             "cell": {"kappa_g": 1000.0, "T": 1, "N": 1, "batch": 16}},
+        ]
+        assert sweep_results_to_csv(results) == (
+            "method,kappa_g,T,N,batch,seed,k,rel_error,grad_norm_sq,avg_grad_norm_sq,"
+            "combined_sc,energy_x,cost,wall_s\n"
+            "aid-cg,,10,100,1,4,0,,1e+16,5e-324,-0.0,nan,0,\n"
+            "aid-cg,,10,100,1,4,1,0.1,inf,-inf,,,12345678901234567890123,\n"
+            "amigo-cg,1000.0,1,1,16,0,0,,1e+16,5e-324,-0.0,nan,0,\n"
+        )
+
 
 class TestStopRule:
     def make_row(self, k, rel, cost):
-        return MetricRow(k, rel, 0.0, None, 0.0, None, cost, 0.0)
+        return MetricRow(k, rel, 0.0, 0.0, None, None, cost, 0.0)
 
     def test_stops_on_target(self):
         stop = make_stop_rule(1e-3, None)
@@ -328,7 +368,7 @@ class TestSweep:
             config = build_config(problem, res["method"], {"T": cell["T"], "N": cell["N"], "K": 60}, noise)
             record = run_single(problem, res["method"], config, res["seed"], noise,
                                 stop=make_stop_rule(None, None))
-            assert [cli._metric_values(r) for r in record.rows] == res["rows"]
+            assert [r[:-1] for r in record.rows] == res["rows"]
 
     def test_empty_seed_list_rejected(self):
         kwargs = self.sweep_kwargs()
@@ -814,6 +854,18 @@ def test_benchmark_tracer_hooks_see_every_layer(tmp_path, monkeypatch):
     for name in ("problems.build", "outer.aid_run", "inner.sgd", "inner.linear.cg", "cli.emit"):
         assert tracer.stats[name].calls > 0, name
     assert tracer.stats["cli.emit"].calls == 2  # one per CSV written
+
+
+def test_benchmark_columns_match_the_metric_row(monkeypatch):
+    """The benchmark's copies of the CSV column names cannot drift from MetricRow's."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.METRIC_COLUMNS == cli.METRIC_COLUMNS == MetricRow._fields[:-1]
+    assert workloads.CELL_COLUMNS == cli.SWEEP_COLUMNS[:6]
 
 
 def test_cli_import_loads_numpy_only():

@@ -417,7 +417,7 @@ def test_divergence_is_decided_once_per_outer_iteration(case):
         assert k == expected
     rows = err.value.partial_rows
     assert [r.k for r in rows] == list(range(k + 1))
-    assert all(v is None or math.isfinite(v) for r in rows for v in vars(r).values())
+    assert all(v is None or math.isfinite(v) for r in rows for v in r)
     stored = _outer_loop_locals(err.value)["xs"]
     assert len(seen) >= 2 * k and len(stored) == k + 1
     assert all(np.isfinite(v).all() for v in seen + stored)
