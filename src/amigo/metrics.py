@@ -5,8 +5,10 @@ adds its batch size once to n_grad_f, and a lone partial, being part of
 one grad_f query, is charged the same; every Hessian-vector,
 Jacobian-vector, or grad_g query adds its batch size to its own counter,
 and a bulk call of T (or N) inner steps adds T (or N) times its batch
-size.  Under this convention the counter total of a warm-started run with
-the stochastic linear solver equals k * (T |D_g| + N |D_gyy| + |D_gxy| +
+size.  A bulk unrolled gradient over T steps adds what its loop queries:
+T grad_g, one grad_f, T Jacobian-vector and T Hessian-vector products.
+Under this convention the counter total of a warm-started run with the
+stochastic linear solver equals k * (T |D_g| + N |D_gyy| + |D_gxy| +
 |D_f|) exactly, which is also what ``complexity_formula`` returns.
 
 A trace row is a MetricRow: an immutable named tuple whose fields are the
@@ -85,6 +87,14 @@ class CountingOracle(BilevelOracle):
     def linear_steps(self, x, y, v, z, beta, N, batch_size=1, rng=None):
         self.counter.n_hvp += N * batch_size
         return self.base.linear_steps(x, y, v, z, beta, N, batch_size=batch_size, rng=rng)
+
+    def unrolled_grad(self, x, y0, alpha, T):
+        c = self.counter
+        c.n_grad_g += T
+        c.n_grad_f += 1
+        c.n_jvp += T
+        c.n_hvp += T
+        return self.base.unrolled_grad(x, y0, alpha, T)
 
 
 def complexity_formula(

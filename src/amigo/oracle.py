@@ -114,10 +114,13 @@ class BilevelOracle(abc.ABC):
     """Query surface of a bilevel problem.
 
     All queries accept a batch size and a random stream; deterministic
-    oracles ignore both.  The caller owns the random stream.  The only state
-    an implementation writes after construction is a one-slot memo of an
-    x-dependent product (B_g x for the linear-inner families), stored as one
-    (key, value) tuple, so a concurrent reader at worst recomputes it.
+    oracles ignore both.  The caller owns the random stream.  Beyond the
+    queries, an oracle answers the bulk methods gd_steps, linear_steps and
+    unrolled_grad, whose literal loops below are the reference.  The only
+    state an implementation writes after construction is one-slot memos of
+    dense products (B_g x and B_g' z for the linear-inner families), each
+    stored as one (key, value) tuple, so a concurrent reader at worst
+    recomputes it.
     """
 
     @property
@@ -188,6 +191,34 @@ class BilevelOracle(abc.ABC):
                 hz = hz + sigma * uniform_means(need_rng(rng, "hvp_gyy"), batch_size, 1)[0] * z
             z -= beta * (hz + v)
         return z
+
+    # Unrolled differentiation, deterministic oracles only: this loop is the
+    # reference, which a problem with closed-form inner dynamics overrides.
+    def unrolled_grad(self, x, y0, alpha: float, T: int) -> tuple[np.ndarray, np.ndarray]:
+        """(gradient of x -> f(x, y^T(x)), y^T), with y^T from T gradient steps on g(x, .) from y0.
+
+        The forward pass stores each input iterate y^0 .. y^{T-1}; the
+        reverse pass seeds the adjoint p with grad_y f at y^T and walks the
+        stored iterates backwards, peeling one step map per iteration:
+
+            g <- g - alpha * jvp_gxy(x, y^{t-1}, p)
+            p <- p - alpha * hvp_gyy(x, y^{t-1}, p)
+
+        The start vector is not modified.
+        """
+        iterates = []
+        y = np.array(y0, dtype=float, copy=True)
+        for _ in range(T):
+            # y is rebound, never updated in place, so each stored iterate stays intact.
+            iterates.append(y)
+            y = y - alpha * self.grad_gy(x, y)
+        g, p = self.grad_f(x, y)
+        g = np.array(g, dtype=float, copy=True)
+        p = np.array(p, dtype=float, copy=True)
+        for y_prev in reversed(iterates):
+            g -= alpha * self.jvp_gxy(x, y_prev, p)
+            p -= alpha * self.hvp_gyy(x, y_prev, p)
+        return g, y
 
 
 def need_rng(rng, what: str):

@@ -6,7 +6,7 @@ stochastic gradient steps (warm-started from the previous value or reset),
 takes both partials of f on a fresh batch, solves the adjoint linear system
 with the configured linear solver (warm-started or from zero) and assembles
 the gradient estimate.  The unrolled step replaces the adjoint solve with
-reverse accumulation through the inner loop.
+the oracle's gradient through the unrolled inner loop (itd_hypergradient).
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from .oracle import (
     BilevelOracle,
     Dims,
     SmoothnessConstants,
+    UnsupportedOperationError,
     gaussian_mean,
     need_rng,
     uniform_means,
@@ -189,7 +190,8 @@ class _LinearInnerProblem(_DeterministicProblem):
     L(x) and every outer quantity are unchanged), but grad_gy is
     lam * y + B_g x, hvp_gyy is lam * v, y* and z* are divisions, and the
     bulk steps gd_steps and linear_steps are closed forms costing O(dy)
-    whatever the step count.
+    whatever the step count.  So is the reverse pass of unrolled_grad, up
+    to its one cross product B_g'w.
 
     A diagonal A_g, which every generated problem has, is used as is.  Any
     other A_g must be exactly symmetric and is diagonalized once with eigh;
@@ -197,7 +199,10 @@ class _LinearInnerProblem(_DeterministicProblem):
     byte for byte.
 
     B_g x is computed once per distinct x: a one-slot memo keyed on the
-    bytes of x serves the inner queries and y* of one outer step.
+    bytes of x serves the inner queries and y* of one outer step.  jvp_gxy
+    keeps a second one-slot memo keyed on the bytes of z, which serves the
+    cold-started adjoints and the unrolled gradients, whose z repeats from
+    one outer step to the next.  Both return read-only arrays.
 
     Because f is linear in y, the adjoint z* = -C_f / lam does not depend on
     (x, y) and the outer gradient is the gradient of the x term plus the
@@ -218,19 +223,27 @@ class _LinearInnerProblem(_DeterministicProblem):
             self.C_f, self.A_g, self.B_g = c_f, a_g, b_g
         else:
             self.C_f, self.A_g, self.B_g = q.T @ c_f, np.diag(self.lam), q.T @ b_g
-        self._bx_memo: tuple[bytes, np.ndarray] | None = None
+        self._memo: dict[str, tuple[bytes, np.ndarray] | None] = {"bx": None, "jvp": None}
+
+    def _product(self, slot: str, matrix: np.ndarray, v) -> np.ndarray:
+        """matrix @ v, read-only, from memo ``slot`` when v has the bytes of the last v it saw.
+
+        Each slot serves one matrix and holds one (key, value) tuple, replaced
+        whole, so a concurrent reader at worst recomputes the product.
+        """
+        v = np.asarray(v, dtype=float)
+        key = v.tobytes()
+        memo = self._memo[slot]
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        out = matrix @ v
+        out.setflags(write=False)
+        self._memo[slot] = (key, out)
+        return out
 
     def _bx(self, x) -> np.ndarray:
         """B_g x, read-only, from the memo when x is the last x seen."""
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        memo = self._bx_memo
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        bx = self.B_g @ x
-        bx.flags.writeable = False
-        self._bx_memo = (key, bx)
-        return bx
+        return self._product("bx", self.B_g, x)
 
     # Oracle surface. Deterministic: batch_size and rng are ignored.
     def grad_gy(self, x, y, batch_size=1, rng=None):
@@ -240,7 +253,7 @@ class _LinearInnerProblem(_DeterministicProblem):
         return self.lam * v
 
     def jvp_gxy(self, x, y, z, batch_size=1, rng=None):
-        return self.B_g.T @ z
+        return self._product("jvp", self.B_g.T, z)
 
     # Each step shrinks the distance to the fixed point by r = 1 - alpha * lam.
     # Under noise, T steps add -alpha * sum_t r^(T-1-t) xi_t, with xi_t step
@@ -254,7 +267,8 @@ class _LinearInnerProblem(_DeterministicProblem):
         y = ys + r**T * (y - ys)
         if sigma > 0:
             xi = gaussian_mean(need_rng(rng, "grad_gy"), sigma, self.dims.dy, batch_size)
-            y -= alpha * np.sqrt(_squared_power_sum(alpha * self.lam, T)) * xi
+            step = alpha * self.lam
+            y -= alpha * np.sqrt(_power_sum(step * (2.0 - step), T)) * xi
         return y
 
     # A noisy Hessian is lam + sigma * zeta_bar elementwise, with a fresh
@@ -269,6 +283,15 @@ class _LinearInnerProblem(_DeterministicProblem):
             return z
         zs = -np.asarray(v, dtype=float) / self.lam
         return zs + (1.0 - beta * self.lam) ** N * (z - zs)
+
+    # The reverse pass multiplies p by r = 1 - alpha * lam at each step and
+    # never reads the iterates, so its T cross products sum to one:
+    # alpha * sum_{t<T} r^t * p, which is (1 - r^T) / lam * p.
+    def unrolled_grad(self, x, y0, alpha, T):
+        y = self.gd_steps(x, y0, alpha, T)
+        g, p = self.grad_f(x, y)
+        w = alpha * _power_sum(alpha * self.lam, T) * p
+        return g - self.jvp_gxy(x, y, w), y
 
     @cached_property
     def _constants(self) -> SmoothnessConstants:
@@ -311,17 +334,25 @@ class _LinearInnerProblem(_DeterministicProblem):
         }
 
 
-def _squared_power_sum(step: np.ndarray, T: int) -> np.ndarray:
-    """sum_{t<T} r^(2t) with r = 1 - step, elementwise, for T >= 1.
+def _power_sum(step: np.ndarray, T: int) -> np.ndarray:
+    """sum_{t<T} r^t with r = 1 - step, elementwise, for T >= 0.
 
-    The closed form (1 - r^(2T)) / (1 - r^2) takes 1 - r^2 as step * (2 - step),
-    free of cancellation, and 1 - r^(2T) through expm1 and log1p, so it stays
-    accurate where r^2 is near 1.  The sum is T where r^2 = 1, and 1 at r = 0,
-    where log1p(-1) = -inf.
+    The closed form is (1 - r^T) / step.  Where r > 0 it takes 1 - r^T
+    through expm1 and log1p, so it stays accurate where r is near 1.  That
+    form is nan exactly where it does not apply: at step = 0, where the sum
+    is T, and where r < 0, or r = 0 with T = 0.  There r^T is taken as a
+    power of r, which 1 - step gives exactly for step in [1, 2]; beyond 2,
+    |r| > 1 and the sum grows without bound, as the steps it sums do.
+    sum_{t<T} r^(2t) is this sum at step * (2 - step), which is 1 - r^2
+    free of cancellation.
     """
-    gap = step * (2.0 - step)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(gap == 0.0, float(T), -np.expm1(T * np.log1p(-gap)) / gap)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        total = -np.expm1(T * np.log1p(-step)) / step
+        odd = np.isnan(total)
+        if odd.any():
+            s = step[odd]
+            total[odd] = np.where(s == 0.0, float(T), (1.0 - (1.0 - s) ** T) / s)
+    return total
 
 
 def _draw_coupling(rng: np.random.Generator, dx: int, dy: int, q) -> tuple[np.ndarray, np.ndarray]:
@@ -765,8 +796,9 @@ class StochasticOracle(BilevelOracle):
         zeta = uniform_means(need_rng(rng, "hvp_gyy"), batch_size, 1)[0]
         return val + s * zeta * np.asarray(v, dtype=float)
 
-    # The base takes the bulk steps under this oracle's noise scale: in closed
-    # form on the linear-inner families, by its literal loop otherwise.
+    # The base takes the bulk methods, the steps under this oracle's noise
+    # scale: in closed form on the linear-inner families, by its literal loop
+    # otherwise.
     def gd_steps(self, x, y, alpha, T, batch_size=1, rng=None):
         sigma = self.noise.sigma_g_tilde
         return self.base.gd_steps(x, y, alpha, T, batch_size, rng, sigma=sigma)
@@ -774,6 +806,12 @@ class StochasticOracle(BilevelOracle):
     def linear_steps(self, x, y, v, z, beta, N, batch_size=1, rng=None):
         sigma = self.noise.sigma_gyy_tilde
         return self.base.linear_steps(x, y, v, z, beta, N, batch_size, rng, sigma=sigma)
+
+    def unrolled_grad(self, x, y0, alpha, T):
+        if self.is_stochastic:
+            raise UnsupportedOperationError(
+                "unrolled differentiation requires a deterministic oracle")
+        return self.base.unrolled_grad(x, y0, alpha, T)
 
     def jvp_gxy(self, x, y, z, batch_size=1, rng=None):
         val = self.base.jvp_gxy(x, y, z)

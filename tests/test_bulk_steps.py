@@ -1,29 +1,39 @@
-"""Bulk inner steps: closed forms against the literal loops they replace.
+"""Bulk oracle methods: closed forms against the literal loops they replace.
 
-``BilevelOracle.gd_steps`` and ``linear_steps`` hold the step-by-step loops;
-the linear-inner families override them with closed forms.  Calling the base
-method unbound on a problem runs the literal loop on that same problem, so
-the two paths can be compared directly, with noise too, through the steps'
-sigma argument.  On the linear-inner families noisy gradient steps are one
-Gaussian draw, checked against the loop in law; noisy adjoint steps keep
-the loop's draws bit for bit.  The ridge family keeps the literal loops
-draw for draw, and a stream without noise takes the closed form.
+``BilevelOracle.gd_steps``, ``linear_steps`` and ``unrolled_grad`` hold the
+step-by-step loops; the linear-inner families override them with closed
+forms.  Calling the base method unbound on a problem runs the literal loop
+on that same problem, so the two paths can be compared directly, with noise
+too, through the steps' sigma argument.  On the linear-inner families noisy
+gradient steps are one Gaussian draw, checked against the loop in law; noisy
+adjoint steps keep the loop's draws bit for bit.  The ridge family keeps the
+literal loops draw for draw, and a stream without noise takes the closed
+form.  Both oracle wrappers must forward every bulk method, or a wrapped
+problem silently falls back to the literal loop.
 """
 
+import dataclasses
+import functools
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from amigo import (
+    CountingOracle,
+    DivergenceError,
+    OracleCounter,
     gen_nonconvex,
     gen_quadratic,
     gen_ridge_hpo,
+    itd_run,
     make_stochastic,
+    prescribed_schedule,
     solve_linear_neumann,
 )
-from amigo.oracle import BilevelOracle
-from amigo.problems import NoiseSpec
+from amigo.oracle import BilevelOracle, UnsupportedOperationError
+from amigo.problems import NoiseSpec, StochasticOracle
 
 STEPS = (1, 10, 100, 1000)
 RTOL = 1e-12
@@ -247,3 +257,99 @@ class TestRidgeKeepsTheLiteralLoops:
         again = self.oracle.linear_steps(self.x, self.y, self.v, self.z, self.step, 7,
                                          batch_size=3, rng=np.random.default_rng(11))
         assert np.array_equal(again, got)
+
+
+ITD_STEPS = (0,) + STEPS
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.9])
+@pytest.mark.parametrize("T", ITD_STEPS)
+def test_unrolled_grad_matches_literal_loop(problem, T, scale):
+    # scale 1.9 puts alpha * lam in (1, 2) on the top coordinates, where r < 0.
+    x, y0, _ = point(problem)
+    start = y0.copy()
+    alpha = scale / problem.constants().L_g
+    grad, y = problem.unrolled_grad(x, y0, alpha, T)
+    ref_grad, ref_y = BilevelOracle.unrolled_grad(problem, x, y0, alpha, T)
+    assert rel(grad, ref_grad) <= RTOL
+    assert rel(y, ref_y) <= RTOL
+    assert np.array_equal(y0, start)
+
+
+@pytest.mark.parametrize("T", ITD_STEPS)
+def test_unrolled_grad_charges_what_its_loop_queries(problem, T):
+    x, y0, _ = point(problem)
+    alpha = 1.0 / problem.constants().L_g
+    bulk, literal = OracleCounter(), OracleCounter()
+    CountingOracle(problem, bulk).unrolled_grad(x, y0, alpha, T)
+    BilevelOracle.unrolled_grad(CountingOracle(problem, literal), x, y0, alpha, T)
+    assert bulk == literal == OracleCounter(n_grad_f=1, n_grad_g=T, n_jvp=T, n_hvp=T)
+
+
+def test_ridge_unrolled_grad_is_the_literal_loop():
+    p = gen_ridge_hpo(30, 20, 4, label_noise=0.1, seed=3)
+    rng = np.random.default_rng(0)
+    x, y0 = rng.standard_normal(4), rng.standard_normal(4)
+    alpha = 0.5 / p.constants().L_g
+    got = p.unrolled_grad(x, y0, alpha, 7)
+    want = BilevelOracle.unrolled_grad(p, x, y0, alpha, 7)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("increasing_T", [False, True])
+@pytest.mark.parametrize("path", ["bulk", "literal"])
+def test_divergent_unroll_ends_in_divergence_error(problem, path, increasing_T, monkeypatch):
+    # alpha * lam reaches 50 on the top coordinate: the steps grow by 49^T.
+    if path == "literal":
+        monkeypatch.setattr(problem, "unrolled_grad",
+                            functools.partial(BilevelOracle.unrolled_grad, problem))
+    L_outer, mu = problem.outer_smoothness()
+    config, _ = prescribed_schedule(problem.constants(), mu_outer=mu, L_outer=L_outer, K=50)
+    config = dataclasses.replace(config, alpha=50.0 / problem.constants().L_g, T=10)
+    x0 = np.random.default_rng(0).standard_normal(problem.dims.dx)
+    with pytest.raises(DivergenceError) as err:
+        itd_run(problem, config, x0, increasing_T=increasing_T)
+    assert err.value.outer_iteration is not None
+
+
+# The oracle's bulk methods: its concrete public methods, less the two
+# partials of grad_f, which every oracle inherits as parts of its grad_f.
+BULK_METHODS = sorted(
+    name for name, value in vars(BilevelOracle).items()
+    if inspect.isfunction(value) and not name.startswith("_")
+    and not getattr(value, "__isabstractmethod__", False) and name not in ("grad_fx", "grad_fy")
+)
+
+
+@pytest.mark.parametrize("wrapper", [CountingOracle, StochasticOracle])
+def test_wrappers_override_every_bulk_method(wrapper):
+    assert {"gd_steps", "linear_steps", "unrolled_grad"} <= set(BULK_METHODS)
+    assert [name for name in BULK_METHODS if name not in vars(wrapper)] == []
+
+
+@pytest.mark.parametrize("family", ["quadratic", "nonconvex", "ridge"])
+def test_zero_noise_wrapper_bulk_methods_are_bit_identical(family):
+    p = {"quadratic": lambda: gen_quadratic(12, 8, kappa_g=50.0, kappa_L=5.0, seed=7),
+         "nonconvex": lambda: gen_nonconvex(12, 8, rho=1.0, seed=7, kappa_g=50.0),
+         "ridge": lambda: gen_ridge_hpo(30, 20, 8, label_noise=0.1, seed=3)}[family]()
+    oracle = make_stochastic(p, NoiseSpec(), seed=4)
+    rng = np.random.default_rng(0)
+    x, y, v, z = (rng.standard_normal(d) for d in (p.dims.dx, 8, 8, 8))
+    alpha, beta = 1.0 / p.constants().L_g, 0.5 / p.constants().L_g
+    calls = {
+        "gd_steps": lambda o: (o.gd_steps(x, y, alpha, 100),),
+        "linear_steps": lambda o: (o.linear_steps(x, y, v, z, beta, 100),),
+        "unrolled_grad": lambda o: o.unrolled_grad(x, y, alpha, 100),
+    }
+    assert sorted(calls) == BULK_METHODS
+    for name, call in calls.items():
+        got, want = call(oracle), call(p)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), name
+
+
+def test_noisy_wrapper_rejects_unrolled_grad():
+    p = gen_quadratic(12, 8, kappa_g=50.0, kappa_L=5.0, seed=7)
+    oracle = make_stochastic(p, NoiseSpec(sigma_g_tilde=1.0), seed=4)
+    with pytest.raises(UnsupportedOperationError):
+        oracle.unrolled_grad(np.zeros(12), np.zeros(8), 0.5, 3)

@@ -3,8 +3,8 @@
 A problem whose A_g and A_f arrive dense (as a foreign container holds them)
 is diagonalized once on construction; runs on it must agree with runs on the
 generated eigenbasis problem to rounding, with x drawn and reported in the
-given coordinates.  The B_g x memo behind grad_gy and y_star must never
-serve a stale product.
+given coordinates.  The B_g x memo behind grad_gy and y_star, and the B_g' z
+memo behind jvp_gxy, must never serve a stale product.
 """
 
 import numpy as np
@@ -108,11 +108,53 @@ class TestBxMemo:
 
     def test_repeated_x_reuses_the_product(self):
         self.p.grad_gy(self.x1, self.y)
-        key, product = self.p._bx_memo
+        key, product = self.p._memo["bx"]
         assert key == self.x1.tobytes()
         self.p.grad_gy(self.x1.copy(), self.y)
         self.p.y_star(self.x1.copy())
-        assert self.p._bx_memo[1] is product
+        assert self.p._memo["bx"][1] is product
         assert not product.flags.writeable
         self.p.grad_gy(self.x2, self.y)
-        assert self.p._bx_memo[0] == self.x2.tobytes()
+        assert self.p._memo["bx"][0] == self.x2.tobytes()
+
+
+class TestJvpMemo:
+    """jvp_gxy serves B_g' z from a one-slot memo on z's bytes, and never a stale product."""
+
+    def setup_method(self):
+        self.p = gen_quadratic(12, 8, kappa_g=50.0, kappa_L=5.0, seed=7)
+        rng = np.random.default_rng(2)
+        self.x, self.y = rng.standard_normal(12), rng.standard_normal(8)
+        self.z1, self.z2 = rng.standard_normal(8), rng.standard_normal(8)
+
+    def check(self, z):
+        got = self.p.jvp_gxy(self.x, self.y, z)
+        assert np.array_equal(got, self.p.B_g.T @ z)
+        return got
+
+    def test_repeated_z_returns_the_same_read_only_product(self):
+        first = self.check(self.z1)
+        again = self.check(self.z1.copy())
+        assert again is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
+    def test_z_mutated_in_place(self):
+        z = self.z1.copy()
+        first = self.check(z)
+        z[2] += 0.25
+        assert self.check(z) is not first
+        z *= -3.0
+        self.check(z)
+
+    def test_alternating_z(self):
+        for z in (self.z1, self.z2, self.z1, self.z2, self.z2, self.z1):
+            self.check(z)
+
+    def test_memos_are_independent(self):
+        # B_g x and B_g' z each keep their own slot.
+        self.p.y_star(self.x)
+        self.check(self.z1)
+        assert self.p._memo["bx"][0] == self.x.tobytes()
+        assert self.p._memo["jvp"][0] == self.z1.tobytes()
