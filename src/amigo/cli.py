@@ -280,19 +280,31 @@ def _run_rows(problem, method: str, config: SolverConfig, seed: int, noise: Nois
     return record, record.rows, None
 
 
-def _csv_text(columns, lines) -> str:
-    """Header, then one line per value tuple; None is an empty field, floats use repr."""
+def _csv_lines(prefix, rows, timing: bool = False, header=None) -> str:
+    """CSV text: the header, if given, then one line per metric row.
+
+    A line holds prefix's fields, the row's metric fields and wall_s, which
+    is empty unless timing.  None is an empty field and floats use repr.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(lines)
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows((*prefix, *r[:-1], r.wall_s if timing else None) for r in rows)
     return buf.getvalue()
 
 
 def rows_to_csv(rows, method: str, seed: int, timing: bool = False) -> str:
-    return _csv_text(CSV_COLUMNS, (
-        (method, seed, *r[:-1], r.wall_s if timing else None) for r in rows
-    ))
+    return _csv_lines((method, seed), rows, timing, header=CSV_COLUMNS)
+
+
+def sweep_rows_to_csv(rows, method: str, cell: dict, seed: int) -> str:
+    """A sweep cell's lines of the sweep CSV, without header.
+
+    wall_s stays empty, so a sweep's CSV is identical across worker counts;
+    per-row timing remains available via cmd_run.
+    """
+    return _csv_lines((method, cell["kappa_g"], cell["T"], cell["N"], cell["batch"], seed), rows)
 
 
 # Targets are costs to bring rel_error down to eps.  The stop rule watches it
@@ -377,9 +389,8 @@ def _sweep_cell(task: dict) -> dict:
         "method": task["method"],
         "seed": task["seed"],
         "cell": task["cell"],
-        # Wall time is dropped here so sweep results are identical across
-        # worker counts; per-row timing remains available via cmd_run.
-        "rows": [r[:-1] for r in rows],
+        # The rows leave the cell as one string, so the parent never holds them.
+        "csv": sweep_rows_to_csv(rows, task["method"], task["cell"], task["seed"]),
         "cost_to_eps": {repr(e): cost_to_reach(rows, e) for e in task["eps"]},
         "min_rel_error": _min_present(r.rel_error for r in rows),
         "diverged_at": diverged_at,
@@ -416,9 +427,17 @@ def run_sweep(
 ) -> tuple[list[dict], dict]:
     """Cartesian sweep over methods x grid x seeds with best-cell selection.
 
-    Returns (cell results, summary).  The summary reports, per method, the
-    median-over-seeds cost to reach each target for every grid cell and the
-    best cell per target, treating never-reached targets as infinite.
+    Returns (cell results, summary), the results sorted by (key, seed).  A
+    result holds a run's aggregates and its CSV text, not its rows:
+    - key: (method, str(kappa_g), T, N, batch); method; seed;
+    - cell: the grid point, {kappa_g, T, N, batch};
+    - csv: the run's lines of the sweep CSV (sweep_rows_to_csv), one str;
+    - cost_to_eps: per repr(eps), the cost to reach it, None if never;
+    - min_rel_error; diverged_at: the outer iteration it diverged in, or None.
+
+    The summary reports, per method, the median-over-seeds cost to reach each
+    target for every grid cell and the best cell per target, treating
+    never-reached targets as infinite.
     """
     sweep = {"methods": methods, "kappa_g": kappa_g_grid, "T": T_grid, "N": N_grid, "batch": batch_grid,
              "seeds": seeds, "K": K_max, "cost_cap": cost_cap, "stop_rel": stop_rel}
@@ -500,16 +519,11 @@ def _sweep(problem_spec, sweep, eps, noise_spec, solver_overrides, workers: int)
     return results, summary
 
 
-def sweep_results_to_csv(results) -> str:
-    def lines():
-        for res in results:
-            cell = res["cell"]
-            prefix = (res["method"], cell["kappa_g"], cell["T"], cell["N"], cell["batch"], res["seed"])
-            # Sweep rows carry no wall time (see _sweep_cell), so wall_s stays empty.
-            for row in res["rows"]:
-                yield (*prefix, *row, None)
-
-    return _csv_text(SWEEP_COLUMNS, lines())
+def sweep_results_to_csv(results, fh) -> None:
+    """Write the sweep CSV to fh: the header, then each result's lines in results order."""
+    csv.writer(fh, lineterminator="\n").writerow(SWEEP_COLUMNS)
+    for res in results:
+        fh.write(res["csv"])
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +638,10 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     """One run; exits 3 when it diverged, after writing its partial CSV and summary."""
     cfg = _config(args)
-    problem = build_problem(cfg["problem"])
     noise = build_noise(cfg["noise"])
     method, seed, out = cfg["method"], cfg["seed"], cfg["out"]
+    check_supported(METHODS[method].get("linear_solver"), noise)  # before the problem is built
+    problem = build_problem(cfg["problem"])
     config = build_config(problem, method, cfg["solver"], noise)
     record, rows, diverged_at = _run_rows(problem, method, config, seed, noise)
     csv_text = rows_to_csv(rows, method, seed, timing=args.timing)
@@ -660,7 +675,7 @@ def cmd_sweep(args) -> int:
     )
     out = cfg["out"] or "sweep.csv"
     with open(out, "w") as fh:
-        fh.write(sweep_results_to_csv(results))
+        sweep_results_to_csv(results, fh)
     with open(out + ".summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
     print(json.dumps({m: summary[m]["best"] for m in summary}))

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from amigo.cli import (
     run_single,
     run_sweep,
     sweep_results_to_csv,
+    sweep_rows_to_csv,
 )
 from amigo.metrics import MetricRow
 
@@ -159,20 +161,21 @@ class TestCsvEmission:
         )
 
     def test_sweep_csv_bytes_are_pinned(self):
-        columns = [c for c in self.PINNED_ROWS[0] if c != "wall_s"]
-        rows = [tuple(r[c] for c in columns) for r in self.PINNED_ROWS]
-        results = [
-            {"method": "aid-cg", "seed": 4, "rows": rows,
-             "cell": {"kappa_g": None, "T": 10, "N": 100, "batch": 1}},
-            {"method": "amigo-cg", "seed": 0, "rows": rows[:1],
-             "cell": {"kappa_g": 1000.0, "T": 1, "N": 1, "batch": 16}},
-        ]
-        assert sweep_results_to_csv(results) == (
-            "method,kappa_g,T,N,batch,seed,k,rel_error,grad_norm_sq,avg_grad_norm_sq,"
-            "combined_sc,energy_x,cost,wall_s\n"
+        # Each cell formats its own lines (wall_s empty whatever the row holds);
+        # the sweep CSV is the header, then the cells' text in order.
+        rows = [MetricRow(**r) for r in self.PINNED_ROWS]
+        first = sweep_rows_to_csv(rows, "aid-cg", {"kappa_g": None, "T": 10, "N": 100, "batch": 1}, 4)
+        second = sweep_rows_to_csv(rows[:1], "amigo-cg", {"kappa_g": 1000.0, "T": 1, "N": 1, "batch": 16}, 0)
+        assert first == (
             "aid-cg,,10,100,1,4,0,,1e+16,5e-324,-0.0,nan,0,\n"
             "aid-cg,,10,100,1,4,1,0.1,inf,-inf,,,12345678901234567890123,\n"
-            "amigo-cg,1000.0,1,1,16,0,0,,1e+16,5e-324,-0.0,nan,0,\n"
+        )
+        assert second == "amigo-cg,1000.0,1,1,16,0,0,,1e+16,5e-324,-0.0,nan,0,\n"
+        buf = io.StringIO()
+        assert sweep_results_to_csv([{"csv": first}, {"csv": second}], buf) is None
+        assert buf.getvalue() == (
+            "method,kappa_g,T,N,batch,seed,k,rel_error,grad_norm_sq,avg_grad_norm_sq,"
+            "combined_sc,energy_x,cost,wall_s\n" + first + second
         )
 
 
@@ -311,6 +314,22 @@ class TestNoiseSupport:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run.csv")]) == 2
         assert "deterministic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", sorted(NOISE_SETTINGS))
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_run_rejects_before_building_a_problem(self, tmp_path, capsys, monkeypatch, method, setting):
+        built = []
+        fresh = cli.build_problem
+        monkeypatch.setattr(cli, "build_problem", lambda spec: built.append(spec) or fresh(spec))
+        cfg = {"problem": quad_spec(), "noise": NOISE_SETTINGS[setting], "method": method,
+               "solver": {"K": 2, "T": 2, "N": 2}}
+        out = tmp_path / "run.csv"
+        code = main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        if expected_rejection(method, setting):
+            assert (code, built, out.exists()) == (2, [], False)
+            assert capsys.readouterr().err.startswith("error: ")
+        else:
+            assert (code, len(built)) == (0, 1)
+
 
 class TestSweep:
     def sweep_kwargs(self, workers=1):
@@ -340,7 +359,7 @@ class TestSweep:
                 else:
                     assert best["cost"] == min(reached)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, tmp_path):
         # With a kappa axis each worker rebuilds at kappa boundaries only.
         for kappa_g_grid in (None, [2.0, 10.0]):
             serial, _ = run_sweep(**self.sweep_kwargs(workers=1), kappa_g_grid=kappa_g_grid)
@@ -348,7 +367,20 @@ class TestSweep:
             assert len(serial) == len(parallel)
             for a, b in zip(serial, parallel):
                 assert a["key"] == b["key"] and a["seed"] == b["seed"]
-                assert a["rows"] == b["rows"]
+                assert a["csv"] == b["csv"]
+        # The CSV file the command writes, cell by cell, is the same bytes too.
+        kw = self.sweep_kwargs()
+        cfg = {"problem": kw["problem_spec"], "eps": list(kw["eps"]),
+               "sweep": {"methods": kw["methods"], "kappa_g": [2.0, 10.0], "T": kw["T_grid"],
+                         "N": kw["N_grid"], "seeds": kw["seeds"], "K": kw["K_max"]}}
+        cfg_path = write_config(tmp_path, cfg)
+        written = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"sweep{workers}.csv"
+            assert main(["sweep", "--config", cfg_path, "--out", str(out), "--workers", workers]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert written[0].decode() == ",".join(cli.SWEEP_COLUMNS) + "\n" + "".join(r["csv"] for r in serial)
 
     def test_each_problem_is_built_once_per_sweep(self, monkeypatch):
         built = []
@@ -368,7 +400,24 @@ class TestSweep:
             config = build_config(problem, res["method"], {"T": cell["T"], "N": cell["N"], "K": 60}, noise)
             record = run_single(problem, res["method"], config, res["seed"], noise,
                                 stop=make_stop_rule(None, None))
-            assert [r[:-1] for r in record.rows] == res["rows"]
+            assert sweep_rows_to_csv(record.rows, res["method"], cell, res["seed"]) == res["csv"]
+
+    def test_results_hold_cell_text_not_rows(self):
+        # The parent keeps a cell's lines as one str plus its aggregates: no
+        # per-row object (tuple, list, MetricRow) may come back in a result.
+        def scalars_only(value):
+            if isinstance(value, dict):
+                return all(isinstance(k, str) and scalars_only(v) for k, v in value.items())
+            return value is None or isinstance(value, (str, int, float))
+
+        results, _ = run_sweep(**self.sweep_kwargs(), kappa_g_grid=[2.0, 10.0])
+        for res in results:
+            assert set(res) == {"key", "method", "seed", "cell", "csv", "cost_to_eps",
+                                "min_rel_error", "diverged_at"}
+            assert type(res["key"]) is tuple and len(res["key"]) == 5
+            assert all(scalars_only(v) for v in res["key"])
+            assert type(res["csv"]) is str and res["csv"].count("\n") > 1
+            assert scalars_only({k: v for k, v in res.items() if k != "key"})
 
     def test_empty_seed_list_rejected(self):
         kwargs = self.sweep_kwargs()
