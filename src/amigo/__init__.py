@@ -3,13 +3,12 @@
 The package bundles: oracle interfaces and smoothness-constant algebra
 (:mod:`amigo.oracle`), synthetic problem generators with closed-form
 references (:mod:`amigo.problems`), inner and linear-system solvers
-(:mod:`amigo.inner`), unrolled-differentiation hypergradients
-(:mod:`amigo.hypergrad`), outer-loop drivers and schedules
-(:mod:`amigo.outer`), oracle-call accounting and convergence metrics
-(:mod:`amigo.metrics`), and the command-line harness (:mod:`amigo.cli`).
+(:mod:`amigo.inner`), outer-loop drivers, schedules and unrolled-
+differentiation hypergradients (:mod:`amigo.outer`), oracle-call
+accounting and convergence metrics (:mod:`amigo.metrics`), and the
+command-line harness (:mod:`amigo.cli`).
 """
 
-from .hypergrad import itd_hypergradient
 from .inner import (
     DivergenceError,
     solve_inner_sgd,
@@ -35,6 +34,7 @@ from .outer import (
     SolverConfig,
     aid_run,
     amigo_run,
+    itd_hypergradient,
     itd_run,
     prescribed_schedule,
 )

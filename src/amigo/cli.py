@@ -72,9 +72,10 @@ SEED = "seed"  # the kind of a seed: a nonnegative integer
 
 # The config schema: section -> key -> (kind, default), in the order errors
 # list them.  A kind is a type, METHOD, SEED, [kind] for a JSON list of such
-# values (a sweep grid must not be empty) or a (section, key) pair: the kind of
-# that key, whose errors then name it.  dict marks a section, which has its own
-# schema.  A key takes null where its default is None; ... means no default.
+# values (a sweep grid must be non-empty and repeat no value) or a (section,
+# key) pair: the kind of that key, whose errors then name it.  dict marks a
+# section, which has its own schema.  A key takes null where its default is
+# None; ... means no default.
 SCHEMA = {
     "top-level": {
         "problem": (dict, None), "solver": (dict, None), "noise": (dict, None), "sweep": (dict, None),
@@ -117,7 +118,10 @@ def _typed(section: str, key: str, value, kind):
         grid = section == "sweep"
         if not isinstance(value, (list, tuple)) or (grid and not value):
             raise ValueError(f"{section} key {key!r} must be a {'non-empty ' * grid}list, got {value!r}")
-        return [_typed(section, key, v, kind[0]) for v in value]
+        values = [_typed(section, key, v, kind[0]) for v in value]
+        if grid and len(set(values)) < len(values):
+            raise ValueError(f"sweep key {key!r} must not repeat a value, got {value!r}")
+        return values
     if isinstance(kind, tuple):
         section, key = kind
         kind = SCHEMA[section][key][0]
@@ -185,12 +189,21 @@ def _solver_section(method, spec) -> dict:
     return section
 
 
+def _sweep_section(spec) -> dict:
+    """The sweep section, whose stop settings must be positive where given."""
+    section = _section("sweep", spec)
+    for key in ("cost_cap", "stop_rel"):
+        if section[key] is not None and not section[key] > 0:
+            raise ValueError(f"sweep key {key!r} must be positive, got {section[key]!r}")
+    return section
+
+
 def _canonical(raw) -> dict:
     cfg = _section("top-level", raw)
     cfg["problem"] = canonical_problem(cfg["problem"])
     cfg["noise"] = _section("noise", cfg["noise"])
     cfg["solver"] = _solver_section(cfg["method"], cfg["solver"])
-    cfg["sweep"] = _section("sweep", cfg["sweep"])
+    cfg["sweep"] = _sweep_section(cfg["sweep"])
     return cfg
 
 
@@ -448,7 +461,7 @@ def _sweep(problem_spec, sweep, eps, noise_spec, solver_overrides, workers: int)
     """run_sweep with its grids, K and stop settings as a config's sweep section."""
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    sweep = _section("sweep", sweep)
+    sweep = _sweep_section(sweep)
     if sweep["seeds"] is None:
         raise ValueError("sweep seeds must be a non-empty list, got None")
     eps = _typed("top-level", "eps", eps, SCHEMA["top-level"]["eps"][0])

@@ -6,7 +6,9 @@ stochastic gradient steps (warm-started from the previous value or reset),
 takes both partials of f on a fresh batch, solves the adjoint linear system
 with the configured linear solver (warm-started or from zero) and assembles
 the gradient estimate.  The unrolled step replaces the adjoint solve with
-the oracle's gradient through the unrolled inner loop (itd_hypergradient).
+the oracle's gradient through the unrolled inner loop (itd_hypergradient):
+the exact gradient of the surrogate loss that replaces y*(x) with T gradient
+steps on g(x, .), which the oracle's bulk method unrolled_grad computes.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .hypergrad import itd_hypergradient
 from .inner import (
     DivergenceError,
     solve_inner_sgd,
@@ -45,6 +46,8 @@ __all__ = [
     "check_supported",
     "amigo_run",
     "aid_run",
+    "ItdResult",
+    "itd_hypergradient",
     "itd_run",
 ]
 
@@ -306,6 +309,27 @@ def amigo_run(oracle, config: SolverConfig, x0, **kwargs) -> RunRecord:
     if not (config.warm_y and config.warm_z):
         raise ValueError("this driver warm-starts both inner solvers; use aid_run otherwise")
     return aid_run(oracle, config, x0, **kwargs)
+
+
+class ItdResult(NamedTuple):
+    grad: np.ndarray
+    y_final: np.ndarray
+
+
+def itd_hypergradient(oracle, x, y0, alpha: float, T: int) -> ItdResult:
+    """Exact gradient of the unrolled surrogate x -> f(x, y^T(x)), from oracle.unrolled_grad.
+
+    With T = 0 this is just grad_x f(x, y0).  As T grows on strongly convex
+    inner problems the result converges geometrically to the implicit outer
+    gradient.  Deterministic oracles only: differentiating through freshly
+    sampled stochastic gradients is not well defined without fixing the
+    sample path.
+    """
+    if oracle.is_stochastic:
+        raise UnsupportedOperationError("unrolled differentiation requires a deterministic oracle")
+    if T < 0:
+        raise ValueError(f"T must be nonnegative, got {T}")
+    return ItdResult(*oracle.unrolled_grad(x, y0, alpha, T))
 
 
 def itd_run(

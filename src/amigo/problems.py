@@ -198,11 +198,9 @@ class _LinearInnerProblem(_DeterministicProblem):
     the arrays as given are kept for ``_arrays`` so a container round-trips
     byte for byte.
 
-    B_g x is computed once per distinct x: a one-slot memo keyed on the
-    bytes of x serves the inner queries and y* of one outer step.  jvp_gxy
-    keeps a second one-slot memo keyed on the bytes of z, which serves the
-    cold-started adjoints and the unrolled gradients, whose z repeats from
-    one outer step to the next.  Both return read-only arrays.
+    jvp_gxy keeps a one-slot memo of B_g'z keyed on the bytes of z, which
+    serves the cold-started adjoints and the unrolled gradients, whose z
+    repeats from one outer step to the next.  It returns read-only arrays.
 
     Because f is linear in y, the adjoint z* = -C_f / lam does not depend on
     (x, y) and the outer gradient is the gradient of the x term plus the
@@ -223,37 +221,25 @@ class _LinearInnerProblem(_DeterministicProblem):
             self.C_f, self.A_g, self.B_g = c_f, a_g, b_g
         else:
             self.C_f, self.A_g, self.B_g = q.T @ c_f, np.diag(self.lam), q.T @ b_g
-        self._memo: dict[str, tuple[bytes, np.ndarray] | None] = {"bx": None, "jvp": None}
-
-    def _product(self, slot: str, matrix: np.ndarray, v) -> np.ndarray:
-        """matrix @ v, read-only, from memo ``slot`` when v has the bytes of the last v it saw.
-
-        Each slot serves one matrix and holds one (key, value) tuple, replaced
-        whole, so a concurrent reader at worst recomputes the product.
-        """
-        v = np.asarray(v, dtype=float)
-        key = v.tobytes()
-        memo = self._memo[slot]
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        out = matrix @ v
-        out.setflags(write=False)
-        self._memo[slot] = (key, out)
-        return out
-
-    def _bx(self, x) -> np.ndarray:
-        """B_g x, read-only, from the memo when x is the last x seen."""
-        return self._product("bx", self.B_g, x)
+        self._jvp: tuple[bytes, np.ndarray] | None = None
 
     # Oracle surface. Deterministic: batch_size and rng are ignored.
     def grad_gy(self, x, y, batch_size=1, rng=None):
-        return self.lam * y + self._bx(x)
+        return self.lam * y + self.B_g @ x
 
     def hvp_gyy(self, x, y, v, batch_size=1, rng=None):
         return self.lam * v
 
     def jvp_gxy(self, x, y, z, batch_size=1, rng=None):
-        return self._product("jvp", self.B_g.T, z)
+        z = np.asarray(z, dtype=float)
+        key = z.tobytes()
+        memo = self._jvp
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        out = self.B_g.T @ z
+        out.setflags(write=False)
+        self._jvp = (key, out)
+        return out
 
     # Each step shrinks the distance to the fixed point by r = 1 - alpha * lam.
     # Under noise, T steps add -alpha * sum_t r^(T-1-t) xi_t, with xi_t step
@@ -310,7 +296,7 @@ class _LinearInnerProblem(_DeterministicProblem):
 
     # Closed forms.
     def y_star(self, x) -> np.ndarray:
-        return -self._bx(x) / self.lam
+        return -(self.B_g @ x) / self.lam
 
     def z_star(self, x=None, y=None) -> np.ndarray:
         return -self.C_f / self.lam
@@ -320,7 +306,7 @@ class _LinearInnerProblem(_DeterministicProblem):
         """B_g' z*, the constant part of the outer gradient."""
         return self.B_g.T @ self.z_star()
 
-    def header(self) -> dict:
+    def header(self, arrays) -> dict:
         return {
             "family": self.family,
             "dx": self.dims.dx,
@@ -454,10 +440,10 @@ class QuadraticProblem(_LinearInnerProblem):
             "L_star": self.L_star,
         }
 
-    def header(self) -> dict:
+    def header(self, arrays) -> dict:
         # kappa_L of the A_f the container holds, as eigvalsh reports it; only a save pays for it.
-        ef = np.linalg.eigvalsh(self._arrays()[0])
-        return {**super().header(), "kappa_L": float(ef[-1] / ef[0])}
+        ef = np.linalg.eigvalsh(arrays[0])
+        return {**super().header(arrays), "kappa_L": float(ef[-1] / ef[0])}
 
     def _arrays(self) -> list[np.ndarray]:
         a_f = _spd(*self._a_f) if isinstance(self._a_f, tuple) else self._a_f
@@ -551,8 +537,8 @@ class NonconvexOuterProblem(_LinearInnerProblem):
     def f_value(self, x, y) -> float:
         return float(y @ self.C_f + self.rho * np.sum(np.cos(x)))
 
-    def header(self) -> dict:
-        return {**super().header(), "extra": self.rho}
+    def header(self, arrays) -> dict:
+        return {**super().header(arrays), "extra": self.rho}
 
     def _arrays(self) -> list[np.ndarray]:
         return list(self._given)
@@ -671,7 +657,7 @@ class RidgeHPOProblem(_DeterministicProblem):
     def constants(self) -> SmoothnessConstants:
         return self._constants_at_origin
 
-    def header(self) -> dict:
+    def header(self, arrays) -> dict:
         return {
             "family": self.family,
             "dx": self.d,
@@ -836,9 +822,11 @@ _HEADER_KEYS = ("family_tag", "dx", "dy", "n_aux1", "n_aux2", "seed", "kappa_g",
 
 
 def _problem_bytes(problem) -> bytes:
-    h = problem.header()
+    # The header reads the body it heads, so a drawn A_f is formed once per save.
+    arrays = problem._arrays()
+    h = problem.header(arrays)
     packed = struct.pack(_HEADER_FMT, _FAMILY_TAGS[h["family"]], *map(h.get, _HEADER_KEYS[1:]))
-    blobs = [arr.astype("<f8").tobytes(order="C") for arr in problem._arrays()]
+    blobs = [arr.astype("<f8").tobytes(order="C") for arr in arrays]
     return MAGIC + packed + b"".join(blobs)
 
 
@@ -906,9 +894,11 @@ def load_problem(path):
         raw = fh.read()
     h = _read_header(raw)
     shapes = _body_shapes(h)
-    # extra is rho for the non-convex family, the label noise for ridge.
-    if not math.isfinite(h["extra"]) or (h["family"] == "nonconvex" and h["extra"] <= 0):
-        raise ContainerError("extra", f"must be finite, and positive for rho, got {h['extra']}")
+    # extra is rho for the non-convex family, the label noise for ridge, as the generators check them.
+    if not math.isfinite(h["extra"]) or (h["family"] == "nonconvex" and h["extra"] <= 0) or (
+            h["family"] == "ridge" and h["extra"] < 0):
+        raise ContainerError("extra", "must be finite, positive for rho and nonnegative for the "
+                                      f"label noise, got {h['extra']}")
     size = sum(math.prod(shape) for shape in shapes)
     if len(raw) - _HEADER_END != 8 * size:
         raise ContainerError(

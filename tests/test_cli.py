@@ -546,6 +546,20 @@ BAD_SWEEP_GRIDS = {
                               "condition numbers must be >= 1, got 10.0, 0.5"),
     "sweep-seed-negative": ("sweep", {"seeds": [0, -1]}, "sweep key 'seeds' must be nonnegative, got -1"),
     "sweep-K-negative": ("sweep", {"K": -1}, "iteration counts must be nonnegative"),
+    # A repeated grid value would run identical cells and take the summary's median over copies.
+    "sweep-methods-repeated": ("sweep", {"methods": ["amigo-gd", "amigo-gd"]},
+                               "sweep key 'methods' must not repeat a value, got ['amigo-gd', 'amigo-gd']"),
+    "sweep-kappa-repeated": ("sweep", {"kappa_g": [10, 10.0]},
+                             "sweep key 'kappa_g' must not repeat a value, got [10, 10.0]"),
+    "sweep-T-repeated": ("sweep", {"T": [1, 1]}, "sweep key 'T' must not repeat a value, got [1, 1]"),
+    "sweep-N-repeated": ("sweep", {"N": [10, 1, 10]}, "sweep key 'N' must not repeat a value, got [10, 1, 10]"),
+    "sweep-batch-repeated": ("sweep", {"batch": [1, 1]}, "sweep key 'batch' must not repeat a value, got [1, 1]"),
+    "sweep-seeds-repeated": ("sweep", {"seeds": [0, 0]}, "sweep key 'seeds' must not repeat a value, got [0, 0]"),
+    # A non-positive stop setting would stop every cell after its first outer step.
+    "sweep-cost-cap-negative": ("sweep", {"cost_cap": -5}, "sweep key 'cost_cap' must be positive, got -5"),
+    "sweep-cost-cap-zero": ("sweep", {"cost_cap": 0}, "sweep key 'cost_cap' must be positive, got 0"),
+    "sweep-stop-rel-negative": ("sweep", {"stop_rel": -1.0}, "sweep key 'stop_rel' must be positive, got -1.0"),
+    "sweep-stop-rel-zero": ("sweep", {"stop_rel": 0.0}, "sweep key 'stop_rel' must be positive, got 0.0"),
     "sweep-kappa-one-dimension": (None, {
         "problem": {"dx": 4, "dy": 1},
         "sweep": {"methods": ["amigo-gd"], "kappa_g": [1.0, 10.0], "T": [1], "N": [1], "K": 3},

@@ -21,6 +21,7 @@ from amigo import (
     make_stochastic,
     save_problem,
 )
+from amigo import problems
 from amigo.problems import (
     _HEADER_FMT,
     MAGIC,
@@ -340,6 +341,15 @@ class TestSerialization:
         a_f = gen_spd(dx, 1.0 / kappa_L, 1.0, seed=int(rng.integers(2**62)))
         assert np.array_equal(p._arrays()[0], a_f)
 
+    def test_save_forms_a_drawn_outer_hessian_once(self, tmp_path, monkeypatch):
+        """The header's kappa_L and the body read one A_f, formed by one _spd call."""
+        p = gen_quadratic(12, 8, kappa_g=5.0, kappa_L=4.0, seed=9)
+        calls = []
+        spd = problems._spd
+        monkeypatch.setattr(problems, "_spd", lambda *args: calls.append(args) or spd(*args))
+        save_problem(p, tmp_path / "p.bin")
+        assert len(calls) == 1
+
     def test_file_size_formula(self, tmp_path):
         dx, dy = 30, 20
         p = gen_quadratic(dx, dy, kappa_g=3.0, kappa_L=2.0, seed=4)
@@ -444,9 +454,17 @@ class TestContainerValidation:
             self.load(tmp_path, container(*header, values=np.zeros(64)))
         assert err.value.field == field
 
-    @pytest.mark.parametrize("extra", [math.nan, math.inf, 0.0])
-    def test_rho_must_be_finite_and_positive(self, tmp_path, extra):
-        raw = container(3, 2, 2, extra=extra, values=np.ones(2 + 4 + 4))
+    # extra is rho for the non-convex family, which must be positive, and the
+    # label noise for ridge, which must be nonnegative.
+    @pytest.mark.parametrize("family, extra", [
+        *(pytest.param("nonconvex", extra, id=str(extra)) for extra in (math.nan, math.inf, 0.0)),
+        *(pytest.param("ridge", extra, id=f"ridge-{extra}") for extra in (-1.0, -1e-12)),
+    ])
+    def test_rho_must_be_finite_and_positive(self, tmp_path, family, extra):
+        if family == "ridge":  # d = 2, n_tr = 3, n_val = 2
+            raw = container(2, 2, 2, 3, 2, extra=extra, values=np.ones(6 + 3 + 4 + 2))
+        else:
+            raw = container(3, 2, 2, extra=extra, values=np.ones(2 + 4 + 4))
         with pytest.raises(ContainerError) as err:
             self.load(tmp_path, raw)
         assert err.value.field == "extra"
@@ -514,9 +532,9 @@ class TestContainerValidation:
                 st.sampled_from([math.nan, math.inf, -math.inf]))
         elif defect == "extra":
             field = "extra"
-            bad = [math.nan, math.inf, -math.inf]
-            nonconvex = tag == FAMILY_TAGS["nonconvex"]
-            extra = data.draw(st.sampled_from(bad + [0.0, -1.0] if nonconvex else bad))
+            # rho must be positive and the label noise nonnegative; quadratic reads no extra.
+            out_of_range = {FAMILY_TAGS["nonconvex"]: [0.0, -1.0], FAMILY_TAGS["ridge"]: [-1.0]}
+            extra = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, *out_of_range.get(tag, [])]))
         elif defect == "tag":
             field = "family_tag"
             tag = data.draw(st.sampled_from([0, 4, -1, 2**40]))
