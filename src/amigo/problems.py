@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -202,6 +203,8 @@ class _LinearInnerProblem(_DeterministicProblem):
     jvp_gxy keeps a one-slot memo of B_g'z keyed on the bytes of z, which
     serves the cold-started adjoints and the unrolled gradients, whose z
     repeats from one outer step to the next.  It returns read-only arrays.
+    Noisy gd_steps keeps the scale of its one Gaussian the same way, keyed
+    on (alpha, T), which a run holds fixed.
 
     Because f is linear in y, the adjoint z* = -C_f / lam does not depend on
     (x, y) and the outer gradient is the gradient of the x term plus the
@@ -223,6 +226,7 @@ class _LinearInnerProblem(_DeterministicProblem):
         else:
             self.C_f, self.A_g, self.B_g = q.T @ c_f, np.diag(self.lam), q.T @ b_g
         self._jvp: tuple[bytes, np.ndarray] | None = None
+        self._gd_noise: tuple[tuple, np.ndarray] | None = None
 
     # Oracle surface. Deterministic: batch_size and rng are ignored.
     def grad_gy(self, x, y, batch_size=1, rng=None):
@@ -254,9 +258,16 @@ class _LinearInnerProblem(_DeterministicProblem):
         y = ys + r**T * (y - ys)
         if sigma > 0:
             xi = gaussian_mean(need_rng(rng, "grad_gy"), sigma, self.dims.dy, batch_size)
-            step = alpha * self.lam
-            y -= alpha * np.sqrt(_power_sum(step * (2.0 - step), T)) * xi
+            y -= self._noise_scale(alpha, T) * xi
         return y
+
+    def _noise_scale(self, alpha, T) -> np.ndarray:
+        """alpha * sqrt(sum_{t<T} r^(2t)), kept for the last (alpha, T): a run asks for one."""
+        memo = self._gd_noise
+        if memo is None or memo[0] != (alpha, T):
+            step = alpha * self.lam
+            memo = self._gd_noise = ((alpha, T), alpha * np.sqrt(_power_sum(step * (2.0 - step), T)))
+        return memo[1]
 
     # A noisy Hessian is lam + c_t elementwise, with c_t = sigma * zeta_bar_t
     # drawn fresh for each step, so step t is z <- a_t * z - beta * v with
@@ -393,19 +404,41 @@ def _affine_steps(z: np.ndarray, r: np.ndarray, shift: np.ndarray, bv: np.ndarra
     return z
 
 
-def _draw_coupling(rng: np.random.Generator, dx: int, dy: int, q) -> tuple[np.ndarray, np.ndarray]:
-    """B_g scaled to unit operator norm and C_f a Gaussian direction of norm sqrt(dy).
+def _draw_coupling(rng: np.random.Generator, dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
+    """B_g scaled to unit operator norm and C_f a Gaussian direction of norm sqrt(dy), as drawn.
 
-    Both are returned in the eigenbasis q of A_g (as Q'B_g and Q'C_f), or as
-    drawn when q is None.
+    The generators run this, with the SVD inside its norm, on a worker thread
+    while the calling thread runs the eigenbases' QRs (_coupled_draws).  It
+    reads nothing but rng, from which nothing else draws meanwhile, so its
+    draws and bytes are those of a sequential build.
     """
     b_g = rng.standard_normal((dy, dx))
     b_g /= np.linalg.norm(b_g, 2)
     c_f = rng.standard_normal(dy)
     c_f *= math.sqrt(dy) / np.linalg.norm(c_f)
-    if q is None:
-        return b_g, c_f
-    return q.T @ b_g, q.T @ c_f
+    return b_g, c_f
+
+
+def _coupled_draws(
+    rng: np.random.Generator, dx: int, dy: int, spectra: list[tuple]
+) -> tuple[list, np.ndarray, np.ndarray]:
+    """The spectra, in the order given, and (Q'B_g, Q'C_f) in the eigenbasis Q of the last, A_g's.
+
+    spectra holds each _spectrum call's (d, mu, L, seed), the seeds already
+    drawn from rng.  _draw_coupling runs on a worker thread meanwhile: numpy
+    releases the GIL in LAPACK calls and generator fills, so at one BLAS
+    thread per process the SVD and the QRs take a core each.  Leaving the
+    pool joins the thread, also when a draw raises, so none is alive when a
+    sweep forks its workers.
+    """
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        coupling = pool.submit(_draw_coupling, rng, dx, dy)
+        drawn = [_spectrum(*args) for args in spectra]
+        b_g, c_f = coupling.result()
+    q = drawn[-1][1]
+    if q is not None:
+        b_g, c_f = q.T @ b_g, q.T @ c_f
+    return drawn, b_g, c_f
 
 
 class QuadraticProblem(_LinearInnerProblem):
@@ -546,13 +579,22 @@ def gen_quadratic(dx: int, dy: int, kappa_g: float, kappa_L: float, seed: int) -
     outer Hessian A_f gets spectrum [1/kappa_L, 1], the coupling B_g is
     scaled to unit operator norm and C_f is a seeded Gaussian direction of
     norm sqrt(dy).  All derived smoothness constants are therefore exact.
+
+    The coupling's draws and SVD run on a worker thread while A_f's and then
+    A_g's QRs run here (_coupled_draws).  Both spectrum seeds are drawn
+    before the worker starts, and then only the worker draws from the
+    generator, in a sequential build's order: the bytes do not depend on
+    the threads.
     """
     check_generator_args("quadratic", dx=dx, dy=dy, kappa_g=kappa_g, kappa_L=kappa_L)
     rng = np.random.default_rng(seed)
-    lam, q = _spectrum(dy, 1.0 / kappa_g, 1.0, seed=int(rng.integers(2**62)))
+    seed_g, seed_f = (int(rng.integers(2**62)) for _ in range(2))
     # A_f as gen_spd draws it at this seed, kept as its spectrum and eigenvectors.
-    spectrum_f = _spectrum(dx, 1.0 / kappa_L, 1.0, seed=int(rng.integers(2**62)))
-    b_g, c_f = _draw_coupling(rng, dx, dy, q)
+    # Its QR runs first: the build's peak RSS measured lower in that order.
+    spectra, b_g, c_f = _coupled_draws(
+        rng, dx, dy, [(dx, 1.0 / kappa_L, 1.0, seed_f), (dy, 1.0 / kappa_g, 1.0, seed_g)]
+    )
+    spectrum_f, (lam, _) = spectra
     return QuadraticProblem(spectrum_f, c_f, np.diag(lam), b_g, seed=seed)
 
 
@@ -602,12 +644,14 @@ def gen_nonconvex(
     """Non-convex-outer instance with inner pieces drawn as in gen_quadratic.
 
     C_f is rescaled so that ||B_g' z*||_inf equals rho / 2, which guarantees
-    stationary points of the outer loss exist.
+    stationary points of the outer loss exist.  The coupling's draws and SVD
+    run on a worker thread while A_g's QR runs here, as in gen_quadratic.
     """
     check_generator_args("nonconvex", dx=dx, dy=dy, rho=rho, kappa_g=kappa_g)
     rng = np.random.default_rng(seed)
-    lam, q = _spectrum(dy, 1.0 / kappa_g, 1.0, seed=int(rng.integers(2**62)))
-    b_g, c_f = _draw_coupling(rng, dx, dy, q)
+    seed_g = int(rng.integers(2**62))
+    spectra, b_g, c_f = _coupled_draws(rng, dx, dy, [(dy, 1.0 / kappa_g, 1.0, seed_g)])
+    lam = spectra[0][0]
     offset = b_g.T @ (c_f / lam)
     c_f *= (rho / 2.0) / np.max(np.abs(offset))
     return NonconvexOuterProblem(rho, c_f, np.diag(lam), b_g, seed=seed)

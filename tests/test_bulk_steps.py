@@ -34,7 +34,7 @@ from amigo import (
     solve_linear_neumann,
 )
 from amigo import problems
-from amigo.oracle import BilevelOracle, UnsupportedOperationError, uniform_means
+from amigo.oracle import BilevelOracle, UnsupportedOperationError, gaussian_mean, uniform_means
 from amigo.problems import NoiseSpec, StochasticOracle
 
 STEPS = (1, 10, 100, 1000)
@@ -123,6 +123,23 @@ def test_noisy_gd_steps_follow_the_literal_loops_law(problem, T, b):
     var_bulk, var_literal = (float(np.mean(np.sum((s - mean) ** 2, axis=1)))
                              for s in (bulk, literal))
     assert 0.8 * var_literal <= var_bulk <= 1.2 * var_literal
+
+
+def test_noisy_gd_steps_keep_their_scale_per_step_size_and_count(problem):
+    # The scale of the one Gaussian is kept for the last (alpha, T); a change
+    # of either between calls must give what the unkept form gives.
+    x, y0, _ = point(problem)
+    lam = problem.lam
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for alpha, T in [(0.3, 7), (0.3, 7), (0.5, 7), (0.5, 3), (0.3, 7), (0.3, 1000)]:
+        got = problem.gd_steps(x, y0, alpha, T, batch_size=3, rng=rng, sigma=SIGMA)
+        ys = problem.y_star(x)
+        want = ys + (1.0 - alpha * lam) ** T * (y0 - ys)
+        xi = gaussian_mean(ref, SIGMA, problem.dims.dy, 3)
+        step = alpha * lam
+        want -= alpha * np.sqrt(problems._power_sum(step * (2.0 - step), T)) * xi
+        assert np.array_equal(got, want), (alpha, T)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("block", ["default", "below dy"])

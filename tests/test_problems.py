@@ -1,6 +1,7 @@
 import math
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -144,6 +145,97 @@ def test_op_norm_matches_spectral_norm(shape):
     b = np.random.default_rng(4).standard_normal(shape)
     expected = np.linalg.norm(b, 2)
     assert abs(_op_norm(b) - expected) <= 1e-14 * expected
+
+
+def sequential_quadratic(dx, dy, kappa_g, kappa_L, seed):
+    """gen_quadratic composed on one thread: both seeds, both spectra, the coupling, the rotation."""
+    rng = np.random.default_rng(seed)
+    lam, q = problems._spectrum(dy, 1.0 / kappa_g, 1.0, int(rng.integers(2**62)))
+    spectrum_f = problems._spectrum(dx, 1.0 / kappa_L, 1.0, int(rng.integers(2**62)))
+    b_g, c_f = problems._draw_coupling(rng, dx, dy)
+    if q is not None:
+        b_g, c_f = q.T @ b_g, q.T @ c_f
+    return QuadraticProblem(spectrum_f, c_f, np.diag(lam), b_g, seed=seed)
+
+
+def sequential_nonconvex(dx, dy, rho, seed, kappa_g):
+    """gen_nonconvex composed on one thread."""
+    rng = np.random.default_rng(seed)
+    lam, q = problems._spectrum(dy, 1.0 / kappa_g, 1.0, int(rng.integers(2**62)))
+    b_g, c_f = problems._draw_coupling(rng, dx, dy)
+    if q is not None:
+        b_g, c_f = q.T @ b_g, q.T @ c_f
+    c_f *= (rho / 2.0) / np.max(np.abs(b_g.T @ (c_f / lam)))
+    return problems.NonconvexOuterProblem(rho, c_f, np.diag(lam), b_g, seed=seed)
+
+
+def held_arrays(p):
+    """Every array a problem holds, by attribute name (lists and tuples of arrays included)."""
+    out = {}
+    for name, value in vars(p).items():
+        items = value if isinstance(value, (list, tuple)) else [value]
+        out.update((f"{name}[{i}]", a) for i, a in enumerate(items) if isinstance(a, np.ndarray))
+    return out
+
+
+class TestConcurrentBuild:
+    """The generators draw the coupling on a worker thread; the bytes are those of a sequential build."""
+
+    @pytest.mark.parametrize("dx, dy, kappa_g, kappa_L, seed", [
+        (12, 8, 5.0, 2.0, 1),
+        (5, 9, 30.0, 4.0, 2),    # dy > dx
+        (9, 5, 1.0, 3.0, 3),     # A_g's eigenbasis is None: nothing is rotated
+        (6, 4, 7.0, 1.0, 4),     # A_f's eigenbasis is None
+        (1, 3, 1.0, 1.0, 5),
+    ])
+    def test_quadratic_matches_sequential_composition(self, dx, dy, kappa_g, kappa_L, seed, tmp_path):
+        self.assert_same(gen_quadratic(dx, dy, kappa_g, kappa_L, seed),
+                         sequential_quadratic(dx, dy, kappa_g, kappa_L, seed), tmp_path)
+
+    @pytest.mark.parametrize("dx, dy, rho, seed, kappa_g", [
+        (7, 5, 1.0, 2, 4.0),
+        (4, 7, 2.0, 3, 20.0),
+        (6, 3, 0.5, 4, 1.0),
+    ])
+    def test_nonconvex_matches_sequential_composition(self, dx, dy, rho, seed, kappa_g, tmp_path):
+        self.assert_same(gen_nonconvex(dx, dy, rho, seed, kappa_g=kappa_g),
+                         sequential_nonconvex(dx, dy, rho, seed, kappa_g), tmp_path)
+
+    @staticmethod
+    def assert_same(got, want, tmp_path):
+        got_arrays, want_arrays = held_arrays(got), held_arrays(want)
+        assert got_arrays.keys() == want_arrays.keys()
+        for name, a in got_arrays.items():
+            assert np.array_equal(a, want_arrays[name]), name
+        save_problem(got, tmp_path / "got.bin")
+        save_problem(want, tmp_path / "want.bin")
+        assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
+
+    BUILDS = {
+        "quadratic": lambda: gen_quadratic(12, 8, kappa_g=5.0, kappa_L=2.0, seed=1),
+        "nonconvex": lambda: gen_nonconvex(7, 5, rho=1.0, seed=2, kappa_g=4.0),
+    }
+
+    @pytest.mark.parametrize("family", BUILDS)
+    def test_coupling_is_drawn_off_the_calling_thread(self, family, monkeypatch):
+        threads = []
+        draw = problems._draw_coupling
+        monkeypatch.setattr(problems, "_draw_coupling",
+                            lambda *args: threads.append(threading.current_thread()) or draw(*args))
+        self.BUILDS[family]()
+        assert len(threads) == 1 and threads[0] is not threading.current_thread()
+
+    @pytest.mark.parametrize("family", BUILDS)
+    @pytest.mark.parametrize("failing", ["_draw_coupling", "_spectrum"])
+    def test_a_failed_draw_raises_and_leaves_no_thread(self, family, failing, monkeypatch):
+        def fail(*args):
+            raise RuntimeError(f"{failing} failed")
+
+        monkeypatch.setattr(problems, failing, fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            self.BUILDS[family]()
+        assert threading.active_count() == before
 
 
 class TestQuadraticReference:
