@@ -32,6 +32,7 @@ from .problems import (
     NoiseSpec,
     check_condition_numbers,
     check_generator_args,
+    check_hessian_noise,
     describe_problem,
     gen_nonconvex,
     gen_quadratic,
@@ -239,6 +240,14 @@ def build_problem(spec: dict):
     if "path" in spec:
         return load_problem(spec["path"])
     return FAMILIES[spec.pop("family")](**spec)
+
+
+def _check_generated(pspec: dict, noise: NoiseSpec) -> None:
+    """A generated spec's generator rules and Hessian-noise rule; its mu_g is 1/kappa_g (_spectrum)."""
+    if "family" in pspec:
+        check_generator_args(**pspec)
+    if "kappa_g" in pspec:
+        check_hessian_noise(noise, 1.0 / pspec["kappa_g"])
 
 
 def build_noise(spec: dict | None) -> NoiseSpec:
@@ -449,7 +458,7 @@ def run_sweep(
 
     Returns (cell results, summary), the results sorted by (key, seed).  A
     result holds a run's aggregates and its CSV text, not its rows:
-    - key: (method, str(kappa_g), T, N, batch); method; seed;
+    - key: (method, kappa_g, T, N, batch); method; seed;
     - cell: the grid point, {kappa_g, T, N, batch};
     - csv: the run's lines of the sweep CSV (sweep_rows_to_csv), one str;
     - cost_to_eps: per repr(eps), the cost to reach it, None if never;
@@ -489,15 +498,14 @@ def _sweep(problem_spec, sweep, eps, noise_spec, solver_overrides, workers: int)
     # The grid's condition numbers in one message, then each problem as its generator checks it.
     check_condition_numbers(*(pspec["kappa_g"] for pspec in pspecs if "kappa_g" in pspec))
     for pspec in pspecs:
-        if "family" in pspec:
-            check_generator_args(**pspec)
+        _check_generated(pspec, noise)
     tasks = []
     for pspec in pspecs:
         grid = itertools.product(sweep["methods"], sweep["T"], sweep["N"], sweep["batch"], sweep["seeds"])
         for method, T, N, batch, seed in grid:
             cell = {"kappa_g": pspec.get("kappa_g"), "T": T, "N": N, "batch": batch}
             tasks.append({
-                "key": (method, str(cell["kappa_g"]), T, N, batch),
+                "key": (method, cell["kappa_g"], T, N, batch),
                 "method": method,
                 "seed": seed,
                 "problem": pspec,
@@ -661,6 +669,7 @@ def cmd_run(args) -> int:
     noise = build_noise(cfg["noise"])
     method, seed, out = cfg["method"], cfg["seed"], cfg["out"]
     check_supported(METHODS[method].get("linear_solver"), noise)  # before the problem is built
+    _check_generated(cfg["problem"], noise)
     problem = build_problem(cfg["problem"])
     config = build_config(problem, method, cfg["solver"], noise)
     record, rows, diverged_at = _run_rows(problem, method, config, seed, noise)

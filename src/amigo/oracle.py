@@ -117,10 +117,10 @@ class BilevelOracle(abc.ABC):
     oracles ignore both.  The caller owns the random stream.  Beyond the
     queries, an oracle answers the bulk methods gd_steps, linear_steps and
     unrolled_grad, whose literal loops below are the reference.  The only
-    state an implementation writes after construction is one-slot memos of
-    values derived from its arguments (for the linear-inner families, B_g' z
-    and the noise scale of noisy gd_steps), each stored as one (key, value)
-    tuple, so a concurrent reader at worst recomputes it.
+    state an implementation writes after construction is the linear-inner
+    families' one-slot memo of the noise scale of noisy gd_steps, stored as
+    one ((alpha, T), value) tuple, so a concurrent reader at worst
+    recomputes it.
     """
 
     @property

@@ -51,6 +51,7 @@ __all__ = [
     "StochasticOracle",
     "check_condition_numbers",
     "check_generator_args",
+    "check_hessian_noise",
     "gen_spd",
     "gen_quadratic",
     "gen_ridge_hpo",
@@ -200,11 +201,8 @@ class _LinearInnerProblem(_DeterministicProblem):
     the arrays as given are kept for ``_arrays`` so a container round-trips
     byte for byte.
 
-    jvp_gxy keeps a one-slot memo of B_g'z keyed on the bytes of z, which
-    serves the cold-started adjoints and the unrolled gradients, whose z
-    repeats from one outer step to the next.  It returns read-only arrays.
-    Noisy gd_steps keeps the scale of its one Gaussian the same way, keyed
-    on (alpha, T), which a run holds fixed.
+    Noisy gd_steps keeps the scale of its one Gaussian in a one-slot memo
+    keyed on (alpha, T), which a run holds fixed.
 
     Because f is linear in y, the adjoint z* = -C_f / lam does not depend on
     (x, y) and the outer gradient is the gradient of the x term plus the
@@ -225,7 +223,6 @@ class _LinearInnerProblem(_DeterministicProblem):
             self.C_f, self.A_g, self.B_g = c_f, a_g, b_g
         else:
             self.C_f, self.A_g, self.B_g = q.T @ c_f, np.diag(self.lam), q.T @ b_g
-        self._jvp: tuple[bytes, np.ndarray] | None = None
         self._gd_noise: tuple[tuple, np.ndarray] | None = None
 
     # Oracle surface. Deterministic: batch_size and rng are ignored.
@@ -236,15 +233,7 @@ class _LinearInnerProblem(_DeterministicProblem):
         return self.lam * v
 
     def jvp_gxy(self, x, y, z, batch_size=1, rng=None):
-        z = np.asarray(z, dtype=float)
-        key = z.tobytes()
-        memo = self._jvp
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        out = self.B_g.T @ z
-        out.setflags(write=False)
-        self._jvp = (key, out)
-        return out
+        return self.B_g.T @ z
 
     # Each step shrinks the distance to the fixed point by r = 1 - alpha * lam.
     # Under noise, T steps add -alpha * sum_t r^(T-1-t) xi_t, with xi_t step
@@ -812,6 +801,13 @@ class NoiseSpec:
         ) > 0
 
 
+def check_hessian_noise(noise: NoiseSpec, mu_g: float) -> None:
+    """ConfigurationError unless sqrt(3) * sigma_gyy_tilde < mu_g: every sampled Hessian is then SPD."""
+    if ZETA_BOUND * noise.sigma_gyy_tilde >= mu_g:
+        raise ConfigurationError("Hessian noise too large for positive definiteness: need "
+                                 f"sqrt(3) * sigma_gyy_tilde < mu_g = {mu_g}")
+
+
 class StochasticOracle(BilevelOracle):
     """Batched noisy view of a deterministic problem.
 
@@ -825,8 +821,7 @@ class StochasticOracle(BilevelOracle):
 
     With every sigma equal to zero the oracle consumes no randomness and
     each query returns exactly the deterministic value.  Construction
-    requires sqrt(3) * sigma_gyy below mu_g, so every sampled Hessian stays
-    positive definite.
+    checks the Hessian noise against mu_g (check_hessian_noise).
     """
 
     def __init__(self, base, noise: NoiseSpec, seed: int):
@@ -834,12 +829,7 @@ class StochasticOracle(BilevelOracle):
         self.noise = noise
         self.seed = int(seed)
         if noise.sigma_gyy_tilde > 0:
-            mu_g = base.constants().mu_g
-            if ZETA_BOUND * noise.sigma_gyy_tilde >= mu_g:
-                raise ConfigurationError(
-                    "Hessian noise too large for positive definiteness: need "
-                    f"sqrt(3) * sigma_gyy_tilde < mu_g = {mu_g}"
-                )
+            check_hessian_noise(noise, base.constants().mu_g)
         # P serves noisy jvp_gxy queries alone, so an oracle without that noise builds none.
         self._P = None
         if noise.sigma_gxy_tilde > 0:

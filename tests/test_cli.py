@@ -330,6 +330,28 @@ class TestNoiseSupport:
         else:
             assert (code, len(built)) == (0, 1)
 
+    # kappa_g = 100 gives mu_g = 0.01, below sqrt(3) * 0.05; kappa_g = 2 admits that noise.
+    HESSIAN_MESSAGE = r"need sqrt\(3\) \* sigma_gyy_tilde < mu_g = 0.01$"
+
+    def test_run_rejects_hessian_noise_before_building_a_problem(self, tmp_path, capsys, monkeypatch):
+        built = []
+        fresh = cli.build_problem
+        monkeypatch.setattr(cli, "build_problem", lambda spec: built.append(spec) or fresh(spec))
+        cfg = {"problem": quad_spec(dx=20, dy=10, kappa_g=100.0), "noise": NOISE_SETTINGS["sigma_gyy"],
+               "method": "amigo-gd", "solver": {"K": 2}}
+        out = tmp_path / "run.csv"
+        code = main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert (code, built, out.exists()) == (2, [], False)
+        assert re.search(self.HESSIAN_MESSAGE, capsys.readouterr().err.strip())
+
+    def test_sweep_rejects_hessian_noise_before_any_cell(self, monkeypatch):
+        dispatched = []
+        monkeypatch.setattr(cli, "_sweep_cell", dispatched.append)
+        with pytest.raises(problems.ConfigurationError, match=self.HESSIAN_MESSAGE):
+            run_sweep(quad_spec(dx=20, dy=10), ["amigo-gd"], [1], [1], [0], K_max=3,
+                      noise_spec=NOISE_SETTINGS["sigma_gyy"], kappa_g_grid=[2.0, 100.0])
+        assert dispatched == []
+
 
 class TestSweep:
     def sweep_kwargs(self, workers=1):
@@ -466,6 +488,21 @@ class TestSweep:
         kappas = {r["cell"]["kappa_g"] for r in results}
         assert kappas == {1.0, 10.0}
         assert len(summary["amigo-gd"]["cells"]) == 2
+
+    def test_cells_are_sorted_by_the_number_kappa_g(self, tmp_path):
+        # As strings, 10.0 would sort before 2.0 and 5.0.
+        cfg = {"problem": quad_spec(), "eps": [0.1],
+               "sweep": {"methods": ["aid-gd", "amigo-gd"], "kappa_g": [2.0, 10.0, 5.0],
+                         "T": [1], "N": [1], "seeds": [1, 0], "K": 3}}
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()[1:]
+        cells = [tuple(line.split(",")[:2]) + (line.split(",")[5],) for line in lines]
+        order = [(m, k, s) for m in ("aid-gd", "amigo-gd") for k in ("2.0", "5.0", "10.0") for s in "01"]
+        assert list(dict.fromkeys(cells)) == order
+        summary = json.loads((tmp_path / "sweep.csv.summary.json").read_text())
+        for method in ("aid-gd", "amigo-gd"):
+            assert [c["cell"]["kappa_g"] for c in summary[method]["cells"]] == [2.0, 5.0, 10.0]
 
 
 class TestChecks:

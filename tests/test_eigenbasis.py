@@ -3,8 +3,8 @@
 A problem whose A_g and A_f arrive dense (as a foreign container holds them)
 is diagonalized once on construction; runs on it must agree with runs on the
 generated eigenbasis problem to rounding, with x drawn and reported in the
-given coordinates.  The B_g x memo behind grad_gy and y_star, and the B_g' z
-memo behind jvp_gxy, must never serve a stale product.
+given coordinates.  grad_gy and y_star compute B_g x, and jvp_gxy computes
+B_g' z, for the vector they are given on every call.
 """
 
 import numpy as np
@@ -69,8 +69,8 @@ def test_dense_basis_runs_agree(family, method):
         assert a.counter == b.counter  # CG may stop one iteration apart under rounding
 
 
-class TestBxMemo:
-    """grad_gy and y* read B_g x for the x they are given, never a stale product."""
+class TestBxProduct:
+    """grad_gy and y* compute B_g x for the x they are given."""
 
     def setup_method(self):
         self.p = gen_quadratic(12, 8, kappa_g=50.0, kappa_L=5.0, seed=7)
@@ -109,8 +109,8 @@ class TestBxMemo:
             x = self.x2 if step % 2 == 0 else x + 1.0
 
 
-class TestJvpMemo:
-    """jvp_gxy serves B_g' z from a one-slot memo on z's bytes, and never a stale product."""
+class TestJvpProduct:
+    """jvp_gxy computes B_g' z for the z it is given, a fresh writable array on every call."""
 
     def setup_method(self):
         self.p = gen_quadratic(12, 8, kappa_g=50.0, kappa_L=5.0, seed=7)
@@ -121,24 +121,30 @@ class TestJvpMemo:
     def check(self, z):
         got = self.p.jvp_gxy(self.x, self.y, z)
         assert np.array_equal(got, self.p.B_g.T @ z)
+        assert got.flags.writeable
         return got
 
-    def test_repeated_z_returns_the_same_read_only_product(self):
+    def test_repeated_z_returns_fresh_products(self):
         first = self.check(self.z1)
         again = self.check(self.z1.copy())
-        assert again is first
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0] = 0.0
+        assert not np.shares_memory(first, again)
+        first[0] = 0.0
+        assert np.array_equal(self.check(self.z1), again)
 
     def test_z_mutated_in_place(self):
         z = self.z1.copy()
         first = self.check(z)
         z[2] += 0.25
-        assert self.check(z) is not first
+        assert not np.array_equal(self.check(z), first)
         z *= -3.0
         self.check(z)
 
     def test_alternating_z(self):
         for z in (self.z1, self.z2, self.z1, self.z2, self.z2, self.z1):
             self.check(z)
+
+    def test_zero_noise_wrapper_is_bit_identical(self):
+        wrapped = make_stochastic(self.p, NoiseSpec(), seed=4)
+        fresh = gen_quadratic(12, 8, kappa_g=50.0, kappa_L=5.0, seed=7)
+        for z in (self.z1, self.z1, self.z2, self.z1, self.z2 + 1.0):
+            assert np.array_equal(wrapped.jvp_gxy(self.x, self.y, z), fresh.jvp_gxy(self.x, self.y, z))
