@@ -19,6 +19,7 @@ curvature p'Hp it cannot divide by.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -113,7 +114,7 @@ def solve_linear_cg(
     v = np.asarray(v, dtype=float)
     z = np.zeros_like(v) if z0 is None else np.array(z0, dtype=float, copy=True)
     r = -(v + oracle.hvp_gyy(x, y, z))
-    threshold = tol * max(1.0, float(np.linalg.norm(v)))
+    threshold = tol * max(1.0, math.sqrt(v @ v))
     rs = float(r @ r)
     if rs**0.5 <= threshold:
         return InnerResult(out=z, iterations_used=0, final_residual=rs**0.5)

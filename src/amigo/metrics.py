@@ -125,7 +125,8 @@ class MetricsTracker:
 
     grad_norm_sq needs the problem's grad_L.  rel_error and the strongly
     convex error measures are computed when mu_outer > 0, which only a
-    problem with gap(x) and x_star (the quadratic family) reports.  The running
+    problem with displacement_terms(x) (the quadratic family) reports; the
+    row then takes grad_L from it too.  The running
     mean of the squared gradient norm covers rows 1..k (row 0 reports its
     own value).  rel_error is the gap over the gap of the first row.  The
     outer energy uses the constant-step weights: for mu_outer > 0 it is
@@ -145,7 +146,10 @@ class MetricsTracker:
 
     def row(self, k: int, x, counter: OracleCounter | None = None, wall_s: float = 0.0) -> MetricRow:
         x = np.asarray(x, dtype=float)
-        grad = self.problem.grad_L(x)
+        if self._has_sc_refs:
+            grad, gap, dist_sq = self.problem.displacement_terms(x)
+        else:
+            grad = self.problem.grad_L(x)
         gns = float(grad @ grad)
         if k >= 1:
             self._gns_sum += gns
@@ -155,11 +159,9 @@ class MetricsTracker:
             avg = gns
         rel = combined = energy = None
         if self._has_sc_refs:
-            gap = float(self.problem.gap(x))
             if self._first_gap is None:
                 self._first_gap = gap
             rel = gap / self._first_gap if self._first_gap > 0 else None
-            dist_sq = float(np.sum((x - self.problem.x_star) ** 2))
             combined = min(gap, 0.5 * self.mu_outer * dist_sq)
             energy = 0.5 * self.mu_outer * dist_sq + (1 - self.u) * gap
         elif self.L_outer is not None and self.L_outer > 0:

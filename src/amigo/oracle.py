@@ -118,8 +118,9 @@ class BilevelOracle(abc.ABC):
     queries, an oracle answers the bulk methods gd_steps, linear_steps and
     unrolled_grad, whose literal loops below are the reference.  The only
     state an implementation writes after construction is the linear-inner
-    families' one-slot memo of the noise scale of noisy gd_steps, stored as
-    one ((alpha, T), value) tuple, so a concurrent reader at worst
+    families' two one-slot memos of bulk-step factors, one for gd_steps
+    keyed on (alpha, T) and one for linear_steps keyed on (beta, N).  Each
+    is one tuple, replaced whole, so a concurrent reader at worst
     recomputes it.
     """
 

@@ -201,12 +201,15 @@ def _outer_loop(
     solvers' affine updates, so one check per iteration suffices), or when
     the step raises DivergenceError.  The error leaves carrying k and the
     rows recorded before it; ``metrics_hook`` and iterate storage never see
-    a non-finite vector.
+    a non-finite vector.  A non-finite x0 is a ValueError, raised before the
+    first query and the first row.
     """
     check_supported(linear_solver, oracle.noise)
     counter = OracleCounter()
     co = CountingOracle(oracle, counter)
     x = vector("x0", x0, oracle.dims.dx).copy()
+    if not np.isfinite(x).all():
+        raise ValueError("x0 has a non-finite entry")
     xhat = None if delta is None else x.copy()
     t0 = time.perf_counter()
     rows: list[MetricRow] = []

@@ -201,8 +201,10 @@ class _LinearInnerProblem(_DeterministicProblem):
     the arrays as given are kept for ``_arrays`` so a container round-trips
     byte for byte.
 
-    Noisy gd_steps keeps the scale of its one Gaussian in a one-slot memo
-    keyed on (alpha, T), which a run holds fixed.
+    gd_steps and linear_steps keep their factors for the last (alpha, T) and
+    (beta, N), which a run holds fixed, each in one tuple replaced whole: r^T
+    and the noisy Gaussian's scale (once a noisy call needs it), and r = 1 -
+    beta * lam and r^N.
 
     Because f is linear in y, the adjoint z* = -C_f / lam does not depend on
     (x, y) and the outer gradient is the gradient of the x term plus the
@@ -223,7 +225,8 @@ class _LinearInnerProblem(_DeterministicProblem):
             self.C_f, self.A_g, self.B_g = c_f, a_g, b_g
         else:
             self.C_f, self.A_g, self.B_g = q.T @ c_f, np.diag(self.lam), q.T @ b_g
-        self._gd_noise: tuple[tuple, np.ndarray] | None = None
+        self._gd_factors: tuple = (None, None, None)
+        self._linear_factors: tuple = (None, None, None)
 
     # Oracle surface. Deterministic: batch_size and rng are ignored.
     def grad_gy(self, x, y, batch_size=1, rng=None):
@@ -242,21 +245,19 @@ class _LinearInnerProblem(_DeterministicProblem):
     def gd_steps(self, x, y, alpha, T, batch_size=1, rng=None, sigma=0.0):
         if T == 0:
             return np.array(y, dtype=float, copy=True)
+        key, power, scale = self._gd_factors
+        if key != (alpha, T):
+            key, power, scale = self._gd_factors = ((alpha, T), (1.0 - alpha * self.lam) ** T, None)
         ys = self.y_star(x)
-        r = 1.0 - alpha * self.lam
-        y = ys + r**T * (y - ys)
+        y = ys + power * (y - ys)
         if sigma > 0:
             xi = gaussian_mean(need_rng(rng, "grad_gy"), sigma, self.dims.dy, batch_size)
-            y -= self._noise_scale(alpha, T) * xi
+            if scale is None:
+                step = alpha * self.lam
+                scale = alpha * np.sqrt(_power_sum(step * (2.0 - step), T))
+                self._gd_factors = (key, power, scale)
+            y -= scale * xi
         return y
-
-    def _noise_scale(self, alpha, T) -> np.ndarray:
-        """alpha * sqrt(sum_{t<T} r^(2t)), kept for the last (alpha, T): a run asks for one."""
-        memo = self._gd_noise
-        if memo is None or memo[0] != (alpha, T):
-            step = alpha * self.lam
-            memo = self._gd_noise = ((alpha, T), alpha * np.sqrt(_power_sum(step * (2.0 - step), T)))
-        return memo[1]
 
     # A noisy Hessian is lam + c_t elementwise, with c_t = sigma * zeta_bar_t
     # drawn fresh for each step, so step t is z <- a_t * z - beta * v with
@@ -265,12 +266,16 @@ class _LinearInnerProblem(_DeterministicProblem):
     def linear_steps(self, x, y, v, z, beta, N, batch_size=1, rng=None, sigma=0.0):
         if N == 0:
             return np.array(z, dtype=float, copy=True)
+        key, r, power = self._linear_factors
+        if key != (beta, N):
+            r = 1.0 - beta * self.lam
+            key, r, power = self._linear_factors = ((beta, N), r, r**N)
         if sigma > 0:
             shift = -beta * sigma * uniform_means(need_rng(rng, "hvp_gyy"), batch_size, N)
             z = np.array(z, dtype=float, copy=True)
-            return _affine_steps(z, 1.0 - beta * self.lam, shift, beta * np.asarray(v, dtype=float))
+            return _affine_steps(z, r, shift, beta * np.asarray(v, dtype=float))
         zs = -np.asarray(v, dtype=float) / self.lam
-        return zs + (1.0 - beta * self.lam) ** N * (z - zs)
+        return zs + power * (z - zs)
 
     # The reverse pass multiplies p by r = 1 - alpha * lam at each step and
     # never reads the iterates, so its T cross products sum to one:
@@ -498,6 +503,12 @@ class QuadraticProblem(_LinearInnerProblem):
         # Evaluating through the displacement avoids cancellation near x*.
         d = x - self.x_star
         return float(0.5 * d @ (self.lam_f * d))
+
+    def displacement_terms(self, x) -> tuple[np.ndarray, float, float]:
+        """(grad_L(x), gap(x), ||x - x*||^2) from one displacement x - x*, as a metrics row needs them."""
+        d = x - self.x_star
+        g = self.lam_f * d
+        return g, float(0.5 * d @ g), float(np.add.reduce(d * d))
 
     def f_value(self, x, y) -> float:
         return float(0.5 * x @ (self.lam_f * x) + y @ self.C_f)

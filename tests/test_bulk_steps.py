@@ -8,7 +8,10 @@ too, through the steps' sigma argument.  On the linear-inner families noisy
 gradient steps are one Gaussian draw, checked against the loop in law; noisy
 adjoint steps take the loop's draws, in its order, and agree with it to
 rounding.  The ridge family keeps the literal loops draw for draw, and a
-stream without noise takes the closed form.  Both oracle wrappers must
+stream without noise takes the closed form.  The linear-inner families keep
+each bulk step's factors for the last (step size, count), so calls that
+change either must give what the closed form gives when nothing is kept, and
+runs write no other problem state.  Both oracle wrappers must
 forward every bulk method, or a wrapped problem silently falls back to the
 literal loop.
 """
@@ -17,6 +20,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -24,7 +28,9 @@ import pytest
 from amigo import (
     CountingOracle,
     DivergenceError,
+    MetricsTracker,
     OracleCounter,
+    aid_run,
     gen_nonconvex,
     gen_quadratic,
     gen_ridge_hpo,
@@ -125,21 +131,79 @@ def test_noisy_gd_steps_follow_the_literal_loops_law(problem, T, b):
     assert 0.8 * var_literal <= var_bulk <= 1.2 * var_literal
 
 
+# (step size, count, noisy) call sequences: a slot filled by a deterministic
+# call, then read by a noisy one and back; a step size or a count that
+# changes alone; a pair that comes back after another.
+ALTERNATING = [(0.3, 7, False), (0.3, 7, True), (0.3, 7, False), (0.5, 7, True), (0.5, 3, False),
+               (0.5, 3, True), (0.3, 7, True), (0.3, 1000, False), (0.3, 1000, True), (0.5, 3, False)]
+
+
 def test_noisy_gd_steps_keep_their_scale_per_step_size_and_count(problem):
-    # The scale of the one Gaussian is kept for the last (alpha, T); a change
-    # of either between calls must give what the unkept form gives.
+    # r^T and the scale of the one Gaussian are kept for the last (alpha, T),
+    # the scale once a noisy call needs it; deterministic and noisy calls
+    # share the slot.  A change of either between calls must give what the
+    # unkept form gives.
     x, y0, _ = point(problem)
     lam = problem.lam
     rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-    for alpha, T in [(0.3, 7), (0.3, 7), (0.5, 7), (0.5, 3), (0.3, 7), (0.3, 1000)]:
-        got = problem.gd_steps(x, y0, alpha, T, batch_size=3, rng=rng, sigma=SIGMA)
+    for alpha, T, noisy in ALTERNATING:
+        got = problem.gd_steps(x, y0, alpha, T, batch_size=3, rng=rng, sigma=SIGMA if noisy else 0.0)
         ys = problem.y_star(x)
         want = ys + (1.0 - alpha * lam) ** T * (y0 - ys)
-        xi = gaussian_mean(ref, SIGMA, problem.dims.dy, 3)
-        step = alpha * lam
-        want -= alpha * np.sqrt(problems._power_sum(step * (2.0 - step), T)) * xi
-        assert np.array_equal(got, want), (alpha, T)
+        if noisy:
+            xi = gaussian_mean(ref, SIGMA, problem.dims.dy, 3)
+            step = alpha * lam
+            want -= alpha * np.sqrt(problems._power_sum(step * (2.0 - step), T)) * xi
+        assert np.array_equal(got, want), (alpha, T, noisy)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_linear_steps_keep_their_factors_per_step_size_and_count(problem):
+    x, y, v = point(problem)
+    z0 = np.random.default_rng(1).standard_normal(problem.dims.dy)
+    lam = problem.lam
+    sigma = 0.05 * problem.constants().L_g
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for beta, N, noisy in ALTERNATING:
+        beta /= problem.constants().L_g
+        got = problem.linear_steps(x, y, v, z0, beta, N, batch_size=3, rng=rng,
+                                   sigma=sigma if noisy else 0.0)
+        if noisy:
+            shift = -beta * sigma * uniform_means(ref, 3, N)
+            want = problems._affine_steps(z0.copy(), 1.0 - beta * lam, shift, beta * v)
+        else:
+            zs = -v / lam
+            want = zs + (1.0 - beta * lam) ** N * (z0 - zs)
+        assert np.array_equal(got, want), (beta, N, noisy)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("family", ["quadratic", "nonconvex"])
+def test_runs_write_no_problem_state_but_the_step_factor_slots(family):
+    # The state contract of BilevelOracle: once its cached constants and
+    # references (grad_offset, x_star) are formed, a problem's attributes keep
+    # their objects and their bytes through deterministic and noisy runs, but
+    # for the two slots.
+    p = {"quadratic": lambda: gen_quadratic(20, 10, kappa_g=10.0, kappa_L=5.0, seed=3),
+         "nonconvex": lambda: gen_nonconvex(20, 10, rho=1.0, seed=3, kappa_g=10.0)}[family]()
+    p.constants(), p.grad_offset, getattr(p, "x_star", None)
+    slots = ("_gd_factors", "_linear_factors")
+
+    def state():
+        return {name: (id(v), pickle.dumps(v)) for name, v in vars(p).items() if name not in slots}
+
+    before = state()
+    L_outer, mu = p.outer_smoothness()
+    config, _ = prescribed_schedule(p.constants(), mu_outer=mu, L_outer=L_outer, K=20)
+    x0 = np.random.default_rng(0).standard_normal(20)
+    aid_run(p, config, x0, tracker=MetricsTracker(p, mu_outer=mu, L_outer=L_outer))
+    itd_run(p, config, x0)
+    noise = NoiseSpec(sigma_f_tilde=1.0, sigma_g_tilde=1.0, sigma_gxy_tilde=0.5, sigma_gyy_tilde=0.01)
+    aid_run(make_stochastic(p, noise, seed=4), config, x0, rng=np.random.default_rng(5),
+            tracker=MetricsTracker(p, mu_outer=mu, L_outer=L_outer))
+    assert state() == before
+    assert p._gd_factors[0] == (config.alpha, config.T) and p._gd_factors[2] is not None
+    assert p._linear_factors[0] == (config.beta, config.N)
 
 
 @pytest.mark.parametrize("block", ["default", "below dy"])

@@ -272,6 +272,14 @@ class TestConjugateGradient:
         assert res.final_residual is not None
         assert res.final_residual <= 1e-8 * max(1.0, np.linalg.norm(self.v))
 
+    def test_threshold_takes_numpys_norm(self):
+        # The stopping threshold takes ||v|| as sqrt(v @ v), which is what
+        # np.linalg.norm computes for a 1-D vector, bit for bit.
+        rng = np.random.default_rng(9)
+        for n in (*range(1, 300), 1000, 3001):
+            v = rng.standard_normal(n) * 10.0 ** float(rng.integers(-100, 100))
+            assert math.sqrt(v @ v) == float(np.linalg.norm(v)), n
+
     def test_neumann_without_terms_is_zero(self):
         res = solve_linear_neumann(self.p, self.x, self.y, self.v, beta=0.5, N=0)
         assert np.array_equal(res.out, np.zeros(20)) and res.iterations_used == 0

@@ -7,10 +7,13 @@ from amigo import (
     CountingOracle,
     MetricsTracker,
     OracleCounter,
+    aid_run,
     complexity_formula,
     gen_nonconvex,
     gen_quadratic,
+    prescribed_schedule,
 )
+from amigo.metrics import MetricRow
 
 
 class TestComplexityFormula:
@@ -141,3 +144,55 @@ class TestMetricsTracker:
         tracker = MetricsTracker(self.p, mu_outer=self.mu)
         row = tracker.row(0, self.x0)
         assert row.rel_error == pytest.approx(1.0, rel=1e-12)
+
+
+def rows_from_separate_displacements(problem, xs, rows, mu_outer, L_outer, u):
+    """The trace rows at xs, each term from its own query: grad_L, gap and np.sum((x - x*)**2)."""
+    out, first_gap, total = [], None, 0.0
+    for k, (x, row) in enumerate(zip(xs, rows, strict=True)):
+        grad = problem.grad_L(x)
+        gns = float(grad @ grad)
+        total += gns if k >= 1 else 0.0
+        avg = total / k if k >= 1 else gns
+        rel = combined = None
+        if mu_outer is not None and mu_outer > 0:
+            gap = float(problem.gap(x))
+            first_gap = gap if first_gap is None else first_gap
+            rel = gap / first_gap if first_gap > 0 else None
+            dist_sq = float(np.sum((x - problem.x_star) ** 2))
+            combined = min(gap, 0.5 * mu_outer * dist_sq)
+            energy = 0.5 * mu_outer * dist_sq + (1 - u) * gap
+        else:
+            energy = gns / (2.0 * L_outer)
+        out.append(MetricRow(k, rel, gns, avg, combined, energy, row.cost, row.wall_s))
+    return out
+
+
+@pytest.mark.parametrize("u", [0, 1])
+@pytest.mark.parametrize("family", ["quadratic", "nonconvex"])
+def test_rows_along_a_run_equal_rows_from_separate_displacements(family, u):
+    # Field by field with ==: the row forms x - x* once, and gives the same bits.
+    if family == "quadratic":
+        p = gen_quadratic(200, 100, kappa_g=1e3, kappa_L=10.0, seed=0)
+    else:
+        p = gen_nonconvex(200, 100, rho=1.0, seed=0, kappa_g=1e3)
+    L_outer, mu = p.outer_smoothness()
+    config, _ = prescribed_schedule(p.constants(), mu_outer=mu, L_outer=L_outer, K=200)
+    config.T, config.N = 1, 10
+    tracker = MetricsTracker(p, mu_outer=mu, L_outer=L_outer, u=u)
+    x0 = np.random.default_rng(0).standard_normal(200)
+    record = aid_run(p, config, x0, tracker=tracker, store_iterates=True)
+    assert len(record.rows) == 201
+    want = rows_from_separate_displacements(p, record.xs, record.rows, mu, L_outer, u)
+    for got, ref in zip(record.rows, want, strict=True):
+        assert all(a == b for a, b in zip(got, ref, strict=True)), (got, ref)
+
+
+def test_displacement_terms_are_grad_L_gap_and_squared_distance():
+    p = gen_quadratic(200, 100, kappa_g=1e3, kappa_L=10.0, seed=0)
+    rng = np.random.default_rng(8)
+    for x in (rng.standard_normal(200), p.x_star + 1e-9 * rng.standard_normal(200), p.x_star):
+        grad, gap, dist_sq = p.displacement_terms(x)
+        assert np.array_equal(grad, p.grad_L(x))
+        assert gap == p.gap(x) and type(gap) is float
+        assert dist_sq == float(np.sum((x - p.x_star) ** 2)) and type(dist_sq) is float

@@ -421,3 +421,37 @@ def test_divergence_is_decided_once_per_outer_iteration(case):
     stored = _outer_loop_locals(err.value)["xs"]
     assert len(seen) >= 2 * k and len(stored) == k + 1
     assert all(np.isfinite(v).all() for v in seen + stored)
+
+
+class CallSpy:
+    """A tracker and a metrics_hook that record every call they get."""
+
+    def __init__(self):
+        self.calls = []
+
+    def row(self, *args):
+        self.calls.append(("row", args))
+
+    def __call__(self, *args):
+        self.calls.append(("hook", args))
+
+
+@pytest.mark.parametrize("driver", ["aid", "itd"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_x0_is_rejected_before_the_first_query_and_row(quad, driver, bad):
+    config = schedule_for(quad, K=3)
+    x0 = np.ones(12)
+    x0[3] = bad
+    spy = CallSpy()
+    queried = []
+
+    class Untouchable:
+        def __getattr__(self, name):
+            queried.append(name)
+            return getattr(quad, name)
+
+    run = aid_run if driver == "aid" else itd_run
+    with pytest.raises(ValueError, match="^x0 has a non-finite entry$"):
+        run(Untouchable(), config, x0, metrics_hook=spy, tracker=spy, store_iterates=True)
+    assert spy.calls == []
+    assert set(queried) <= {"is_stochastic", "dims", "noise"}
