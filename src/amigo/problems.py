@@ -500,12 +500,11 @@ class QuadraticProblem(_LinearInnerProblem):
         return self.L_value(self.x_star)
 
     def gap(self, x) -> float:
-        # Evaluating through the displacement avoids cancellation near x*.
-        d = x - self.x_star
-        return float(0.5 * d @ (self.lam_f * d))
+        return self.displacement_terms(x)[1]
 
     def displacement_terms(self, x) -> tuple[np.ndarray, float, float]:
         """(grad_L(x), gap(x), ||x - x*||^2) from one displacement x - x*, as a metrics row needs them."""
+        # Evaluating through the displacement avoids cancellation near x*.
         d = x - self.x_star
         g = self.lam_f * d
         return g, float(0.5 * d @ g), float(np.add.reduce(d * d))

@@ -132,10 +132,12 @@ def test_noisy_gd_steps_follow_the_literal_loops_law(problem, T, b):
 
 
 # (step size, count, noisy) call sequences: a slot filled by a deterministic
-# call, then read by a noisy one and back; a step size or a count that
-# changes alone; a pair that comes back after another.
-ALTERNATING = [(0.3, 7, False), (0.3, 7, True), (0.3, 7, False), (0.5, 7, True), (0.5, 3, False),
-               (0.5, 3, True), (0.3, 7, True), (0.3, 1000, False), (0.3, 1000, True), (0.5, 3, False)]
+# call, then read by a noisy one, again by a noisy one that finds the scale
+# kept, and back; a step size or a count that changes alone; a pair that
+# comes back after another.
+ALTERNATING = [(0.3, 7, False), (0.3, 7, True), (0.3, 7, True), (0.3, 7, False), (0.5, 7, True),
+               (0.5, 3, False), (0.5, 3, True), (0.5, 3, True), (0.3, 7, True), (0.3, 1000, False),
+               (0.3, 1000, True), (0.5, 3, False)]
 
 
 def test_noisy_gd_steps_keep_their_scale_per_step_size_and_count(problem):

@@ -147,7 +147,8 @@ class TestMetricsTracker:
 
 
 def rows_from_separate_displacements(problem, xs, rows, mu_outer, L_outer, u):
-    """The trace rows at xs, each term from its own query: grad_L, gap and np.sum((x - x*)**2)."""
+    """The trace rows at xs, each term from its own displacement: grad_L, the gap's
+    0.5 * d @ (lam_f * d) and np.sum((x - x*)**2)."""
     out, first_gap, total = [], None, 0.0
     for k, (x, row) in enumerate(zip(xs, rows, strict=True)):
         grad = problem.grad_L(x)
@@ -156,7 +157,8 @@ def rows_from_separate_displacements(problem, xs, rows, mu_outer, L_outer, u):
         avg = total / k if k >= 1 else gns
         rel = combined = None
         if mu_outer is not None and mu_outer > 0:
-            gap = float(problem.gap(x))
+            d = x - problem.x_star
+            gap = float(0.5 * d @ (problem.lam_f * d))
             first_gap = gap if first_gap is None else first_gap
             rel = gap / first_gap if first_gap > 0 else None
             dist_sq = float(np.sum((x - problem.x_star) ** 2))
@@ -194,5 +196,6 @@ def test_displacement_terms_are_grad_L_gap_and_squared_distance():
     for x in (rng.standard_normal(200), p.x_star + 1e-9 * rng.standard_normal(200), p.x_star):
         grad, gap, dist_sq = p.displacement_terms(x)
         assert np.array_equal(grad, p.grad_L(x))
-        assert gap == p.gap(x) and type(gap) is float
+        d = x - p.x_star
+        assert gap == float(0.5 * d @ (p.lam_f * d)) == p.gap(x) and type(gap) is float
         assert dist_sq == float(np.sum((x - p.x_star) ** 2)) and type(dist_sq) is float
