@@ -7,7 +7,16 @@ references (:mod:`amigo.problems`), inner and linear-system solvers
 differentiation hypergradients (:mod:`amigo.outer`), oracle-call
 accounting and convergence metrics (:mod:`amigo.metrics`), and the
 command-line harness (:mod:`amigo.cli`).
+
+Importing it sets the execution model, one BLAS thread per process: the
+thread variables the environment leaves unset become 1 before numpy loads,
+so a run's arithmetic does not follow the host's core count.
 """
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from .inner import (
     DivergenceError,

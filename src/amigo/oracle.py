@@ -97,14 +97,23 @@ class DerivedConstants:
     L: float
     kappa_g: float
 
+    def __post_init__(self) -> None:
+        bad = [f"{name}={v}" for name, v in vars(self).items() if not math.isfinite(v)]
+        if bad:
+            raise InvalidConstantsError(f"derived constants must be finite, got {', '.join(bad)}")
+
 
 def derive_constants(c: SmoothnessConstants) -> DerivedConstants:
-    """Compute the closed-form derived constants from the primitive ones."""
+    """Compute the closed-form derived constants from the primitive ones.
+
+    Powers of 1/mu_g are products taken left to right: an overflow gives inf,
+    not an OverflowError, and a zero M_g keeps its term 0.
+    """
     inv = 1.0 / c.mu_g
     L_y = c.Lg_prime * inv
-    L_z = c.M_g * c.B * inv**2 + c.L_f * inv
+    L_z = c.M_g * c.B * inv * inv + c.L_f * inv
     L_psi = max(c.L_f + c.M_g * inv * c.B + c.Lg_prime * L_z, c.Lg_prime)
-    L = (c.L_f + c.Lg_prime * c.M_g * c.B * inv**2 + inv * (c.Lg_prime * c.L_f + c.M_g * c.B)) * (
+    L = (c.L_f + c.Lg_prime * c.M_g * c.B * inv * inv + inv * (c.Lg_prime * c.L_f + c.M_g * c.B)) * (
         1.0 + inv * c.Lg_prime
     )
     return DerivedConstants(L_y=L_y, L_z=L_z, L_psi=L_psi, L=L, kappa_g=c.L_g * inv)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -37,7 +36,7 @@ from .oracle import (
     derive_constants,
     vector,
 )
-from .problems import NoiseSpec
+from .problems import NoiseSpec, check_hessian_noise
 
 __all__ = [
     "SolverConfig",
@@ -123,7 +122,8 @@ def prescribed_schedule(
     problem provides it (the synthetic quadratic does: its outer Hessian is
     known).  ``mu_outer``, the outer strong-convexity modulus, is stored for
     the averaging weight mu_outer * gamma.  Every other ``SolverConfig``
-    field is passed through ``fields`` with its default.
+    field is passed through ``fields`` with its default.  Given ``noise``
+    must pass the Hessian-noise rule (``check_hessian_noise``).
     """
     derived = derive_constants(constants)
     L = L_outer if L_outer is not None else derived.L
@@ -138,14 +138,8 @@ def prescribed_schedule(
     config = SolverConfig(
         alpha=alpha, beta=beta, gamma=gamma, T=budget, N=budget, mu_outer=mu_outer, **fields
     )
-    if noise is not None and noise.sigma_gyy_tilde > 0:
-        required = noise.sigma_gyy_tilde**2 / (constants.mu_g * constants.L_g)
-        if config.batch_gyy < required:
-            warnings.warn(
-                f"Hessian batch size {config.batch_gyy} is below the prescribed floor "
-                f"{required:.3g} for this noise level",
-                stacklevel=2,
-            )
+    if noise is not None:
+        check_hessian_noise(noise, constants.mu_g)
     return config, derived
 
 
@@ -187,6 +181,10 @@ def check_supported(linear_solver: str | None, noise: NoiseSpec | None) -> None:
                                         f"only {', '.join(map(repr, noisy))} takes Hessian noise")
 
 
+def _finite_row(row: MetricRow) -> bool:
+    return all(v is None or math.isfinite(v) for v in row)
+
+
 def _outer_loop(
     oracle, config: SolverConfig, x0, y, z, step: Callable, linear_solver: str | None,
     delta: float | None, metrics_hook, tracker, store_iterates, stop,
@@ -201,8 +199,9 @@ def _outer_loop(
     solvers' affine updates, so one check per iteration suffices), or when
     the step raises DivergenceError.  The error leaves carrying k and the
     rows recorded before it; ``metrics_hook`` and iterate storage never see
-    a non-finite vector.  A non-finite x0 is a ValueError, raised before the
-    first query and the first row.
+    a non-finite vector.  A non-finite x0, or a non-finite row 0 (a problem
+    whose scale overflows at x0), is a ValueError, raised before the first
+    query.
     """
     check_supported(linear_solver, oracle.noise)
     counter = OracleCounter()
@@ -214,7 +213,10 @@ def _outer_loop(
     t0 = time.perf_counter()
     rows: list[MetricRow] = []
     if tracker is not None:
-        rows.append(tracker.row(0, x, counter, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows.append(tracker.row(0, x, counter, 0.0))
+        if not _finite_row(rows[0]):
+            raise ValueError(f"metric row 0 at x0 has a non-finite entry: {rows[0]}")
     xs = [x.copy()] if store_iterates else None
     xhats = [xhat.copy()] if (store_iterates and xhat is not None) else None
     iterations = 0
@@ -234,7 +236,7 @@ def _outer_loop(
                 # A diverging run overflows here first; the check below ends it quietly.
                 with np.errstate(over="ignore", invalid="ignore"):
                     row = tracker.row(k + 1, x, counter, time.perf_counter() - t0)
-                if not all(v is None or math.isfinite(v) for v in row):
+                if not _finite_row(row):
                     raise DivergenceError(f"metric row diverged at outer iteration {k}")
         except DivergenceError as err:
             err.outer_iteration = k

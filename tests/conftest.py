@@ -1,3 +1,6 @@
+# amigo sets its one-BLAS-thread default before numpy loads, so it is
+# imported first; pytest itself has not loaded numpy at this point.
+import amigo  # noqa: F401
 import numpy as np
 
 

@@ -527,6 +527,28 @@ class TestChecks:
         names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
         assert names == ["[check] finite-difference gradient", "[check] hvp spectral sandwich"]
 
+    def test_gradient_check_does_not_overflow(self):
+        # At kappa_g = 1e160 ||grad L|| overflows, which once made the ratio 0.0.
+        problem = build_problem(quad_spec(kappa_g=1e160))
+        x = np.random.default_rng(0).standard_normal(problem.dims.dx) * 0.5
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(problem.grad_L(x)) == math.inf
+        checks = run_checks(problem, seed=0)  # pytest turns an overflow warning into an error
+        fd = next(c for c in checks if c["name"] == "finite-difference gradient")
+        assert 0.0 < fd["value"] <= 1e-6 and fd["passed"]
+
+    @pytest.mark.parametrize("query, fake, line", [
+        ("grad_L", lambda self, x: np.full(x.shape, np.nan),
+         "[check] finite-difference gradient: value=nan tol=1e-06: FAIL"),
+        ("hvp_gyy", lambda self, x, y, v: np.full(v.shape, np.nan),
+         "[check] hvp spectral sandwich: value=[nan, nan] tol=[0.1, 1.0]: FAIL"),
+    ], ids=["grad_L", "hvp_gyy"])
+    def test_non_finite_measurement_fails(self, tmp_path, capsys, monkeypatch, query, fake, line):
+        monkeypatch.setattr(problems.QuadraticProblem, query, fake)
+        assert main(["check", "--config", write_config(tmp_path, {"problem": quad_spec()})]) == 1
+        out = capsys.readouterr().out
+        assert line in out and out.count("FAIL") == 1
+
 
 # Config entries every command rejects: (section or None for the top level, entry, message).
 BAD_CONFIGS = {
@@ -921,6 +943,24 @@ class TestEndToEnd:
         for key in ("iterations", "oracle_counts", "wall_time_s"):
             assert key not in summary
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("kappa_g, message", [
+        # 1/mu_g squared overflows: the derived outer bound L is inf.
+        (1e160, "derived constants must be finite, got L=inf"),
+        # The constants stay finite, but the metrics at x0 overflow.
+        (1e154, "metric row 0 at x0 has a non-finite entry"),
+    ])
+    def test_extreme_kappa_is_one_typed_error(self, tmp_path, capsys, command, kappa_g, message):
+        # pytest turns a warning into an error, so none may be raised on the way.
+        spec = quad_spec(dx=20, dy=10, kappa_g=kappa_g, kappa_L=10.0, seed=0)
+        cfg = {"problem": spec, "method": "amigo-cg", "solver": {"K": 3},
+               "sweep": {"methods": ["amigo-cg"], "T": [1], "N": [1], "K": 3}}
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
 
 def test_readme_config_table_mirrors_schema():
     """README's Config schema table lists exactly SCHEMA's keys, section by section."""
@@ -1000,13 +1040,58 @@ def test_benchmark_columns_match_the_metric_row(monkeypatch):
     assert workloads.CELL_COLUMNS == cli.SWEEP_COLUMNS[:6]
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _child_env(**values):
+    """This process's environment for a child that imports amigo from src.
+
+    The BLAS thread variables are removed (importing amigo set them here)
+    and then set to ``values``.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**env, **values}
+
+
 def test_cli_import_loads_numpy_only():
     """numpy is the only runtime dependency: importing the CLI loads no scipy module."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, amigo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True,
+                         check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("given, expected", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+])
+def test_import_sets_one_blas_thread_unless_the_user_did(given, expected):
+    code = f"import os, amigo; print([os.environ[k] for k in {BLAS_THREAD_VARS!r}])"
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(**given),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == repr(expected)
+
+
+def test_run_csv_does_not_follow_the_host_blas_threads(tmp_path):
+    """An unpinned run writes the pinned run's bytes.
+
+    At dx=300, dy=150 OpenBLAS threads the dense products when it may, and
+    CG (tolerance 1e-12) then stops a different iteration on some outer
+    steps, so without amigo's default the two CSVs differ.  That can show
+    only on a host with at least 2 cores; on one core both runs use one thread.
+    """
+    cfg = {"problem": quad_spec(dx=300, dy=150, kappa_g=1e3, kappa_L=10.0, seed=0), "method": "amigo-cg",
+           "solver": {"K": 200, "T": 1, "N": 100, "cg_tol": 1e-12}}
+    config = write_config(tmp_path, cfg)
+    csvs = []
+    for name, env in (("unset", _child_env()), ("pinned", _child_env(**dict.fromkeys(BLAS_THREAD_VARS, "1")))):
+        out = tmp_path / f"{name}.csv"
+        subprocess.run([sys.executable, "-m", "amigo.cli", "run", "--config", config, "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_source_has_no_capability_probes():

@@ -6,6 +6,7 @@ import pytest
 
 import amigo.outer
 from amigo import (
+    ConfigurationError,
     DivergenceError,
     InvalidConstantsError,
     MetricsTracker,
@@ -49,12 +50,13 @@ class TestPrescribedSchedule:
         config, _ = prescribed_schedule(exact_constants(), mu_outer=0.05, L_outer=1.0)
         assert config.mu_outer == 0.05
 
-    def test_batch_floor_warning(self):
-        # Floor is sigma^2 / (mu_g L_g) = 2.5 here, above the unit batch.
-        noise = NoiseSpec(sigma_gyy_tilde=0.5)
-        with pytest.warns(UserWarning, match="batch"):
-            prescribed_schedule(exact_constants(10.0), noise=noise, batch_gyy=1)
-        prescribed_schedule(exact_constants(10.0), noise=noise, batch_gyy=3)
+    def test_hessian_noise_is_checked_not_warned(self):
+        # sqrt(3) * 0.5 >= mu_g = 0.1: a sampled Hessian could be indefinite.
+        with pytest.raises(ConfigurationError, match="Hessian noise too large"):
+            prescribed_schedule(exact_constants(10.0), noise=NoiseSpec(sigma_gyy_tilde=0.5), batch_gyy=3)
+        # Admissible noise keeps the old batch floor, sigma^2 / (mu_g L_g), below 1/3,
+        # so batch 1 passes; pytest turns a warning into an error.
+        prescribed_schedule(exact_constants(10.0), noise=NoiseSpec(sigma_gyy_tilde=0.05), batch_gyy=1)
 
     def test_invalid_config_fields(self):
         with pytest.raises(ValueError):
