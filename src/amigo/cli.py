@@ -26,7 +26,7 @@ import numpy as np
 
 from .inner import DivergenceError
 from .metrics import MetricRow, MetricsTracker
-from .oracle import UnsupportedOperationError
+from .oracle import SmoothnessConstants, UnsupportedOperationError, derive_constants
 from .outer import RunRecord, SolverConfig, aid_run, check_supported, itd_run, prescribed_schedule
 from .problems import (
     NoiseSpec,
@@ -243,11 +243,18 @@ def build_problem(spec: dict):
 
 
 def _check_generated(pspec: dict, noise: NoiseSpec) -> None:
-    """A generated spec's generator rules and Hessian-noise rule; its mu_g is 1/kappa_g (_spectrum)."""
+    """A generated spec's generator rules, Hessian-noise rule and derived constants, before a build.
+
+    The constants are those the built problem reports: mu_g = 1/kappa_g and
+    L_g = 1 (_spectrum), Lg_prime = 1, M_g = 0, and L_f = 1 (A_f's top
+    eigenvalue) or rho; B enters no derived constant when M_g = 0.
+    """
     if "family" in pspec:
         check_generator_args(**pspec)
     if "kappa_g" in pspec:
-        check_hessian_noise(noise, 1.0 / pspec["kappa_g"])
+        mu_g = 1.0 / pspec["kappa_g"]
+        check_hessian_noise(noise, mu_g)
+        derive_constants(SmoothnessConstants(mu_g, 1.0, Lg_prime=1.0, L_f=pspec.get("rho", 1.0)))
 
 
 def build_noise(spec: dict | None) -> NoiseSpec:

@@ -210,15 +210,20 @@ class _LinearInnerProblem(_DeterministicProblem):
     (x, y) and the outer gradient is the gradient of the x term plus the
     constant B_g' z*.  Subclasses define the x term: grad_f (whose y part is
     C_f), grad_L, L_value, f_value, outer_smoothness and _arrays.
+
+    Lg_prime, B_g's operator norm, is taken as given when a generator knows
+    it from its own scaling; otherwise (a container, a direct construction)
+    constants() measures it from the B_g held.
     """
 
-    def __init__(self, C_f, A_g, B_g, seed: int):
+    def __init__(self, C_f, A_g, B_g, seed: int, Lg_prime: float | None = None):
         c_f, a_g, b_g = (np.asarray(a, dtype=float) for a in (C_f, A_g, B_g))
         self.seed = int(seed)
         dy, dx = b_g.shape
         if a_g.shape != (dy, dy) or c_f.shape != (dy,):
             raise ValueError(f"A_g {a_g.shape} or C_f {c_f.shape} mismatch B_g {dy, dx}")
         self._dims = Dims(dx, dy)
+        self._Lg_prime = Lg_prime
         self._given = [c_f, a_g, b_g]
         self.lam, q = _eigenbasis(a_g, "A_g")
         if q is None:
@@ -292,7 +297,7 @@ class _LinearInnerProblem(_DeterministicProblem):
         return SmoothnessConstants(
             mu_g=float(self.lam.min()),
             L_g=float(self.lam.max()),
-            Lg_prime=_op_norm(self.B_g),
+            Lg_prime=_op_norm(self.B_g) if self._Lg_prime is None else self._Lg_prime,
             M_g=0.0,
             L_f=self.outer_smoothness()[0],
             B=float(np.linalg.norm(self.C_f)),
@@ -402,9 +407,8 @@ def _draw_coupling(rng: np.random.Generator, dx: int, dy: int) -> tuple[np.ndarr
     """B_g scaled to unit operator norm and C_f a Gaussian direction of norm sqrt(dy), as drawn.
 
     The generators run this, with the SVD inside its norm, on a worker thread
-    while the calling thread runs the eigenbases' QRs (_coupled_draws).  It
-    reads nothing but rng, from which nothing else draws meanwhile, so its
-    draws and bytes are those of a sequential build.
+    (_coupled_draws).  It reads nothing but rng, from which nothing else draws
+    meanwhile, so its draws and bytes are those of a sequential build.
     """
     b_g = rng.standard_normal((dy, dx))
     b_g /= np.linalg.norm(b_g, 2)
@@ -413,26 +417,46 @@ def _draw_coupling(rng: np.random.Generator, dx: int, dy: int) -> tuple[np.ndarr
     return b_g, c_f
 
 
+def _in_basis(q: np.ndarray | None, b_g: np.ndarray, c_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q'B_g, Q'C_f), or (B_g, C_f) as they are when there is no basis Q."""
+    return (b_g, c_f) if q is None else (q.T @ b_g, q.T @ c_f)
+
+
+def _rest_of_build(
+    rng: np.random.Generator, dx: int, dy: int, spectra: list[tuple]
+) -> tuple[list, np.ndarray, np.ndarray]:
+    """The worker's share of _coupled_draws: these spectra, the coupling, and its rotation if any."""
+    drawn = [_spectrum(*args) for args in spectra]
+    b_g, c_f = _draw_coupling(rng, dx, dy)
+    if drawn:
+        b_g, c_f = _in_basis(drawn[-1][1], b_g, c_f)
+    return drawn, b_g, c_f
+
+
 def _coupled_draws(
     rng: np.random.Generator, dx: int, dy: int, spectra: list[tuple]
 ) -> tuple[list, np.ndarray, np.ndarray]:
     """The spectra, in the order given, and (Q'B_g, Q'C_f) in the eigenbasis Q of the last, A_g's.
 
     spectra holds each _spectrum call's (d, mu, L, seed), the seeds already
-    drawn from rng.  _draw_coupling runs on a worker thread meanwhile: numpy
-    releases the GIL in LAPACK calls and generator fills, so at one BLAS
-    thread per process the SVD and the QRs take a core each.  Leaving the
-    pool joins the thread, also when a draw raises, so none is alive when a
-    sweep forks its workers.
+    drawn from rng.  The calling thread runs the first spectrum's QR; a
+    worker thread runs the other spectra's QRs, then _draw_coupling, then
+    the rotation into A_g's basis when it holds that basis.  With one
+    spectrum, the calling thread holds it and rotates after the join.
+    numpy releases the GIL in LAPACK calls and generator fills, so at one
+    BLAS thread per process the two shares take a core each.  The worker
+    takes its QRs before the coupling: over repeated large builds a
+    process's peak RSS stays lower in that order.  Leaving the pool joins
+    the thread, also when a draw raises, so none is alive when a sweep
+    forks its workers.
     """
     with ThreadPoolExecutor(max_workers=1) as pool:
-        coupling = pool.submit(_draw_coupling, rng, dx, dy)
-        drawn = [_spectrum(*args) for args in spectra]
-        b_g, c_f = coupling.result()
-    q = drawn[-1][1]
-    if q is not None:
-        b_g, c_f = q.T @ b_g, q.T @ c_f
-    return drawn, b_g, c_f
+        rest = pool.submit(_rest_of_build, rng, dx, dy, spectra[1:])
+        first = _spectrum(*spectra[0])
+        drawn, b_g, c_f = rest.result()
+    if not drawn:
+        b_g, c_f = _in_basis(first[1], b_g, c_f)
+    return [first, *drawn], b_g, c_f
 
 
 class QuadraticProblem(_LinearInnerProblem):
@@ -458,8 +482,8 @@ class QuadraticProblem(_LinearInnerProblem):
 
     family = "quadratic"
 
-    def __init__(self, A_f, C_f, A_g, B_g, seed: int = -1):
-        super().__init__(C_f, A_g, B_g, seed)
+    def __init__(self, A_f, C_f, A_g, B_g, seed: int = -1, Lg_prime: float | None = None):
+        super().__init__(C_f, A_g, B_g, seed, Lg_prime)
         if isinstance(A_f, tuple):
             self.lam_f, self.Q_f = A_f
         else:
@@ -577,24 +601,26 @@ def gen_quadratic(dx: int, dy: int, kappa_g: float, kappa_L: float, seed: int) -
     The inner Hessian A_g gets spectrum [1/kappa_g, 1] (so L_g = 1), the
     outer Hessian A_f gets spectrum [1/kappa_L, 1], the coupling B_g is
     scaled to unit operator norm and C_f is a seeded Gaussian direction of
-    norm sqrt(dy).  All derived smoothness constants are therefore exact.
+    norm sqrt(dy).  All derived smoothness constants are therefore exact:
+    Lg_prime is 1, the norm the coupling was scaled to (the orthogonal
+    eigenbases leave it unchanged), and is not measured again.
 
-    The coupling's draws and SVD run on a worker thread while A_f's and then
-    A_g's QRs run here (_coupled_draws).  Both spectrum seeds are drawn
-    before the worker starts, and then only the worker draws from the
-    generator, in a sequential build's order: the bytes do not depend on
-    the threads.
+    A_f's QR runs here while a worker thread runs A_g's QR, the coupling's
+    draws and SVD, and the rotation into A_g's eigenbasis (_coupled_draws).
+    Both spectrum seeds are drawn before the worker starts, and then only
+    the worker draws from the generator, in a sequential build's order: the
+    bytes do not depend on the threads.
     """
     check_generator_args("quadratic", dx=dx, dy=dy, kappa_g=kappa_g, kappa_L=kappa_L)
     rng = np.random.default_rng(seed)
     seed_g, seed_f = (int(rng.integers(2**62)) for _ in range(2))
     # A_f as gen_spd draws it at this seed, kept as its spectrum and eigenvectors.
-    # Its QR runs first: the build's peak RSS measured lower in that order.
+    # Its QR, the larger, runs on the calling thread (_coupled_draws).
     spectra, b_g, c_f = _coupled_draws(
         rng, dx, dy, [(dx, 1.0 / kappa_L, 1.0, seed_f), (dy, 1.0 / kappa_g, 1.0, seed_g)]
     )
     spectrum_f, (lam, _) = spectra
-    return QuadraticProblem(spectrum_f, c_f, np.diag(lam), b_g, seed=seed)
+    return QuadraticProblem(spectrum_f, c_f, np.diag(lam), b_g, seed=seed, Lg_prime=1.0)
 
 
 class NonconvexOuterProblem(_LinearInnerProblem):
@@ -608,10 +634,10 @@ class NonconvexOuterProblem(_LinearInnerProblem):
 
     family = "nonconvex"
 
-    def __init__(self, rho: float, C_f, A_g, B_g, seed: int = -1):
+    def __init__(self, rho: float, C_f, A_g, B_g, seed: int = -1, Lg_prime: float | None = None):
         if rho <= 0:
             raise ValueError(f"rho must be positive, got {rho}")
-        super().__init__(C_f, A_g, B_g, seed)
+        super().__init__(C_f, A_g, B_g, seed, Lg_prime)
         self.rho = float(rho)
 
     def grad_f(self, x, y, batch_size=1, rng=None):
@@ -643,8 +669,9 @@ def gen_nonconvex(
     """Non-convex-outer instance with inner pieces drawn as in gen_quadratic.
 
     C_f is rescaled so that ||B_g' z*||_inf equals rho / 2, which guarantees
-    stationary points of the outer loss exist.  The coupling's draws and SVD
-    run on a worker thread while A_g's QR runs here, as in gen_quadratic.
+    stationary points of the outer loss exist, and Lg_prime is 1 as in
+    gen_quadratic.  The coupling's draws and SVD run on a worker thread while
+    A_g's QR runs here; the rotation into A_g's eigenbasis follows the join.
     """
     check_generator_args("nonconvex", dx=dx, dy=dy, rho=rho, kappa_g=kappa_g)
     rng = np.random.default_rng(seed)
@@ -653,7 +680,7 @@ def gen_nonconvex(
     lam = spectra[0][0]
     offset = b_g.T @ (c_f / lam)
     c_f *= (rho / 2.0) / np.max(np.abs(offset))
-    return NonconvexOuterProblem(rho, c_f, np.diag(lam), b_g, seed=seed)
+    return NonconvexOuterProblem(rho, c_f, np.diag(lam), b_g, seed=seed, Lg_prime=1.0)
 
 
 class RidgeHPOProblem(_DeterministicProblem):

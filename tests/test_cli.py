@@ -961,6 +961,19 @@ class TestEndToEnd:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", ["quadratic", "nonconvex"])
+    def test_sweep_rejects_an_overflowing_kappa_before_any_cell(self, tmp_path, capsys, monkeypatch, family):
+        cells, run_cell = [], cli._sweep_cell
+        monkeypatch.setattr(cli, "_sweep_cell", lambda task: cells.append(task) or run_cell(task))
+        spec = {"family": family, "dx": 20, "dy": 10, "seed": 0}
+        cfg = {"problem": spec, "method": "amigo-gd",
+               "sweep": {"methods": ["amigo-gd"], "kappa_g": [10.0, 1e160], "T": [1, 10], "N": [1, 10], "K": 300}}
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: derived constants must be finite, got L=inf") and err.count("\n") == 1
+        assert cells == [] and not out.exists()
+
 
 def test_readme_config_table_mirrors_schema():
     """README's Config schema table lists exactly SCHEMA's keys, section by section."""

@@ -181,22 +181,25 @@ def held_arrays(p):
 class TestConcurrentBuild:
     """The generators draw the coupling on a worker thread; the bytes are those of a sequential build."""
 
-    @pytest.mark.parametrize("dx, dy, kappa_g, kappa_L, seed", [
+    QUADRATIC_CASES = [
         (12, 8, 5.0, 2.0, 1),
         (5, 9, 30.0, 4.0, 2),    # dy > dx
         (9, 5, 1.0, 3.0, 3),     # A_g's eigenbasis is None: nothing is rotated
         (6, 4, 7.0, 1.0, 4),     # A_f's eigenbasis is None
         (1, 3, 1.0, 1.0, 5),
-    ])
+    ]
+    NONCONVEX_CASES = [
+        (7, 5, 1.0, 2, 4.0),
+        (4, 7, 2.0, 3, 20.0),
+        (6, 3, 0.5, 4, 1.0),
+    ]
+
+    @pytest.mark.parametrize("dx, dy, kappa_g, kappa_L, seed", QUADRATIC_CASES)
     def test_quadratic_matches_sequential_composition(self, dx, dy, kappa_g, kappa_L, seed, tmp_path):
         self.assert_same(gen_quadratic(dx, dy, kappa_g, kappa_L, seed),
                          sequential_quadratic(dx, dy, kappa_g, kappa_L, seed), tmp_path)
 
-    @pytest.mark.parametrize("dx, dy, rho, seed, kappa_g", [
-        (7, 5, 1.0, 2, 4.0),
-        (4, 7, 2.0, 3, 20.0),
-        (6, 3, 0.5, 4, 1.0),
-    ])
+    @pytest.mark.parametrize("dx, dy, rho, seed, kappa_g", NONCONVEX_CASES)
     def test_nonconvex_matches_sequential_composition(self, dx, dy, rho, seed, kappa_g, tmp_path):
         self.assert_same(gen_nonconvex(dx, dy, rho, seed, kappa_g=kappa_g),
                          sequential_nonconvex(dx, dy, rho, seed, kappa_g), tmp_path)
@@ -211,19 +214,45 @@ class TestConcurrentBuild:
         save_problem(want, tmp_path / "want.bin")
         assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
 
+    @pytest.mark.parametrize("generate, case", [
+        *((gen_quadratic, case) for case in QUADRATIC_CASES),
+        *((gen_nonconvex, case) for case in NONCONVEX_CASES),
+    ])
+    def test_generated_Lg_prime_is_the_coupling_scale(self, generate, case):
+        p = generate(*case)
+        assert p.constants().Lg_prime == 1.0
+        assert abs(_op_norm(p.B_g) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("family", ["quadratic", "nonconvex"])
+    def test_container_Lg_prime_is_measured(self, family, tmp_path):
+        # A container holds no Lg_prime: a B_g scaled after generation is measured, not trusted.
+        p = self.BUILDS[family]()
+        *arrays, b_g = p._arrays()
+        rho = () if family == "quadratic" else (p.rho,)
+        save_problem(type(p)(*rho, *arrays, 3.0 * b_g), tmp_path / "scaled.bin")
+        assert abs(load_problem(tmp_path / "scaled.bin").constants().Lg_prime - 3.0) <= 1e-13 * 3.0
+
     BUILDS = {
         "quadratic": lambda: gen_quadratic(12, 8, kappa_g=5.0, kappa_L=2.0, seed=1),
         "nonconvex": lambda: gen_nonconvex(7, 5, rho=1.0, seed=2, kappa_g=4.0),
     }
+    # The dimension of each spectrum the calling thread draws: only the first,
+    # A_f's (d = dx) on the quadratic family and A_g's on the nonconvex one.
+    CALLING_THREAD_SPECTRA = {"quadratic": [12], "nonconvex": [5]}
 
     @pytest.mark.parametrize("family", BUILDS)
     def test_coupling_is_drawn_off_the_calling_thread(self, family, monkeypatch):
-        threads = []
-        draw = problems._draw_coupling
+        threads, spectra = [], []
+        draw, spectrum = problems._draw_coupling, problems._spectrum
         monkeypatch.setattr(problems, "_draw_coupling",
                             lambda *args: threads.append(threading.current_thread()) or draw(*args))
+        monkeypatch.setattr(problems, "_spectrum",
+                            lambda d, *args: spectra.append((d, threading.current_thread())) or spectrum(d, *args))
         self.BUILDS[family]()
-        assert len(threads) == 1 and threads[0] is not threading.current_thread()
+        here = threading.current_thread()
+        assert len(threads) == 1 and threads[0] is not here
+        assert [d for d, thread in spectra if thread is here] == self.CALLING_THREAD_SPECTRA[family]
+        assert all(thread in (here, threads[0]) for _, thread in spectra)
 
     @pytest.mark.parametrize("family", BUILDS)
     @pytest.mark.parametrize("failing", ["_draw_coupling", "_spectrum"])
