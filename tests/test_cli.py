@@ -966,8 +966,8 @@ class TestEndToEnd:
         cells, run_cell = [], cli._sweep_cell
         monkeypatch.setattr(cli, "_sweep_cell", lambda task: cells.append(task) or run_cell(task))
         spec = {"family": family, "dx": 20, "dy": 10, "seed": 0}
-        cfg = {"problem": spec, "method": "amigo-gd",
-               "sweep": {"methods": ["amigo-gd"], "kappa_g": [10.0, 1e160], "T": [1, 10], "N": [1, 10], "K": 300}}
+        sweep = {"methods": ["amigo-gd"], "kappa_g": [10.0, 1e160], "T": [1, 10], "N": [1, 10], "K": 300}
+        cfg = {"problem": spec, "method": "amigo-gd", "sweep": sweep}
         out = tmp_path / "out.csv"
         assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err

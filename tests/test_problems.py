@@ -246,8 +246,8 @@ class TestConcurrentBuild:
         draw, spectrum = problems._draw_coupling, problems._spectrum
         monkeypatch.setattr(problems, "_draw_coupling",
                             lambda *args: threads.append(threading.current_thread()) or draw(*args))
-        monkeypatch.setattr(problems, "_spectrum",
-                            lambda d, *args: spectra.append((d, threading.current_thread())) or spectrum(d, *args))
+        monkeypatch.setattr(problems, "_spectrum", lambda d, *args: (
+            spectra.append((d, threading.current_thread())) or spectrum(d, *args)))
         self.BUILDS[family]()
         here = threading.current_thread()
         assert len(threads) == 1 and threads[0] is not here
