@@ -123,7 +123,7 @@ def solve_linear_cg(
     for i in range(1, max_iter + 1):
         hp = oracle.hvp_gyy(x, y, p)
         p_hp = float(p @ hp)
-        if not np.isfinite(p_hp) or p_hp <= 0.0:
+        if not math.isfinite(p_hp) or p_hp <= 0.0:
             raise DivergenceError(f"CG breakdown at iteration {i}: p'Hp = {p_hp}")
         a = rs / p_hp
         z += a * p

@@ -181,8 +181,25 @@ def check_supported(linear_solver: str | None, noise: NoiseSpec | None) -> None:
                                         f"only {', '.join(map(repr, noisy))} takes Hessian noise")
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite.
+
+    ``np.count_nonzero`` counts the mask in C, with neither ``ndarray.all``'s
+    Python wrapper nor a ufunc reduction's set-up.
+    """
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def _finite_row(row: MetricRow) -> bool:
-    return all(v is None or math.isfinite(v) for v in row)
+    """Whether the row's five float fields are finite, skipping those that are None.
+
+    The other three are finite by construction: k and cost are counts and
+    wall_s is a clock reading.
+    """
+    return (math.isfinite(row.grad_norm_sq) and math.isfinite(row.avg_grad_norm_sq)
+            and (row.rel_error is None or math.isfinite(row.rel_error))
+            and (row.combined_sc is None or math.isfinite(row.combined_sc))
+            and (row.energy_x is None or math.isfinite(row.energy_x)))
 
 
 def _outer_loop(
@@ -202,6 +219,11 @@ def _outer_loop(
     a non-finite vector.  A non-finite x0, or a non-finite row 0 (a problem
     whose scale overflows at x0), is a ValueError, raised before the first
     query.
+
+    Row 0 and the iterations run under one ``np.errstate(over="ignore",
+    invalid="ignore")``: these checks, not numpy's overflow and invalid
+    warnings, report a run that diverges, and it ends in its
+    DivergenceError without such a warning first.
     """
     check_supported(linear_solver, oracle.noise)
     counter = OracleCounter()
@@ -212,47 +234,45 @@ def _outer_loop(
     xhat = None if delta is None else x.copy()
     t0 = time.perf_counter()
     rows: list[MetricRow] = []
-    if tracker is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if tracker is not None:
             rows.append(tracker.row(0, x, counter, 0.0))
-        if not _finite_row(rows[0]):
-            raise ValueError(f"metric row 0 at x0 has a non-finite entry: {rows[0]}")
-    xs = [x.copy()] if store_iterates else None
-    xhats = [xhat.copy()] if (store_iterates and xhat is not None) else None
-    iterations = 0
-    for k in range(config.K):
-        try:
-            psi, y, z = step(co, k, x, y, z)
-            if not (np.isfinite(y).all() and (z is None or np.isfinite(z).all())):
-                raise DivergenceError(f"inner iterate diverged at outer iteration {k}")
-            if metrics_hook is not None:
-                zk = None if z is None else z.copy()
-                metrics_hook(k, x.copy(), y.copy(), zk, counter.snapshot())
-            x = x - config.gamma * psi
-            if not np.isfinite(x).all():
-                raise DivergenceError(f"outer iterate diverged at outer iteration {k}")
-            row = None
-            if tracker is not None:
-                # A diverging run overflows here first; the check below ends it quietly.
-                with np.errstate(over="ignore", invalid="ignore"):
+            if not _finite_row(rows[0]):
+                raise ValueError(f"metric row 0 at x0 has a non-finite entry: {rows[0]}")
+        xs = [x.copy()] if store_iterates else None
+        xhats = [xhat.copy()] if (store_iterates and xhat is not None) else None
+        iterations = 0
+        for k in range(config.K):
+            try:
+                psi, y, z = step(co, k, x, y, z)
+                if not (_all_finite(y) and (z is None or _all_finite(z))):
+                    raise DivergenceError(f"inner iterate diverged at outer iteration {k}")
+                if metrics_hook is not None:
+                    zk = None if z is None else z.copy()
+                    metrics_hook(k, x.copy(), y.copy(), zk, counter.snapshot())
+                x = x - config.gamma * psi
+                if not _all_finite(x):
+                    raise DivergenceError(f"outer iterate diverged at outer iteration {k}")
+                row = None
+                if tracker is not None:
                     row = tracker.row(k + 1, x, counter, time.perf_counter() - t0)
-                if not _finite_row(row):
-                    raise DivergenceError(f"metric row diverged at outer iteration {k}")
-        except DivergenceError as err:
-            err.outer_iteration = k
-            err.partial_rows = rows
-            raise
-        if xhat is not None:
-            xhat = (1.0 - delta) * xhat + delta * x
-        iterations = k + 1
-        if store_iterates:
-            xs.append(x.copy())
-            if xhats is not None:
-                xhats.append(xhat.copy())
-        if row is not None:
-            rows.append(row)
-            if stop is not None and stop(row):
-                break
+                    if not _finite_row(row):
+                        raise DivergenceError(f"metric row diverged at outer iteration {k}")
+            except DivergenceError as err:
+                err.outer_iteration = k
+                err.partial_rows = rows
+                raise
+            if xhat is not None:
+                xhat = (1.0 - delta) * xhat + delta * x
+            iterations = k + 1
+            if store_iterates:
+                xs.append(x.copy())
+                if xhats is not None:
+                    xhats.append(xhat.copy())
+            if row is not None:
+                rows.append(row)
+                if stop is not None and stop(row):
+                    break
     return RunRecord(
         rows=rows, x_final=x, y_final=y, z_final=z, xhat_final=xhat, counter=counter,
         wall_s=time.perf_counter() - t0,

@@ -204,7 +204,9 @@ class _LinearInnerProblem(_DeterministicProblem):
     gd_steps and linear_steps keep their factors for the last (alpha, T) and
     (beta, N), which a run holds fixed, each in one tuple replaced whole: r^T
     and the noisy Gaussian's scale (once a noisy call needs it), and r = 1 -
-    beta * lam and r^N.
+    beta * lam and r^N.  ``neg_lam`` holds -lam beside lam, so y* and the
+    adjoint fixed point are one division each: u / -lam is -(u / lam) bit
+    for bit, since negation commutes with IEEE division.
 
     Because f is linear in y, the adjoint z* = -C_f / lam does not depend on
     (x, y) and the outer gradient is the gradient of the x term plus the
@@ -230,6 +232,7 @@ class _LinearInnerProblem(_DeterministicProblem):
             self.C_f, self.A_g, self.B_g = c_f, a_g, b_g
         else:
             self.C_f, self.A_g, self.B_g = q.T @ c_f, np.diag(self.lam), q.T @ b_g
+        self.neg_lam = -self.lam
         self._gd_factors: tuple = (None, None, None)
         self._linear_factors: tuple = (None, None, None)
 
@@ -254,7 +257,9 @@ class _LinearInnerProblem(_DeterministicProblem):
         if key != (alpha, T):
             key, power, scale = self._gd_factors = ((alpha, T), (1.0 - alpha * self.lam) ** T, None)
         ys = self.y_star(x)
-        y = ys + power * (y - ys)
+        y = y - ys
+        y *= power
+        y += ys
         if sigma > 0:
             xi = gaussian_mean(need_rng(rng, "grad_gy"), sigma, self.dims.dy, batch_size)
             if scale is None:
@@ -279,8 +284,11 @@ class _LinearInnerProblem(_DeterministicProblem):
             shift = -beta * sigma * uniform_means(need_rng(rng, "hvp_gyy"), batch_size, N)
             z = np.array(z, dtype=float, copy=True)
             return _affine_steps(z, r, shift, beta * np.asarray(v, dtype=float))
-        zs = -np.asarray(v, dtype=float) / self.lam
-        return zs + power * (z - zs)
+        zs = np.asarray(v, dtype=float) / self.neg_lam
+        z = z - zs
+        z *= power
+        z += zs
+        return z
 
     # The reverse pass multiplies p by r = 1 - alpha * lam at each step and
     # never reads the iterates, so its T cross products sum to one:
@@ -308,10 +316,10 @@ class _LinearInnerProblem(_DeterministicProblem):
 
     # Closed forms.
     def y_star(self, x) -> np.ndarray:
-        return -(self.B_g @ x) / self.lam
+        return (self.B_g @ x) / self.neg_lam
 
     def z_star(self, x=None, y=None) -> np.ndarray:
-        return -self.C_f / self.lam
+        return self.C_f / self.neg_lam
 
     @cached_property
     def grad_offset(self) -> np.ndarray:

@@ -299,6 +299,25 @@ def test_zero_steps_return_a_copy_of_the_start(problem):
     assert rng.bit_generator.state == start
 
 
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("count", [1, 10])
+def test_bulk_steps_keep_their_inputs(problem, count, noisy):
+    # The closed forms finish in place, on a temporary of their own: the
+    # caller's x, y, v and z keep their bytes and share no memory with a result.
+    x, y, v = point(problem)
+    z = np.random.default_rng(1).standard_normal(problem.dims.dy)
+    inputs = (x, y, v, z)
+    before = [a.tobytes() for a in inputs]
+    L_g = problem.constants().L_g
+    rng = np.random.default_rng(11)
+    outs = (problem.gd_steps(x, y, 1.0 / L_g, count, batch_size=3, rng=rng,
+                             sigma=SIGMA if noisy else 0.0),
+            problem.linear_steps(x, y, v, z, 0.5 / L_g, count, batch_size=3, rng=rng,
+                                 sigma=0.05 * L_g if noisy else 0.0))
+    assert [a.tobytes() for a in inputs] == before
+    assert not any(np.shares_memory(out, a) for out in outs for a in inputs)
+
+
 class TestNoisyStreams:
     """Noisy adjoint steps take the loop's draws; a quiet stream takes the closed form."""
 
@@ -412,7 +431,6 @@ def test_ridge_unrolled_grad_is_the_literal_loop():
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("increasing_T", [False, True])
 @pytest.mark.parametrize("path", ["bulk", "literal"])
 def test_divergent_unroll_ends_in_divergence_error(problem, path, increasing_T, monkeypatch):

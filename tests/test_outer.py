@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,7 +251,6 @@ class TestAidLoop:
         with pytest.raises(ValueError):
             aid_run(quad, config, np.zeros(12))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_carries_outer_iteration(self, quad):
         config = schedule_for(quad, K=50)
         config.gamma = 1e8  # far beyond 2/L: the outer iteration explodes
@@ -258,7 +258,6 @@ class TestAidLoop:
             aid_run(quad, config, np.ones(12))
         assert err.value.outer_iteration is not None
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_carries_partial_rows(self, quad):
         assert DivergenceError("no driver").partial_rows == []
         config = schedule_for(quad, K=50)
@@ -392,37 +391,61 @@ def _outer_loop_locals(err):
     return tb.tb_frame.f_locals
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("case", list(DIVERGING))
-def test_divergence_is_decided_once_per_outer_iteration(case):
-    # The CLI's run of the dx=24 quadratic: problem seed 1, run seed 0, K=40.
-    driver, overrides, expected = DIVERGING[case]
+def _diverge(case, **kwargs):
+    """The DivergenceError of DIVERGING[case] on the CLI's run of the dx=24 quadratic.
+
+    Problem seed 1, run seed 0, K=40; kwargs go to the driver beside its tracker.
+    """
+    driver, overrides, _ = DIVERGING[case]
     problem = gen_quadratic(24, 12, kappa_g=10.0, kappa_L=5.0, seed=1)
     config = dataclasses.replace(schedule_for(problem, K=40), **overrides)
     tracker = MetricsTracker(problem, mu_outer=config.mu_outer, L_outer=problem.outer_smoothness()[0])
+    x0 = np.random.default_rng(0).standard_normal(24)
+    with pytest.raises(DivergenceError) as err:
+        if driver == "aid":
+            aid_run(problem, config, x0, tracker=tracker, **kwargs)
+        else:
+            itd_run(problem, config, x0, tracker=tracker, increasing_T=driver == "reverse", **kwargs)
+    return err.value
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("case", list(DIVERGING))
+def test_divergence_is_decided_once_per_outer_iteration(case):
+    expected = DIVERGING[case][2]
     seen = []
 
     def hook(k, x, y, z, counts):
         seen.extend(v for v in (x, y, z) if v is not None)
 
-    kwargs = dict(metrics_hook=hook, tracker=tracker, store_iterates=True)
-    x0 = np.random.default_rng(0).standard_normal(24)
-    with pytest.raises(DivergenceError) as err:
-        if driver == "aid":
-            aid_run(problem, config, x0, **kwargs)
-        else:
-            itd_run(problem, config, x0, increasing_T=driver == "reverse", **kwargs)
-    k = err.value.outer_iteration
+    err = _diverge(case, metrics_hook=hook, store_iterates=True)
+    k = err.outer_iteration
     assert k is not None
     if expected is not None:
         assert k == expected
-    rows = err.value.partial_rows
+    rows = err.partial_rows
     assert [r.k for r in rows] == list(range(k + 1))
     assert all(v is None or math.isfinite(v) for r in rows for v in r)
-    stored = _outer_loop_locals(err.value)["xs"]
+    stored = _outer_loop_locals(err)["xs"]
     assert len(seen) >= 2 * k and len(stored) == k + 1
     assert all(np.isfinite(v).all() for v in seen + stored)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("case", list(DIVERGING))
+def test_divergence_is_decided_by_the_loop_not_by_a_numpy_warning(case):
+    # A numpy overflow or invalid warning raised as an error inside the run
+    # would end it before the loop's checks; with such warnings errors, the
+    # run must end as it does with them ignored: same iteration, message and
+    # rows (less their clock readings).
+    outcomes = []
+    for action in ("ignore", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            err = _diverge(case)
+        rows = [r._replace(wall_s=None) for r in err.partial_rows]
+        outcomes.append((err.outer_iteration, str(err), rows))
+    assert outcomes[0] == outcomes[1]
 
 
 class CallSpy:
