@@ -26,17 +26,14 @@ import numpy as np
 
 from .inner import DivergenceError
 from .metrics import MetricRow, MetricsTracker
-from .oracle import SmoothnessConstants, UnsupportedOperationError, derive_constants
+from .oracle import UnsupportedOperationError
 from .outer import RunRecord, SolverConfig, aid_run, check_supported, itd_run, prescribed_schedule
 from .problems import (
+    FAMILIES,
     NoiseSpec,
     check_condition_numbers,
-    check_generator_args,
-    check_hessian_noise,
+    check_generated_spec,
     describe_problem,
-    gen_nonconvex,
-    gen_quadratic,
-    gen_ridge_hpo,
     load_problem,
     make_stochastic,
     save_problem,
@@ -65,8 +62,6 @@ METHODS = {
 METHOD_FIELDS = ("warm_y", "warm_z", "linear_solver")
 
 DEFAULT_EPS = (1e-2, 1e-4, 1e-6)
-
-FAMILIES = {"quadratic": gen_quadratic, "ridge": gen_ridge_hpo, "nonconvex": gen_nonconvex}
 
 METHOD = "method"  # the kind of a method name
 SEED = "seed"  # the kind of a seed: a nonnegative integer
@@ -239,22 +234,7 @@ def build_problem(spec: dict):
     spec = canonical_problem(spec)
     if "path" in spec:
         return load_problem(spec["path"])
-    return FAMILIES[spec.pop("family")](**spec)
-
-
-def _check_generated(pspec: dict, noise: NoiseSpec) -> None:
-    """A generated spec's generator rules, Hessian-noise rule and derived constants, before a build.
-
-    The constants are those the built problem reports: mu_g = 1/kappa_g and
-    L_g = 1 (_spectrum), Lg_prime = 1, M_g = 0, and L_f = 1 (A_f's top
-    eigenvalue) or rho; B enters no derived constant when M_g = 0.
-    """
-    if "family" in pspec:
-        check_generator_args(**pspec)
-    if "kappa_g" in pspec:
-        mu_g = 1.0 / pspec["kappa_g"]
-        check_hessian_noise(noise, mu_g)
-        derive_constants(SmoothnessConstants(mu_g, 1.0, Lg_prime=1.0, L_f=pspec.get("rho", 1.0)))
+    return FAMILIES[spec.pop("family")].generator(**spec)
 
 
 def build_noise(spec: dict | None) -> NoiseSpec:
@@ -505,7 +485,7 @@ def _sweep(problem_spec, sweep, eps, noise_spec, solver_overrides, workers: int)
     # The grid's condition numbers in one message, then each problem as its generator checks it.
     check_condition_numbers(*(pspec["kappa_g"] for pspec in pspecs if "kappa_g" in pspec))
     for pspec in pspecs:
-        _check_generated(pspec, noise)
+        check_generated_spec(pspec, noise)
     tasks = []
     for pspec in pspecs:
         grid = itertools.product(sweep["methods"], sweep["T"], sweep["N"], sweep["batch"], sweep["seeds"])
@@ -681,7 +661,7 @@ def cmd_run(args) -> int:
     noise = build_noise(cfg["noise"])
     method, seed, out = cfg["method"], cfg["seed"], cfg["out"]
     check_supported(METHODS[method].get("linear_solver"), noise)  # before the problem is built
-    _check_generated(cfg["problem"], noise)
+    check_generated_spec(cfg["problem"], noise)
     problem = build_problem(cfg["problem"])
     config = build_config(problem, method, cfg["solver"], noise)
     record, rows, diverged_at = _run_rows(problem, method, config, seed, noise)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -35,6 +36,7 @@ from .oracle import (
     Dims,
     SmoothnessConstants,
     UnsupportedOperationError,
+    derive_constants,
     gaussian_mean,
     need_rng,
     uniform_means,
@@ -44,12 +46,14 @@ __all__ = [
     "InvalidSpectrumError",
     "ConfigurationError",
     "ContainerError",
+    "FAMILIES",
     "NoiseSpec",
     "QuadraticProblem",
     "RidgeHPOProblem",
     "NonconvexOuterProblem",
     "StochasticOracle",
     "check_condition_numbers",
+    "check_generated_spec",
     "check_generator_args",
     "check_hessian_noise",
     "gen_spd",
@@ -63,8 +67,6 @@ __all__ = [
 ]
 
 MAGIC = b"BLPROB01"
-_FAMILY_TAGS = {"quadratic": 1, "ridge": 2, "nonconvex": 3}
-_FAMILY_NAMES = {v: k for k, v in _FAMILY_TAGS.items()}
 
 # Hyperparameter box over which the ridge problem's local constants are taken.
 RIDGE_X_BOX = 10.0
@@ -180,6 +182,15 @@ class _DeterministicProblem(BilevelOracle):
     def x_out(self, x) -> np.ndarray:
         """The inverse of x_in: x back in the coordinates the problem was given in."""
         return x
+
+    def header(self, arrays) -> dict:
+        """The container header of the arrays _arrays gives; a family sets the fields it defines.
+
+        A float field the family leaves undefined is NaN, and a count or extra it leaves is 0.
+        """
+        nan = float("nan")
+        return {"family": self.family, "dx": self.dims.dx, "dy": self.dims.dy, "n_aux1": 0,
+                "n_aux2": 0, "seed": self.seed, "kappa_g": nan, "kappa_L": nan, "extra": 0.0}
 
 
 class _LinearInnerProblem(_DeterministicProblem):
@@ -327,17 +338,7 @@ class _LinearInnerProblem(_DeterministicProblem):
         return self.B_g.T @ self.z_star()
 
     def header(self, arrays) -> dict:
-        return {
-            "family": self.family,
-            "dx": self.dims.dx,
-            "dy": self.dims.dy,
-            "n_aux1": 0,
-            "n_aux2": 0,
-            "seed": self.seed,
-            "kappa_g": float(self.lam.max() / self.lam.min()),
-            "kappa_L": float("nan"),
-            "extra": 0.0,
-        }
+        return {**super().header(arrays), "kappa_g": float(self.lam.max() / self.lam.min())}
 
 
 def _power_sum(step: np.ndarray, T: int) -> np.ndarray:
@@ -573,36 +574,6 @@ def check_condition_numbers(*kappas: float) -> None:
         raise InvalidSpectrumError(f"condition numbers must be >= 1, got {got}")
 
 
-# Each generator's arguments that must be positive (its dimensions, and rho),
-# those that must be nonnegative, and the (dimension, condition number)
-# argument pairs it draws a spectrum on [1/kappa, 1] for.
-_GENERATOR_ARGS = {
-    "quadratic": (("dx", "dy"), (), (("dy", "kappa_g"), ("dx", "kappa_L"))),
-    "nonconvex": (("dx", "dy", "rho"), (), (("dy", "kappa_g"),)),
-    "ridge": (("n_tr", "n_val", "d"), ("label_noise",), ()),
-}
-
-
-def check_generator_args(family: str, **args) -> None:
-    """Raise what the family's generator raises for these arguments, before it draws anything.
-
-    Every dimension and rho must be positive, label_noise nonnegative, every
-    condition number at least 1, and each spectrum must obey _spectrum's
-    rule, under which dimension 1 admits only kappa = 1.  Other arguments
-    are ignored.
-    """
-    positive, nonnegative, spectra = _GENERATOR_ARGS[family]
-    for name in positive:
-        if not args[name] > 0:
-            raise ValueError(f"{name} must be positive, got {args[name]}")
-    for name in nonnegative:
-        if args[name] < 0:
-            raise ValueError(f"{name} must be nonnegative, got {args[name]}")
-    check_condition_numbers(*(args[kappa] for _, kappa in spectra))
-    for d, kappa in spectra:
-        _check_spectrum(args[d], 1.0 / args[kappa], 1.0)
-
-
 def gen_quadratic(dx: int, dy: int, kappa_g: float, kappa_L: float, seed: int) -> QuadraticProblem:
     """Quadratic instance with inner conditioning kappa_g and outer conditioning kappa_L.
 
@@ -788,17 +759,8 @@ class RidgeHPOProblem(_DeterministicProblem):
         return self._constants_at_origin
 
     def header(self, arrays) -> dict:
-        return {
-            "family": self.family,
-            "dx": self.d,
-            "dy": self.d,
-            "n_aux1": self.A_tr.shape[0],
-            "n_aux2": self.A_val.shape[0],
-            "seed": self.seed,
-            "kappa_g": float("nan"),
-            "kappa_L": float("nan"),
-            "extra": self.label_noise,
-        }
+        n_aux = {"n_aux1": self.A_tr.shape[0], "n_aux2": self.A_val.shape[0]}
+        return {**super().header(arrays), **n_aux, "extra": self.label_noise}
 
     def _arrays(self) -> list[np.ndarray]:
         return [self.A_tr, self.b_tr, self.A_val, self.b_val]
@@ -818,6 +780,60 @@ def gen_ridge_hpo(
     problem = RidgeHPOProblem(a_tr, b_tr, a_val, b_val, seed=seed, label_noise=label_noise)
     problem.w_planted = w
     return problem
+
+
+# The generated families, in the order errors list them.  Each holds its
+# generator, its container tag, the generator arguments that must be positive
+# (the dimensions, and rho) and those that must be nonnegative, and the
+# (dimension, condition number) argument pairs it draws a spectrum on
+# [1/kappa, 1] for.
+Family = namedtuple("Family", "generator tag positive nonnegative spectra")
+FAMILIES = {
+    "quadratic": Family(gen_quadratic, 1, ("dx", "dy"), (), (("dy", "kappa_g"), ("dx", "kappa_L"))),
+    "ridge": Family(gen_ridge_hpo, 2, ("n_tr", "n_val", "d"), ("label_noise",), ()),
+    "nonconvex": Family(gen_nonconvex, 3, ("dx", "dy", "rho"), (), (("dy", "kappa_g"),)),
+}
+
+
+def check_generator_args(family: str, **args) -> None:
+    """Raise what the family's generator raises for these arguments, before it draws anything.
+
+    Every dimension and rho must be positive, label_noise nonnegative, every
+    condition number at least 1, and each spectrum must obey _spectrum's
+    rule, under which dimension 1 admits only kappa = 1.  Other arguments
+    are ignored.
+    """
+    fam = FAMILIES[family]
+    for name in fam.positive:
+        if not args[name] > 0:
+            raise ValueError(f"{name} must be positive, got {args[name]}")
+    for name in fam.nonnegative:
+        if args[name] < 0:
+            raise ValueError(f"{name} must be nonnegative, got {args[name]}")
+    check_condition_numbers(*(args[kappa] for _, kappa in fam.spectra))
+    for d, kappa in fam.spectra:
+        _check_spectrum(args[d], 1.0 / args[kappa], 1.0)
+
+
+def check_generated_spec(spec: dict, noise: NoiseSpec) -> SmoothnessConstants | None:
+    """The one check of a canonical problem spec before its build; a container's spec passes.
+
+    In order: the generator's rule (check_generator_args), then, given a
+    kappa_g, the Hessian-noise rule at mu_g and finite derived constants.
+    Those constants are the built problem's, and are returned: mu_g =
+    1/kappa_g and L_g = 1 (_spectrum), Lg_prime = 1 (the coupling's scale),
+    M_g = 0, and L_f = 1 (A_f's top eigenvalue) or rho; B is left 0, as it
+    enters no derived constant when M_g = 0.  None for ridge, whose
+    constants need the built problem.
+    """
+    if "family" in spec:
+        check_generator_args(**spec)
+    if "kappa_g" in spec:
+        constants = SmoothnessConstants(1.0 / spec["kappa_g"], 1.0, Lg_prime=1.0, L_f=spec.get("rho", 1.0))
+        check_hessian_noise(noise, constants.mu_g)
+        derive_constants(constants)
+        return constants
+    return None
 
 
 @dataclass(frozen=True)
@@ -956,7 +972,7 @@ def _problem_bytes(problem) -> bytes:
     # The header reads the body it heads, so a drawn A_f is formed once per save.
     arrays = problem._arrays()
     h = problem.header(arrays)
-    packed = struct.pack(_HEADER_FMT, _FAMILY_TAGS[h["family"]], *map(h.get, _HEADER_KEYS[1:]))
+    packed = struct.pack(_HEADER_FMT, FAMILIES[h["family"]].tag, *map(h.get, _HEADER_KEYS[1:]))
     blobs = [arr.astype("<f8").tobytes(order="C") for arr in arrays]
     return MAGIC + packed + b"".join(blobs)
 
@@ -990,7 +1006,7 @@ def _read_header(raw: bytes) -> dict:
     vals = struct.unpack_from(_HEADER_FMT, raw, len(MAGIC))
     h = dict(zip(_HEADER_KEYS, vals))
     tag = h.pop("family_tag")
-    h["family"] = _FAMILY_NAMES.get(tag)
+    h["family"] = next((name for name, fam in FAMILIES.items() if fam.tag == tag), None)
     if h["family"] is None:
         raise ContainerError("family_tag", f"unknown problem family tag {tag}")
     return h

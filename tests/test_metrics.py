@@ -65,6 +65,10 @@ class TestCountingOracle:
         co.linear_steps(x, y, y, y, 0.5, 0, batch_size=9)
         assert counter == OracleCounter(n_grad_g=5 * 3, n_hvp=4 * 2)
 
+    def test_dims_are_the_bases(self):
+        p = gen_quadratic(6, 4, kappa_g=3.0, kappa_L=2.0, seed=0)
+        assert CountingOracle(p, OracleCounter()).dims is p.dims
+
     def test_snapshot_is_independent(self):
         counter = OracleCounter(n_grad_f=1)
         snap = counter.snapshot()

@@ -2,6 +2,7 @@ import math
 import os
 import struct
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from amigo import (
     make_stochastic,
     save_problem,
 )
-from amigo import problems
+from amigo import derive_constants, problems
+from amigo.cli import build_problem, canonical_problem
 from amigo.problems import (
     _HEADER_FMT,
     MAGIC,
@@ -30,6 +32,8 @@ from amigo.problems import (
     RidgeHPOProblem,
     _op_norm,
     _problem_bytes,
+    check_generated_spec,
+    check_hessian_noise,
 )
 
 from conftest import central_diff, rel_err
@@ -123,6 +127,13 @@ BAD_ARGUMENTS = {
                             ValueError, "A_f has shape (3, 3), expected (2, 2)"),
     "nonconvex-rho": (lambda: gen_nonconvex(4, 3, rho=0.0, seed=0), ValueError,
                       "rho must be positive, got 0.0"),
+    # A container's rho is checked before the constructor runs, so only a direct construction gets here.
+    "nonconvex-constructor-rho-zero": (
+        lambda: problems.NonconvexOuterProblem(0.0, np.ones(2), np.eye(2), np.ones((2, 2))),
+        ValueError, "rho must be positive, got 0.0"),
+    "nonconvex-constructor-rho-negative": (
+        lambda: problems.NonconvexOuterProblem(-1.0, np.ones(2), np.eye(2), np.ones((2, 2))),
+        ValueError, "rho must be positive, got -1.0"),
     "ridge-features": (lambda: RidgeHPOProblem(np.ones((3, 2)), np.ones(3), np.ones((3, 3)), np.ones(3)),
                        ValueError, "train and validation designs must share the feature dimension"),
     "ridge-rows": (lambda: gen_ridge_hpo(0, 4, 2, label_noise=0.1, seed=0), ValueError,
@@ -138,6 +149,51 @@ def test_bad_arguments_rejected(case):
     with pytest.raises(error) as err:
         build()
     assert type(err.value) is error and str(err.value) == message
+
+
+def outcome(call):
+    """(call(), None), or (None, (type, message)) of what call raised."""
+    try:
+        return call(), None
+    except Exception as err:
+        return None, (type(err), str(err))
+
+
+@st.composite
+def generated_specs(draw):
+    """A canonical generated spec, out-of-range arguments and overflowing condition numbers included."""
+    family = draw(st.sampled_from(list(problems.FAMILIES)))
+    dim = st.integers(0, 8)
+    kappa = st.sampled_from([0.5, 1.0, 10.0, 1e3, 1e154, 1e160, 1e300])
+    extra = st.sampled_from([-1.0, 0.0, 0.5, 2.0])  # rho or label_noise
+    args = {"quadratic": dict(dx=dim, dy=dim, kappa_g=kappa, kappa_L=kappa),
+            "ridge": dict(n_tr=dim, n_val=dim, d=dim, label_noise=extra),
+            "nonconvex": dict(dx=dim, dy=dim, rho=extra, kappa_g=kappa)}[family]
+    return canonical_problem({"family": family, **{name: draw(arg) for name, arg in args.items()}})
+
+
+@settings(max_examples=500, deadline=None)
+@given(spec=generated_specs(), sigma_gyy=st.sampled_from([0.0, 0.01, 0.5]))
+def test_pre_build_check_predicts_the_build(spec, sigma_gyy):
+    """The check raises what the build and the constants' two rules raise, and assumes the built constants."""
+    noise = NoiseSpec(sigma_gyy_tilde=sigma_gyy)
+    assumed, check_error = outcome(lambda: check_generated_spec(spec, noise))
+
+    def build():
+        problem = build_problem(spec)
+        if spec["family"] == "ridge":  # only the argument rule is checked before a ridge build
+            return None
+        constants = problem.constants()
+        check_hessian_noise(noise, constants.mu_g)
+        derive_constants(constants)
+        return constants
+
+    built, build_error = outcome(build)
+    assert check_error == build_error
+    if built is None:
+        assert assumed is None
+    else:
+        assert replace(assumed, B=built.B) == built
 
 
 @pytest.mark.parametrize("shape", [(30, 70), (70, 30), (50, 50)])
