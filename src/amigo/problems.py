@@ -184,13 +184,19 @@ class _DeterministicProblem(BilevelOracle):
         return x
 
     def header(self, arrays) -> dict:
-        """The container header of the arrays _arrays gives; a family sets the fields it defines.
+        """The container header of the arrays _arrays gives, as the family's FAMILIES row lays it out.
 
-        A float field the family leaves undefined is NaN, and a count or extra it leaves is 0.
+        The body's shapes give the dimensions it uses, and the row's extra
+        argument gives extra.  A float field the family leaves undefined is
+        NaN, and a count or extra it leaves is 0.
         """
-        nan = float("nan")
-        return {"family": self.family, "dx": self.dims.dx, "dy": self.dims.dy, "n_aux1": 0,
-                "n_aux2": 0, "seed": self.seed, "kappa_g": nan, "kappa_L": nan, "extra": 0.0}
+        fam, nan = FAMILIES[self.family], float("nan")
+        h = {"family": self.family, "dx": self.dims.dx, "dy": self.dims.dy, "n_aux1": 0, "n_aux2": 0,
+             "seed": self.seed, "kappa_g": nan, "kappa_L": nan,
+             "extra": 0.0 if fam.extra is None else getattr(self, fam.extra)}
+        for (_, shape), array in zip(fam.body, arrays):
+            h.update(zip(shape, array.shape))
+        return h
 
 
 class _LinearInnerProblem(_DeterministicProblem):
@@ -635,9 +641,6 @@ class NonconvexOuterProblem(_LinearInnerProblem):
     def f_value(self, x, y) -> float:
         return float(y @ self.C_f + self.rho * np.sum(np.cos(x)))
 
-    def header(self, arrays) -> dict:
-        return {**super().header(arrays), "extra": self.rho}
-
     def _arrays(self) -> list[np.ndarray]:
         return list(self._given)
 
@@ -758,10 +761,6 @@ class RidgeHPOProblem(_DeterministicProblem):
     def constants(self) -> SmoothnessConstants:
         return self._constants_at_origin
 
-    def header(self, arrays) -> dict:
-        n_aux = {"n_aux1": self.A_tr.shape[0], "n_aux2": self.A_val.shape[0]}
-        return {**super().header(arrays), **n_aux, "extra": self.label_noise}
-
     def _arrays(self) -> list[np.ndarray]:
         return [self.A_tr, self.b_tr, self.A_val, self.b_val]
 
@@ -782,16 +781,24 @@ def gen_ridge_hpo(
     return problem
 
 
-# The generated families, in the order errors list them.  Each holds its
-# generator, its container tag, the generator arguments that must be positive
-# (the dimensions, and rho) and those that must be nonnegative, and the
-# (dimension, condition number) argument pairs it draws a spectrum on
-# [1/kappa, 1] for.
-Family = namedtuple("Family", "generator tag positive nonnegative spectra")
+# The families, in the order errors list them.  Each holds its generator, its
+# container tag, the generator arguments that must be positive (the
+# dimensions, and rho) and those that must be nonnegative, the (dimension,
+# condition number) argument pairs it draws a spectrum on [1/kappa, 1] for,
+# its class, its container body (each array's constructor argument and shape
+# in header dimensions, in stored order) and the constructor argument the
+# header's extra holds.  That argument is listed as positive or nonnegative,
+# its range in a container too; a family without one writes extra as +0.0.
+Family = namedtuple("Family", "generator tag positive nonnegative spectra cls body extra")
+_LINEAR_INNER_BODY = (("C_f", ("dy",)), ("A_g", ("dy", "dy")), ("B_g", ("dy", "dx")))
 FAMILIES = {
-    "quadratic": Family(gen_quadratic, 1, ("dx", "dy"), (), (("dy", "kappa_g"), ("dx", "kappa_L"))),
-    "ridge": Family(gen_ridge_hpo, 2, ("n_tr", "n_val", "d"), ("label_noise",), ()),
-    "nonconvex": Family(gen_nonconvex, 3, ("dx", "dy", "rho"), (), (("dy", "kappa_g"),)),
+    "quadratic": Family(gen_quadratic, 1, ("dx", "dy"), (), (("dy", "kappa_g"), ("dx", "kappa_L")),
+                        QuadraticProblem, (("A_f", ("dx", "dx")), *_LINEAR_INNER_BODY), None),
+    "ridge": Family(gen_ridge_hpo, 2, ("n_tr", "n_val", "d"), ("label_noise",), (), RidgeHPOProblem,
+                    (("A_tr", ("n_aux1", "dx")), ("b_tr", ("n_aux1",)),
+                     ("A_val", ("n_aux2", "dx")), ("b_val", ("n_aux2",))), "label_noise"),
+    "nonconvex": Family(gen_nonconvex, 3, ("dx", "dy", "rho"), (), (("dy", "kappa_g"),),
+                        NonconvexOuterProblem, _LINEAR_INNER_BODY, "rho"),
 }
 
 
@@ -962,7 +969,7 @@ def make_stochastic(problem, noise: NoiseSpec, seed: int) -> StochasticOracle:
 
 # ---------------------------------------------------------------------------
 # Serialization: magic string, fixed 72-byte header, then row-major
-# little-endian float64 matrices in declared field order.
+# little-endian float64 arrays in the order the family's FAMILIES row declares.
 
 _HEADER_FMT = "<qqqqqqddd"
 _HEADER_KEYS = ("family_tag", "dx", "dy", "n_aux1", "n_aux2", "seed", "kappa_g", "kappa_L", "extra")
@@ -999,83 +1006,74 @@ class ContainerError(ValueError):
 
 
 def _read_header(raw: bytes) -> dict:
+    """The header at the start of raw, once it obeys every rule its family's FAMILIES row sets.
+
+    The tag must be known, each dimension the body uses positive (checked in
+    header order), and extra in its argument's range: positive or
+    nonnegative as the row lists it, and +0.0, the one value that
+    round-trips, for a family without one.
+    """
     if raw[: len(MAGIC)] != MAGIC:
         raise ContainerError("magic", "not a problem container (bad magic string)")
     if len(raw) < _HEADER_END:
         raise ContainerError("header", f"{len(raw)} bytes, shorter than the {_HEADER_END}-byte header")
-    vals = struct.unpack_from(_HEADER_FMT, raw, len(MAGIC))
-    h = dict(zip(_HEADER_KEYS, vals))
+    h = dict(zip(_HEADER_KEYS, struct.unpack_from(_HEADER_FMT, raw, len(MAGIC))))
     tag = h.pop("family_tag")
     h["family"] = next((name for name, fam in FAMILIES.items() if fam.tag == tag), None)
     if h["family"] is None:
         raise ContainerError("family_tag", f"unknown problem family tag {tag}")
-    return h
-
-
-def _body_shapes(h: dict) -> list[tuple[int, ...]]:
-    """Shapes of the body's arrays in stored order; every dimension they use must be positive."""
-    dx, dy = h["dx"], h["dy"]
-    if h["family"] == "ridge":
-        dims = ("dx", "n_aux1", "n_aux2")
-        n_tr, n_val = h["n_aux1"], h["n_aux2"]
-        shapes = [(n_tr, dx), (n_tr,), (n_val, dx), (n_val,)]
-    else:
-        dims = ("dx", "dy")
-        shapes = [(dy,), (dy, dy), (dy, dx)]
-        if h["family"] == "quadratic":
-            shapes.insert(0, (dx, dx))
-    for name in dims:
-        if h[name] <= 0:
+    fam = FAMILIES[h["family"]]
+    used = {dim for _, shape in fam.body for dim in shape}
+    for name in _HEADER_KEYS[1:5]:
+        if name in used and h[name] <= 0:
             raise ContainerError(name, f"dimension must be positive, got {h[name]}")
-    return shapes
+    extra = h["extra"]
+    if fam.extra in fam.positive:
+        in_range = extra > 0
+    elif fam.extra in fam.nonnegative:
+        in_range = extra >= 0
+    else:
+        in_range = extra == 0 and math.copysign(1.0, extra) > 0
+    if not (in_range and math.isfinite(extra)):
+        raise ContainerError("extra", "must be positive for rho, nonnegative for the label noise "
+                                      f"and 0 for a quadratic problem, got {extra}")
+    return h
 
 
 def load_problem(path):
     """Load a problem container written by save_problem.
 
-    Raises ContainerError unless the header's dimensions are positive, the
-    body holds exactly the float64 values they imply, every value is finite,
-    and A_g and A_f, where the family has them, are symmetric positive definite.
+    Raises ContainerError unless the header obeys its family's rules
+    (_read_header), the body holds exactly the float64 values its dimensions
+    imply, every value is finite, and A_g and A_f, where the family has
+    them, are symmetric positive definite.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     h = _read_header(raw)
-    shapes = _body_shapes(h)
-    # extra is rho for the non-convex family and the label noise for ridge, as
-    # the generators check them; the quadratic family has none and writes
-    # +0.0, the one value that round-trips.
-    extra = h["extra"]
-    zero = extra == 0 and math.copysign(1.0, extra) > 0
-    in_range = {"quadratic": zero, "nonconvex": extra > 0, "ridge": extra >= 0}[h["family"]]
-    if not (in_range and math.isfinite(extra)):
-        raise ContainerError("extra", "must be positive for rho, nonnegative for the label noise "
-                                      f"and 0 for a quadratic problem, got {extra}")
+    fam = FAMILIES[h["family"]]
+    shapes = [tuple(h[dim] for dim in shape) for _, shape in fam.body]
     size = sum(math.prod(shape) for shape in shapes)
     if len(raw) - _HEADER_END != 8 * size:
-        raise ContainerError(
-            "body", f"{len(raw) - _HEADER_END} bytes where the header implies {8 * size}"
-        )
+        raise ContainerError("body", f"{len(raw) - _HEADER_END} bytes where the header implies {8 * size}")
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER_END)
     if not np.isfinite(body).all():
         raise ContainerError("body", f"{np.count_nonzero(~np.isfinite(body))} non-finite values")
-    arrays, offset = [], 0
-    for shape in shapes:
+    arrays, offset = {}, 0
+    for (name, _), shape in zip(fam.body, shapes):
         n = math.prod(shape)
-        arrays.append(body[offset:offset + n].reshape(shape).astype(float))
+        arrays[name] = body[offset:offset + n].reshape(shape).astype(float)
         offset += n
-    if h["family"] == "ridge":
-        return RidgeHPOProblem(*arrays, seed=h["seed"], label_noise=h["extra"])
+    extra = {} if fam.extra is None else {fam.extra: h["extra"]}
     try:
         # The constructors reject an A_g or A_f that is not symmetric positive definite.
-        if h["family"] == "nonconvex":
-            return NonconvexOuterProblem(h["extra"], *arrays, seed=h["seed"])
-        return QuadraticProblem(*arrays, seed=h["seed"])
+        return fam.cls(**arrays, seed=h["seed"], **extra)
     except ValueError as err:
         raise ContainerError("body", str(err)) from None
 
 
 def describe_problem(path) -> dict:
-    """Header of a problem container as a plain dict (JSON-friendly).
+    """Header of a problem container as a plain dict (JSON-friendly), checked as load_problem checks it.
 
     A header float the family leaves undefined (NaN in the container) is None.
     """

@@ -23,12 +23,13 @@ from amigo import (
     make_stochastic,
     save_problem,
 )
-from amigo import derive_constants, problems
+from amigo import Dims, SmoothnessConstants, derive_constants, problems
 from amigo.cli import build_problem, canonical_problem
 from amigo.problems import (
     _HEADER_FMT,
     MAGIC,
     ContainerError,
+    NonconvexOuterProblem,
     RidgeHPOProblem,
     _op_norm,
     _problem_bytes,
@@ -535,14 +536,70 @@ class TestSerialization:
         header_bytes = 8 + 6 * 8 + 3 * 8
         assert os.path.getsize(path) == header_bytes + 8 * (dx * dx + dy + dy * dy + dy * dx)
 
-    def test_describe_header(self, tmp_path):
-        p = gen_quadratic(6, 4, kappa_g=7.0, kappa_L=3.0, seed=5)
+    # Per family: the problem, then its header's (dx, dy, n_aux1, n_aux2, seed,
+    # extra) and (kappa_g, kappa_L), a condition number None where undefined.
+    DESCRIBED = {
+        "quadratic": (lambda: gen_quadratic(6, 4, kappa_g=7.0, kappa_L=3.0, seed=5),
+                      (6, 4, 0, 0, 5, 0.0), (7.0, 3.0)),
+        "ridge": (lambda: gen_ridge_hpo(20, 10, 6, label_noise=0.1, seed=3),
+                  (6, 6, 20, 10, 3, 0.1), (None, None)),
+        "nonconvex": (lambda: gen_nonconvex(7, 5, rho=1.5, seed=2, kappa_g=4.0),
+                      (7, 5, 0, 0, 2, 1.5), (4.0, None)),
+    }
+
+    @pytest.mark.parametrize("family", list(DESCRIBED))
+    def test_describe_header(self, tmp_path, family):
+        factory, fields, kappas = self.DESCRIBED[family]
         path = tmp_path / "p.bin"
-        save_problem(p, path)
+        save_problem(factory(), path)
         h = describe_problem(path)
-        assert h["family"] == "quadratic"
-        assert h["dx"] == 6 and h["dy"] == 4 and h["seed"] == 5
-        assert h["kappa_g"] == pytest.approx(7.0, rel=1e-9)
+        assert h["family"] == family
+        assert tuple(h[k] for k in ("dx", "dy", "n_aux1", "n_aux2", "seed", "extra")) == fields
+        for name, kappa in zip(("kappa_g", "kappa_L"), kappas):
+            assert h[name] == (None if kappa is None else pytest.approx(kappa, rel=1e-9))
+
+    # The body of each family in its documented order, from arrays that no
+    # constructor needs to factorize (A_f and A_g diagonal), packed here
+    # without the FAMILIES row: a writer and reader reordered together fail it.
+    @pytest.mark.parametrize("family", ["quadratic", "ridge", "nonconvex"])
+    def test_writer_layout_is_the_documented_one(self, family):
+        a_f, c_f, a_g = np.diag([2.0, 0.5, 1.0]), np.array([1.0, -3.0]), np.diag([4.0, 0.5])
+        b_g = np.arange(6.0).reshape(2, 3) - 2.5
+        if family == "quadratic":
+            problem = QuadraticProblem(a_f, c_f, a_g, b_g, seed=5)
+            fields, body = (3, 2, 0, 0, 5, 8.0, 4.0, 0.0), [a_f, c_f, a_g, b_g]
+        elif family == "nonconvex":
+            problem = NonconvexOuterProblem(1.5, c_f, a_g, b_g, seed=5)
+            fields, body = (3, 2, 0, 0, 5, 8.0, math.nan, 1.5), [c_f, a_g, b_g]
+        else:
+            a_tr, b_tr = np.arange(12.0).reshape(4, 3), np.arange(4.0) - 1.0
+            a_val, b_val = np.arange(6.0).reshape(2, 3) / 4, np.array([0.25, -2.0])
+            problem = RidgeHPOProblem(a_tr, b_tr, a_val, b_val, seed=5, label_noise=0.3)
+            fields, body = (3, 3, 4, 2, 5, math.nan, math.nan, 0.3), [a_tr, b_tr, a_val, b_val]
+        values = [v for array in body for v in array.ravel()]  # row-major
+        header = struct.pack("<qqqqqqddd", FAMILY_TAGS[family], *fields)
+        assert _problem_bytes(problem) == b"BLPROB01" + header + struct.pack(f"<{len(values)}d", *values)
+
+    def test_a_fourth_family_is_one_row_plus_one_class(self, tmp_path, monkeypatch):
+        """A family the container code has never seen saves, describes and loads from its row alone."""
+        monkeypatch.setitem(problems.FAMILIES, "toy", problems.Family(
+            generator=None, tag=99, positive=("gamma",), nonnegative=(), spectra=(), cls=ToyProblem,
+            body=(("M", ("dy", "dx")), ("c", ("dy",))), extra="gamma"))
+        path = tmp_path / "p.bin"
+        problem = ToyProblem(np.arange(6.0).reshape(3, 2), np.array([1.0, -2.0, 0.5]), seed=4, gamma=2.5)
+        save_problem(problem, path)
+        raw = path.read_bytes()
+        assert describe_problem(path) == {"dx": 2, "dy": 3, "n_aux1": 0, "n_aux2": 0, "seed": 4,
+                                          "kappa_g": None, "kappa_L": None, "extra": 2.5, "family": "toy"}
+        loaded = load_problem(path)
+        assert isinstance(loaded, ToyProblem) and loaded.gamma == 2.5
+        assert _problem_bytes(loaded) == raw
+        extra_at = HEADER_BYTES - struct.calcsize("<d")
+        for extra in (0.0, -1.0):
+            path.write_bytes(raw[:extra_at] + struct.pack("<d", extra) + raw[HEADER_BYTES:])
+            with pytest.raises(ContainerError, match=f"got {extra}") as err:
+                load_problem(path)
+            assert err.value.field == "extra"
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -554,6 +611,35 @@ class TestSerialization:
         a = gen_quadratic(10, 7, kappa_g=50.0, kappa_L=10.0, seed=42)
         b = gen_quadratic(10, 7, kappa_g=50.0, kappa_L=10.0, seed=42)
         assert _problem_bytes(a) == _problem_bytes(b)
+
+
+class ToyProblem(problems._DeterministicProblem):
+    """A minimal family outside FAMILIES: g = ||y - M x||^2 / 2 and f = gamma * c'y."""
+
+    family = "toy"
+
+    def __init__(self, M, c, seed: int = -1, gamma: float = 1.0):
+        self.M, self.c = np.asarray(M, dtype=float), np.asarray(c, dtype=float)
+        self.seed, self.gamma = int(seed), float(gamma)
+        self._dims = Dims(self.M.shape[1], self.M.shape[0])
+
+    def grad_f(self, x, y, batch_size=1, rng=None):
+        return np.zeros(self.dims.dx), self.gamma * self.c
+
+    def grad_gy(self, x, y, batch_size=1, rng=None):
+        return y - self.M @ x
+
+    def hvp_gyy(self, x, y, v, batch_size=1, rng=None):
+        return np.asarray(v, dtype=float)
+
+    def jvp_gxy(self, x, y, z, batch_size=1, rng=None):
+        return -self.M.T @ z
+
+    def constants(self) -> SmoothnessConstants:
+        return SmoothnessConstants(1.0, 1.0)
+
+    def _arrays(self) -> list[np.ndarray]:
+        return [self.M, self.c]
 
 
 HEADER_BYTES = len(MAGIC) + struct.calcsize(_HEADER_FMT)
@@ -680,6 +766,29 @@ class TestContainerValidation:
         with pytest.raises(ContainerError, match=f"{name} is not symmetric positive definite") as err:
             self.load(tmp_path, raw[:HEADER_BYTES] + body)
         assert err.value.field == "body"
+
+    # A header that load_problem rejects, describe_problem rejects with the same
+    # field and message: dimensions the body uses, extra and the tag.
+    @pytest.mark.parametrize("header, field", [
+        ((1, 0, 4), "dx"),
+        ((3, 6, -2), "dy"),
+        ((2, 5, 5, 0, 3), "n_aux1"),
+        ((2, 5, 0, 3, -1), "n_aux2"),  # ridge's body does not use dy
+        ((1, 2, 2, 0, 0, -0.0), "extra"),
+        ((3, 2, 2, 0, 0, 0.0), "extra"),
+        ((2, 2, 2, 3, 2, -1.0), "extra"),
+        ((2, 2, 2, 3, 2, math.inf), "extra"),
+        ((9, 2, 2), "family_tag"),
+    ])
+    def test_describe_rejects_what_load_rejects(self, tmp_path, header, field):
+        path = tmp_path / "p.bin"
+        path.write_bytes(container(*header, values=np.ones(8)))
+        with pytest.raises(ContainerError) as loaded:
+            load_problem(path)
+        with pytest.raises(ContainerError) as described:
+            describe_problem(path)
+        assert described.value.field == loaded.value.field == field
+        assert str(described.value) == str(loaded.value)
 
     def test_short_header_and_unknown_tag(self, tmp_path):
         with pytest.raises(ContainerError) as err:
