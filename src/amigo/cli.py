@@ -323,18 +323,20 @@ def sweep_rows_to_csv(rows, method: str, cell: dict, seed: int) -> str:
     return _csv_lines((method, cell["kappa_g"], cell["T"], cell["N"], cell["batch"], seed), rows)
 
 
-# Targets are costs to bring rel_error down to eps.  The stop rule watches it
-# too, and from this cost on calls a cell stalled above this ratio.
+# Targets are costs to bring target(row) down to eps.  The stop rule watches
+# it too, and from this cost on calls a cell stalled above this ratio.
 _STALL_AFTER_COST = 5000
 _STALL_RATIO = 0.9
 
 
+def target(row) -> float | None:
+    """The value a run drives down: rel_error, None where the family has no gap."""
+    return row.rel_error
+
+
 def cost_to_reach(rows, eps: float) -> int | None:
-    """Smallest recorded cost at which rel_error first drops to eps."""
-    for r in rows:
-        if r.rel_error is not None and r.rel_error <= eps:
-            return r.cost
-    return None
+    """Smallest recorded cost at which the target first drops to eps."""
+    return next((r.cost for r in rows if (value := target(r)) is not None and value <= eps), None)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +344,9 @@ def cost_to_reach(rows, eps: float) -> int | None:
 
 
 def make_stop_rule(rel_target: float | None, cost_cap: int | None):
-    """Stop on target reached, cost budget exhausted, or progress stalled.
+    """A closure giving why a row ends its run, "target", "cost_cap" or "stall" in that order, or None.
 
-    A cell stalls when rel_error improved by less than 10% over the last
+    A cell stalls when its target improved by less than 10% over the last
     half of its oracle spending; a cell able to reach a small target within
     any realistic budget improves much faster per cost doubling, so the rule
     only prunes cells that cannot reach the target anyway.
@@ -352,13 +354,13 @@ def make_stop_rule(rel_target: float | None, cost_cap: int | None):
     history: list[tuple[int, float | None]] = []
     pointer = [0]
 
-    def stop(row) -> bool:
-        value = row.rel_error
+    def stop(row) -> str | None:
+        value = target(row)
         history.append((row.cost, value))
         if rel_target is not None and value is not None and value <= rel_target:
-            return True
+            return "target"
         if cost_cap is not None and row.cost >= cost_cap:
-            return True
+            return "cost_cap"
         if value is not None and row.cost >= _STALL_AFTER_COST:
             half = row.cost / 2
             i = pointer[0]
@@ -366,10 +368,9 @@ def make_stop_rule(rel_target: float | None, cost_cap: int | None):
                 i += 1
             pointer[0] = i
             ref = history[i][1]
-            if history[i][0] <= half and ref is not None and ref > 0:
-                if value / ref > _STALL_RATIO:
-                    return True
-        return False
+            if history[i][0] <= half and ref is not None and ref > 0 and value / ref > _STALL_RATIO:
+                return "stall"
+        return None
 
     return stop
 
@@ -408,7 +409,7 @@ def _sweep_cell(task: dict) -> dict:
         # The rows leave the cell as one string, so the parent never holds them.
         "csv": sweep_rows_to_csv(rows, task["method"], task["cell"], task["seed"]),
         "cost_to_eps": {repr(e): cost_to_reach(rows, e) for e in task["eps"]},
-        "min_rel_error": _min_present(r.rel_error for r in rows),
+        "min_rel_error": _min_present(map(target, rows)),
         "diverged_at": diverged_at,
     }
 
@@ -416,13 +417,6 @@ def _sweep_cell(task: dict) -> dict:
 def _min_present(values):
     """The least value that is not None, or None."""
     return min((v for v in values if v is not None), default=None)
-
-
-def _median_cost(values):
-    """Median treating unreached targets as infinite; None if the median is."""
-    ranked = sorted(math.inf if v is None else v for v in values)
-    mid = ranked[len(ranked) // 2] if len(ranked) % 2 == 1 else ranked[len(ranked) // 2 - 1]
-    return None if math.isinf(mid) else int(mid)
 
 
 def run_sweep(
@@ -443,17 +437,13 @@ def run_sweep(
 ) -> tuple[list[dict], dict]:
     """Cartesian sweep over methods x grid x seeds with best-cell selection.
 
-    Returns (cell results, summary), the results sorted by (key, seed).  A
-    result holds a run's aggregates and its CSV text, not its rows:
+    Returns (cell results, summarize(results, eps)), the results sorted by
+    (key, seed).  A result holds a run's aggregates and its CSV text, not its rows:
     - key: (method, kappa_g, T, N, batch); method; seed;
     - cell: the grid point, {kappa_g, T, N, batch};
     - csv: the run's lines of the sweep CSV (sweep_rows_to_csv), one str;
     - cost_to_eps: per repr(eps), the cost to reach it, None if never;
-    - min_rel_error; diverged_at: the outer iteration it diverged in, or None.
-
-    The summary reports, per method, the median-over-seeds cost to reach each
-    target for every grid cell and the best cell per target, treating
-    never-reached targets as infinite.
+    - min_rel_error: the least target(row); diverged_at: the outer iteration it diverged in, or None.
     """
     sweep = {"methods": methods, "kappa_g": kappa_g_grid, "T": T_grid, "N": N_grid, "batch": batch_grid,
              "seeds": seeds, "K": K_max, "cost_cap": cost_cap, "stop_rel": stop_rel}
@@ -513,25 +503,35 @@ def _sweep(problem_spec, sweep, eps, noise_spec, solver_overrides, workers: int)
     finally:
         _sweep_memo.clear()
     results.sort(key=lambda r: (r["key"], r["seed"]))
+    return results, summarize(results, eps)
+
+
+def summarize(results, eps) -> dict:
+    """Per method of results (sorted by key): its cells, best cell per target and least target value.
+
+    A cell's cost to a target in eps is the median over its seeds, the lower
+    middle one for an even count, with an unreached target infinite and an
+    infinite median None.  The best cell has the least cost, None if no cost is.
+    """
+    def median(costs):
+        mid = sorted(math.inf if c is None else c for c in costs)[(len(costs) - 1) // 2]
+        return None if math.isinf(mid) else int(mid)
 
     summary: dict = {}
     for (method, *_), group in itertools.groupby(results, key=lambda r: r["key"]):
         group = list(group)
         summary.setdefault(method, {"cells": [], "best": {}})["cells"].append({
             "cell": group[0]["cell"],
-            "median_cost_to_eps": {
-                e: _median_cost([r["cost_to_eps"][e] for r in group]) for e in group[0]["cost_to_eps"]
-            },
+            "median_cost_to_eps": {e: median([r["cost_to_eps"][e] for r in group]) for e in map(repr, eps)},
             "min_rel_error": _min_present(r["min_rel_error"] for r in group),
         })
     for entry in summary.values():
         for e in map(repr, eps):
             reached = [{"cost": c["median_cost_to_eps"][e], "cell": c["cell"]} for c in entry["cells"]]
-            entry["best"][e] = min(
-                (b for b in reached if b["cost"] is not None), key=lambda b: b["cost"], default=None
-            )
+            entry["best"][e] = min((b for b in reached if b["cost"] is not None),
+                                   key=lambda b: b["cost"], default=None)
         entry["min_rel_error"] = _min_present(c["min_rel_error"] for c in entry["cells"])
-    return results, summary
+    return summary
 
 
 def sweep_results_to_csv(results, fh) -> None:
@@ -617,12 +617,12 @@ def run_checks(problem, noise: NoiseSpec | None = None, seed: int = 0) -> list[d
             se = samples.std(axis=0) / math.sqrt(draws)
             unbiased = bool(np.all(np.abs(dev) <= 4 * se + 1e-12))
             var = float(np.mean(np.sum((samples - det) ** 2, axis=1)))
-            target = sigma**2 / batch
+            expected = sigma**2 / batch
             checks.append({
                 "name": name,
-                "value": {"variance": var, "target": target, "unbiased": unbiased},
-                "tol": [0.8 * target, 1.2 * target],
-                "passed": unbiased and 0.8 * target <= var <= 1.2 * target,
+                "value": {"variance": var, "target": expected, "unbiased": unbiased},
+                "tol": [0.8 * expected, 1.2 * expected],
+                "passed": unbiased and 0.8 * expected <= var <= 1.2 * expected,
             })
     return checks
 

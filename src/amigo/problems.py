@@ -1029,14 +1029,13 @@ def _read_header(raw: bytes) -> dict:
             raise ContainerError(name, f"dimension must be positive, got {h[name]}")
     extra = h["extra"]
     if fam.extra in fam.positive:
-        in_range = extra > 0
+        rule, ok = f"{fam.extra} must be positive", extra > 0
     elif fam.extra in fam.nonnegative:
-        in_range = extra >= 0
+        rule, ok = f"{fam.extra} must be nonnegative", extra >= 0
     else:
-        in_range = extra == 0 and math.copysign(1.0, extra) > 0
-    if not (in_range and math.isfinite(extra)):
-        raise ContainerError("extra", "must be positive for rho, nonnegative for the label noise "
-                                      f"and 0 for a quadratic problem, got {extra}")
+        rule, ok = f"must be 0 for a {h['family']} problem", extra == 0 and math.copysign(1.0, extra) > 0
+    if not (ok and math.isfinite(extra)):
+        raise ContainerError("extra", f"{rule}, got {extra}")
     return h
 
 

@@ -211,6 +211,64 @@ class TestStopRule:
                 break
         assert 10 * k >= 200_000  # only the cost cap fired
 
+    def test_returns_the_reason_it_fired(self):
+        # Checked in the order target, cost_cap, stall; a row that triggers none gets None.
+        assert make_stop_rule(1e-3, None)(self.make_row(1, 1e-4, 10)) == "target"
+        assert make_stop_rule(None, 100)(self.make_row(1, 1.0, 100)) == "cost_cap"
+        assert make_stop_rule(1e-3, 100)(self.make_row(1, 1e-4, 100)) == "target"
+        stop = make_stop_rule(1e-3, 10**6)
+        assert stop(self.make_row(1, 0.5, 10)) is None
+        assert stop(self.make_row(2, 0.5, cli._STALL_AFTER_COST)) == "stall"
+        stop = make_stop_rule(None, cli._STALL_AFTER_COST)
+        assert stop(self.make_row(1, 0.5, 10)) is None
+        assert stop(self.make_row(2, 0.5, cli._STALL_AFTER_COST)) == "cost_cap"
+        assert make_stop_rule(None, None)(self.make_row(1, None, 10**9)) is None
+
+
+class TestSummarize:
+    @staticmethod
+    def result(method, T, seed, costs, least):
+        """A hand-built sweep result: costs to the targets 0.1 and 0.01, and the least target."""
+        cell = {"kappa_g": None, "T": T, "N": 1, "batch": 1}
+        return {"key": (method, None, T, 1, 1), "method": method, "seed": seed, "cell": cell, "csv": "",
+                "cost_to_eps": dict(zip(("0.1", "0.01"), costs)), "min_rel_error": least, "diverged_at": None}
+
+    def test_hand_built_results(self):
+        results = [
+            # Two seeds, one of which misses each target: the lower middle of (30, inf) is 30.
+            self.result("aid-gd", 1, 0, (30, None), 0.05),
+            self.result("aid-gd", 1, 1, (None, None), 0.2),
+            self.result("aid-gd", 5, 0, (50, 100), 0.001),
+            self.result("aid-gd", 5, 1, (20, None), 0.02),
+            # A method that reaches no target and has no target value in any cell.
+            self.result("amigo-gd", 1, 0, (None, None), None),
+            self.result("amigo-gd", 5, 0, (None, None), None),
+        ]
+        cells = [{"kappa_g": None, "T": T, "N": 1, "batch": 1} for T in (1, 5)]
+        expected = {
+            "aid-gd": {
+                "cells": [
+                    {"cell": cells[0], "median_cost_to_eps": {"0.1": 30, "0.01": None}, "min_rel_error": 0.05},
+                    {"cell": cells[1], "median_cost_to_eps": {"0.1": 20, "0.01": 100}, "min_rel_error": 0.001},
+                ],
+                "best": {"0.1": {"cost": 20, "cell": cells[1]}, "0.01": {"cost": 100, "cell": cells[1]}},
+                "min_rel_error": 0.001,
+            },
+            "amigo-gd": {
+                "cells": [{"cell": cell, "median_cost_to_eps": {"0.1": None, "0.01": None},
+                           "min_rel_error": None} for cell in cells],
+                "best": {"0.1": None, "0.01": None},
+                "min_rel_error": None,
+            },
+        }
+        # Comparing the dumped text checks the key order as well as the values.
+        assert json.dumps(cli.summarize(results, (0.1, 0.01)), indent=2) == json.dumps(expected, indent=2)
+
+    def test_run_sweep_returns_the_summary_of_its_results(self):
+        kwargs = TestSweep().sweep_kwargs()
+        results, summary = run_sweep(**kwargs)
+        assert summary == cli.summarize(results, kwargs["eps"])
+
 
 class TestRunSingle:
     def test_every_method_runs(self):

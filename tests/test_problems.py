@@ -743,6 +743,31 @@ class TestContainerValidation:
             self.load(tmp_path, patched)
         assert err.value.field == "extra"
 
+    @pytest.mark.parametrize("family, extra, message", [
+        ("toy", 0.0, "gamma must be positive, got 0.0"),
+        ("nonconvex", -1.0, "rho must be positive, got -1.0"),
+        ("ridge", -1.0, "label_noise must be nonnegative, got -1.0"),
+        ("quadratic", 2.0, "must be 0 for a quadratic problem, got 2.0"),
+    ])
+    def test_extra_error_names_the_rows_argument_and_rule(self, tmp_path, monkeypatch, family, extra, message):
+        """The message comes from the family's FAMILIES row, so a fourth family's names its own argument."""
+        monkeypatch.setitem(problems.FAMILIES, "toy", problems.Family(
+            generator=None, tag=99, positive=("gamma",), nonnegative=(), spectra=(), cls=ToyProblem,
+            body=(("M", ("dy", "dx")), ("c", ("dy",))), extra="gamma"))
+        problem = {"toy": lambda: ToyProblem(np.ones((3, 2)), np.ones(3), seed=4, gamma=2.5),
+                   "nonconvex": lambda: gen_nonconvex(4, 3, rho=1.0, seed=2),
+                   "ridge": lambda: gen_ridge_hpo(6, 4, 3, label_noise=0.1, seed=0),
+                   "quadratic": lambda: gen_quadratic(4, 3, kappa_g=5.0, kappa_L=2.0, seed=1)}[family]()
+        raw = _problem_bytes(problem)
+        extra_at = HEADER_BYTES - struct.calcsize("<d")
+        path = tmp_path / "p.bin"
+        path.write_bytes(raw[:extra_at] + struct.pack("<d", extra) + raw[HEADER_BYTES:])
+        for read in (load_problem, describe_problem):
+            with pytest.raises(ContainerError) as err:
+                read(path)
+            assert str(err.value) == f"problem container extra: {message}"
+            assert err.value.field == "extra"
+
     @pytest.mark.parametrize("family, name, defect", [
         ("quadratic", "A_g", "asymmetric"),
         ("quadratic", "A_g", "indefinite"),
