@@ -192,21 +192,15 @@ def _solver_section(method, spec) -> dict:
     return section
 
 
-def _sweep_section(spec) -> dict:
-    """The sweep section, whose stop settings must be positive where given."""
-    section = _section("sweep", spec)
-    for key in ("cost_cap", "stop_rel"):
-        if section[key] is not None and not section[key] > 0:
-            raise ValueError(f"sweep key {key!r} must be positive, got {section[key]!r}")
-    return section
-
-
 def _canonical(raw) -> dict:
     cfg = _section("top-level", raw)
     cfg["problem"] = canonical_problem(cfg["problem"])
     cfg["noise"] = _section("noise", cfg["noise"])
     cfg["solver"] = _solver_section(cfg["method"], cfg["solver"])
-    cfg["sweep"] = _sweep_section(cfg["sweep"])
+    cfg["sweep"] = sweep = _section("sweep", cfg["sweep"])
+    for key in ("cost_cap", "stop_rel"):  # a stop setting must be positive where given
+        if sweep[key] is not None and not sweep[key] > 0:
+            raise ValueError(f"sweep key {key!r} must be positive, got {sweep[key]!r}")
     return cfg
 
 
@@ -437,6 +431,7 @@ def run_sweep(
 ) -> tuple[list[dict], dict]:
     """Cartesian sweep over methods x grid x seeds with best-cell selection.
 
+    The arguments are checked as the sections of a config, by canonical_config.
     Returns (cell results, summarize(results, eps)), the results sorted by
     (key, seed).  A result holds a run's aggregates and its CSV text, not its rows:
     - key: (method, kappa_g, T, N, batch); method; seed;
@@ -445,30 +440,28 @@ def run_sweep(
     - cost_to_eps: per repr(eps), the cost to reach it, None if never;
     - min_rel_error: the least target(row); diverged_at: the outer iteration it diverged in, or None.
     """
+    if seeds is None:  # canonical_config would run the top-level seed
+        raise ValueError("sweep seeds must be a non-empty list, got None")
     sweep = {"methods": methods, "kappa_g": kappa_g_grid, "T": T_grid, "N": N_grid, "batch": batch_grid,
              "seeds": seeds, "K": K_max, "cost_cap": cost_cap, "stop_rel": stop_rel}
-    return _sweep(problem_spec, sweep, eps, noise_spec, solver_overrides, workers)
+    raw = {"problem": problem_spec, "noise": noise_spec, "solver": solver_overrides, "sweep": sweep, "eps": eps}
+    return _sweep(canonical_config(raw, {}), workers)
 
 
-def _sweep(problem_spec, sweep, eps, noise_spec, solver_overrides, workers: int):
-    """run_sweep with its grids, K and stop settings as a config's sweep section."""
+def _sweep(cfg: dict, workers: int):
+    """run_sweep of a canonical config: its problem, noise, solver, sweep and eps sections."""
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    sweep = _sweep_section(sweep)
-    if sweep["seeds"] is None:
-        raise ValueError("sweep seeds must be a non-empty list, got None")
-    eps = _typed("top-level", "eps", eps, SCHEMA["top-level"]["eps"][0])
-    noise = build_noise(noise_spec)
-    solver = _solver_section(sweep["methods"][0], solver_overrides)
+    sweep, problem_spec, eps = cfg["sweep"], cfg["problem"], cfg["eps"]
+    noise = NoiseSpec(*cfg["noise"].values())
     for method in sweep["methods"]:
         # The unrolled methods name no linear solver.
         check_supported(METHODS[method].get("linear_solver"), noise)
     # Every grid point's solver section must make a valid SolverConfig.
-    solvers = {(T, N, batch): _solver_section(sweep["methods"][0], {
-        **solver, "T": T, "N": N, "K": sweep["K"],
+    solvers = {(T, N, batch): _solver_section(cfg["method"], {
+        **cfg["solver"], "T": T, "N": N, "K": sweep["K"],
         "batch_f": batch, "batch_g": batch, "batch_gxy": batch, "batch_gyy": batch,
     }) for T, N, batch in itertools.product(sweep["T"], sweep["N"], sweep["batch"])}
-    problem_spec = canonical_problem(problem_spec)
     pspecs = [problem_spec] if sweep["kappa_g"] is None else [
         canonical_problem({**problem_spec, "kappa_g": kappa}) for kappa in sweep["kappa_g"]
     ]
@@ -493,6 +486,8 @@ def _sweep(problem_spec, sweep, eps, noise_spec, solver_overrides, workers: int)
                 "cost_cap": sweep["cost_cap"],
                 "stop_rel": sweep["stop_rel"],
             })
+    # A pool forks all its workers at its first submit, so it gets no more than there are cells.
+    workers = min(workers, len(tasks))
     _sweep_memo.clear()
     try:
         if workers > 1:
@@ -643,10 +638,21 @@ def _config(args) -> dict:
     return canonical_config(raw, flags)
 
 
+def _check_outputs(*paths) -> None:
+    """Reject, creating nothing, an output path that is a directory or whose directory is missing."""
+    for path in paths:
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ValueError(f"output directory {folder!r} of {path!r} does not exist")
+        if os.path.isdir(path):
+            raise ValueError(f"output path {path!r} is a directory")
+
+
 def cmd_generate(args) -> int:
     cfg = _config(args)
-    problem = build_problem(cfg["problem"])
     out = cfg["out"] or "problem.bin"
+    _check_outputs(out, out + ".json")
+    problem = build_problem(cfg["problem"])
     save_problem(problem, out)
     header = describe_problem(out)
     with open(out + ".json", "w") as fh:
@@ -658,8 +664,10 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     """One run; exits 3 when it diverged, after writing its partial CSV and summary."""
     cfg = _config(args)
-    noise = build_noise(cfg["noise"])
     method, seed, out = cfg["method"], cfg["seed"], cfg["out"]
+    if out:
+        _check_outputs(out, out + ".summary.json")
+    noise = build_noise(cfg["noise"])
     check_supported(METHODS[method].get("linear_solver"), noise)  # before the problem is built
     check_generated_spec(cfg["problem"], noise)
     problem = build_problem(cfg["problem"])
@@ -691,10 +699,9 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     """A sweep exits 0 once every cell has finished, diverged cells included."""
     cfg = _config(args)
-    results, summary = _sweep(
-        cfg["problem"], cfg["sweep"], cfg["eps"], cfg["noise"], cfg["solver"], args.workers
-    )
     out = cfg["out"] or "sweep.csv"
+    _check_outputs(out, out + ".summary.json")
+    results, summary = _sweep(cfg, args.workers)
     with open(out, "w") as fh:
         sweep_results_to_csv(results, fh)
     with open(out + ".summary.json", "w") as fh:

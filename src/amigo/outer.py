@@ -203,29 +203,40 @@ def _finite_row(row: MetricRow) -> bool:
 
 
 def _outer_loop(
-    oracle, config: SolverConfig, x0, y, z, step: Callable, linear_solver: str | None,
-    delta: float | None, metrics_hook, tracker, store_iterates, stop,
+    oracle, config: SolverConfig, x0, step: Callable, linear_solver: str | None,
+    metrics_hook, tracker, store_iterates, stop,
 ) -> RunRecord:
     """The outer loop every driver shares, and the one place that decides divergence.
 
-    ``step(co, k, x, y, z)`` returns ``(psi, y, z)``: the gradient estimate
-    at x and the refreshed inner variables, with z None for drivers that
-    keep no adjoint.  With an averaging weight ``delta`` the loop also
-    tracks xhat.  Iteration k diverges when y, z, the updated x or the new
-    metric row is non-finite (non-finite values are absorbing under the
-    solvers' affine updates, so one check per iteration suffices), or when
-    the step raises DivergenceError.  The error leaves carrying k and the
-    rows recorded before it; ``metrics_hook`` and iterate storage never see
-    a non-finite vector.  A non-finite x0, or a non-finite row 0 (a problem
-    whose scale overflows at x0), is a ValueError, raised before the first
-    query.
+    y starts at zero, and so does z unless ``linear_solver`` is None (a
+    driver that keeps no adjoint).  ``step(co, k, x, y, z)`` returns
+    ``(psi, y, z)``: the gradient estimate at x and the refreshed inner
+    variables.  Under u = 1 the loop also tracks xhat with the averaging
+    weight delta = mu_outer * gamma, which must lie in (0, 1]; that and the
+    (method, noise) pair are checked first.  Iteration k diverges when y, z,
+    the updated x or the new metric row is non-finite (non-finite values are
+    absorbing under the solvers' affine updates, so one check per iteration
+    suffices), or when the step raises DivergenceError.  The error leaves
+    carrying k and the rows recorded before it; ``metrics_hook`` and iterate
+    storage never see a non-finite vector.  A non-finite x0, or a non-finite
+    row 0 (a problem whose scale overflows at x0), is a ValueError, raised
+    before the first query.
 
     Row 0 and the iterations run under one ``np.errstate(over="ignore",
     invalid="ignore")``: these checks, not numpy's overflow and invalid
     warnings, report a run that diverges, and it ends in its
     DivergenceError without such a warning first.
     """
+    delta = None
+    if config.u == 1:
+        if config.mu_outer is None or config.mu_outer <= 0:
+            raise ValueError("averaging (u=1) requires a positive outer modulus mu_outer")
+        delta = config.mu_outer * config.gamma
+        if not 0 < delta <= 1:
+            raise ValueError(f"averaging weight delta={delta} outside (0, 1]")
     check_supported(linear_solver, oracle.noise)
+    dy = oracle.dims.dy
+    y, z = np.zeros(dy), None if linear_solver is None else np.zeros(dy)
     counter = OracleCounter()
     co = CountingOracle(oracle, counter)
     x = vector("x0", x0, oracle.dims.dx).copy()
@@ -292,24 +303,17 @@ def aid_run(
 ) -> RunRecord:
     """Warm-start-configurable implicit-differentiation outer loop.
 
-    y and z start at zero.  Per iteration: refresh y by inner SGD (warm, or
-    from zero), take both partials of f on a fresh batch, solve the adjoint
-    system with the configured linear solver (warm, or from zero), assemble
-    the gradient estimate and step x.  ``metrics_hook(k, x_k, y_k, z_k,
-    counts)`` fires once per iteration with the pre-update iterate so hook
-    consumers see aligned (x, y, z) triples.  A noisy oracle needs ``rng``.
+    Per iteration: refresh y by inner SGD (warm, or from zero), take both
+    partials of f on a fresh batch, solve the adjoint system with the
+    configured linear solver (warm, or from zero), assemble the gradient
+    estimate and step x.  The shared loop starts y and z and averages.
+    ``metrics_hook(k, x_k, y_k, z_k, counts)`` fires once per iteration with
+    the pre-update iterate so hook consumers see aligned (x, y, z) triples.
+    A noisy oracle needs ``rng``.
     """
     if oracle.is_stochastic and rng is None:
         raise ValueError("a noisy oracle needs a random stream: pass rng")
     dy = oracle.dims.dy
-    delta = None
-    if config.u == 1:
-        if config.mu_outer is None or config.mu_outer <= 0:
-            raise ValueError("averaging (u=1) requires a positive outer modulus mu_outer")
-        delta = config.mu_outer * config.gamma
-        if not 0 < delta <= 1:
-            raise ValueError(f"averaging weight delta={delta} outside (0, 1]")
-
     _, solve_linear = LINEAR_SOLVERS[config.linear_solver]
 
     def step(co, k, x, y, z):
@@ -324,8 +328,7 @@ def aid_run(
         return u_vec + w_vec, y, z
 
     return _outer_loop(
-        oracle, config, x0, np.zeros(dy), np.zeros(dy), step, config.linear_solver, delta,
-        metrics_hook, tracker, store_iterates, stop,
+        oracle, config, x0, step, config.linear_solver, metrics_hook, tracker, store_iterates, stop
     )
 
 
@@ -369,10 +372,10 @@ def itd_run(
 ) -> RunRecord:
     """Outer loop driven by unrolled-differentiation hypergradients.
 
-    The inner variable starts at zero and is always warm-started across
-    outer iterations.  With ``increasing_T`` the unroll length grows as
-    ceil(T * log(k + 2)).  Deterministic oracles only; the averaging switch
-    u is ignored.
+    The inner variable is always warm-started across outer iterations; the
+    shared loop starts it at zero and averages under u = 1, as for aid_run.
+    With ``increasing_T`` the unroll length grows as ceil(T * log(k + 2)).
+    Deterministic oracles only.
     """
 
     def step(co, k, x, y, z):
@@ -380,7 +383,4 @@ def itd_run(
         result = itd_hypergradient(co, x, y, config.alpha, T_k)
         return result.grad, result.y_final, None
 
-    return _outer_loop(
-        oracle, config, x0, np.zeros(oracle.dims.dy), None, step, None, None, metrics_hook,
-        tracker, store_iterates, stop,
-    )
+    return _outer_loop(oracle, config, x0, step, None, metrics_hook, tracker, store_iterates, stop)

@@ -979,25 +979,32 @@ def _problem_bytes(problem) -> bytes:
     # The header reads the body it heads, so a drawn A_f is formed once per save.
     arrays = problem._arrays()
     h = problem.header(arrays)
+    if not -2**63 <= h["seed"] < 2**63:
+        raise ContainerError("seed", f"{h['seed']} does not fit the header's int64 field")
     packed = struct.pack(_HEADER_FMT, FAMILIES[h["family"]].tag, *map(h.get, _HEADER_KEYS[1:]))
     blobs = [arr.astype("<f8").tobytes(order="C") for arr in arrays]
     return MAGIC + packed + b"".join(blobs)
 
 
 def save_problem(problem, path) -> None:
-    """Write the binary problem container (plus no sidecar; see the CLI)."""
+    """Write the binary problem container (plus no sidecar; see the CLI).
+
+    The bytes are built before path is opened, so a problem that does not
+    fit a container leaves a file already there as it was.
+    """
+    raw = _problem_bytes(problem)
     with open(path, "wb") as fh:
-        fh.write(_problem_bytes(problem))
+        fh.write(raw)
 
 
 _HEADER_END = len(MAGIC) + struct.calcsize(_HEADER_FMT)
 
 
 class ContainerError(ValueError):
-    """A problem container whose header or body does not hold a problem.
+    """A problem container whose header or body does not hold a problem, or a problem no header holds.
 
     ``field`` names the offending part: magic, header, family_tag, a header
-    dimension, extra, or body.
+    dimension, extra, seed (outside int64 on save), or body.
     """
 
     def __init__(self, field: str, message: str):

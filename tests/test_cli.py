@@ -462,6 +462,38 @@ class TestSweep:
         assert written[0] == written[1]
         assert written[0].decode() == ",".join(cli.SWEEP_COLUMNS) + "\n" + "".join(r["csv"] for r in serial)
 
+    def test_pool_has_at_most_one_worker_per_cell(self, tmp_path, monkeypatch):
+        # A stand-in executor that maps in this process: it records the pool size
+        # a sweep asks for without forking any worker.
+        sizes = []
+
+        class InProcessExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        cfg = {"problem": quad_spec(dx=12, dy=6), "eps": [0.1],
+               "sweep": {"methods": ["amigo-gd", "aid-gd"], "T": [1, 5], "N": [1, 5], "K": 10}}
+        cfg_path = write_config(tmp_path, cfg)
+
+        def sweep(workers):
+            out = tmp_path / f"sweep{workers}.csv"
+            assert main(["sweep", "--config", cfg_path, "--out", str(out), "--workers", workers]) == 0
+            return out.read_bytes(), Path(f"{out}.summary.json").read_bytes()
+
+        serial = sweep("1")
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
+        assert sweep("5000") == sweep("3") == serial
+        assert sizes == [8, 3]  # 8 cells
+
     def test_each_problem_is_built_once_per_sweep(self, monkeypatch):
         built = []
         fresh = cli.build_problem
@@ -836,6 +868,41 @@ class TestEndToEnd:
         cfg_path.write_text(json.dumps({"problem": quad_spec()}))
         assert main(["check", "--config", str(cfg_path)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_container_seed_outside_int64_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        bin_path = tmp_path / "p.bin"
+        cfg = {"problem": quad_spec(dx=6, dy=4, seed=2**63)}
+        assert main(["generate", "--config", write_config(tmp_path, cfg), "--out", str(bin_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: problem container seed: {2**63} does not fit the header's int64 field\n"
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    @pytest.mark.parametrize("method", ["itd", "reverse", "amigo-gd"])
+    def test_averaging_on_the_nonconvex_family_exits_2(self, tmp_path, capsys, method):
+        cfg = {"problem": {"family": "nonconvex", "dx": 6, "dy": 4}, "method": method,
+               "solver": {"u": 1, "K": 5}}
+        out = tmp_path / "run.csv"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: averaging (u=1) requires a positive outer modulus mu_outer\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["generate", "run", "sweep"])
+    def test_bad_output_path_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, command, where):
+        cfg = {"problem": quad_spec(dx=6, dy=4), "solver": {"K": 3},
+               "sweep": {"methods": ["amigo-gd"], "T": [1], "N": [1], "K": 3}}
+        cfg_path = write_config(tmp_path, cfg)
+        before = sorted(os.listdir(tmp_path))
+        work = []
+        for name in ("_sweep_cell", "_run_rows", "build_problem"):
+            monkeypatch.setattr(cli, name, lambda *args, _name=name: work.append(_name))
+        out = tmp_path / "missing" / "out.csv" if where == "missing-directory" else tmp_path
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        expected = "does not exist" if where == "missing-directory" else "is a directory"
+        assert err.startswith("error: output ") and expected in err and err.count("\n") == 1
+        assert work == []
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_invalid_problem_reports_structured_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -16,11 +16,13 @@ from amigo import (
     SolverConfig,
     aid_run,
     amigo_run,
+    gen_nonconvex,
     gen_quadratic,
     itd_run,
     make_stochastic,
     prescribed_schedule,
 )
+from amigo.cli import METHOD_FIELDS, METHODS
 
 from conftest import rel_err
 
@@ -218,16 +220,20 @@ class TestAidLoop:
             assert ra.rel_error == rb.rel_error
             assert ra.cost == rb.cost
 
-    def test_averaged_iterate_matches_offline_recursion(self, quad):
-        noise = NoiseSpec(sigma_g_tilde=0.5)
+    # Every driver averages under u = 1: aid on a noisy oracle, the unrolled drivers on quad itself.
+    AVERAGING_RUNS = {
+        "aid": lambda quad, config: aid_run(make_stochastic(quad, NoiseSpec(sigma_g_tilde=0.5), 3), config,
+                                            np.zeros(12), rng=np.random.default_rng(4), store_iterates=True),
+        "itd": lambda quad, config: itd_run(quad, config, np.zeros(12), store_iterates=True),
+        "reverse": lambda quad, config: itd_run(quad, config, np.zeros(12), store_iterates=True,
+                                                increasing_T=True),
+    }
+
+    @pytest.mark.parametrize("driver", AVERAGING_RUNS)
+    def test_averaged_iterate_matches_offline_recursion(self, quad, driver):
         config = schedule_for(quad, K=25, u=1)
-        record = aid_run(
-            make_stochastic(quad, noise, 3),
-            config,
-            np.zeros(12),
-            rng=np.random.default_rng(4),
-            store_iterates=True,
-        )
+        record = self.AVERAGING_RUNS[driver](quad, config)
+        assert len(record.xhats) == len(record.xs) == 26
         delta = config.mu_outer * config.gamma
         xhat = record.xs[0].copy()
         for k in range(1, len(record.xs)):
@@ -448,6 +454,17 @@ def test_divergence_is_decided_by_the_loop_not_by_a_numpy_warning(case):
     assert outcomes[0] == outcomes[1]
 
 
+class Untouchable:
+    """A problem's stand-in that records the name of every attribute read from it."""
+
+    def __init__(self, problem):
+        self.problem, self.queried = problem, []
+
+    def __getattr__(self, name):
+        self.queried.append(name)
+        return getattr(self.problem, name)
+
+
 class CallSpy:
     """A tracker and a metrics_hook that record every call they get."""
 
@@ -468,15 +485,30 @@ def test_non_finite_x0_is_rejected_before_the_first_query_and_row(quad, driver, 
     x0 = np.ones(12)
     x0[3] = bad
     spy = CallSpy()
-    queried = []
-
-    class Untouchable:
-        def __getattr__(self, name):
-            queried.append(name)
-            return getattr(quad, name)
-
+    oracle = Untouchable(quad)
     run = aid_run if driver == "aid" else itd_run
     with pytest.raises(ValueError, match="^x0 has a non-finite entry$"):
-        run(Untouchable(), config, x0, metrics_hook=spy, tracker=spy, store_iterates=True)
+        run(oracle, config, x0, metrics_hook=spy, tracker=spy, store_iterates=True)
     assert spy.calls == []
-    assert set(queried) <= {"is_stochastic", "dims", "noise"}
+    assert set(oracle.queried) <= {"is_stochastic", "dims", "noise"}
+
+
+# The nonconvex family's outer modulus is -rho, which the CLI passes on as None.
+@pytest.mark.parametrize("mu_outer", [-1.0, None])
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_averaging_without_an_outer_modulus_is_rejected_before_any_query(method, mu_outer):
+    problem = gen_nonconvex(12, 8, rho=1.0, seed=5)
+    mapping = METHODS[method]
+    owned = {name: mapping[name] for name in METHOD_FIELDS if name in mapping}
+    config = dataclasses.replace(schedule_for(problem, K=3, u=1, **owned), mu_outer=mu_outer)
+    oracle, spy = Untouchable(problem), CallSpy()
+    kwargs = dict(metrics_hook=spy, tracker=spy, store_iterates=True)
+    with pytest.raises(ValueError) as err:
+        if mapping["driver"] == "itd":
+            itd_run(oracle, config, np.zeros(12), increasing_T=mapping["increasing_T"], **kwargs)
+        else:
+            aid_run(oracle, config, np.zeros(12), **kwargs)
+    assert str(err.value) == "averaging (u=1) requires a positive outer modulus mu_outer"
+    assert spy.calls == []
+    # Checked before the (method, noise) pair, so the noise is not read either.
+    assert set(oracle.queried) <= {"is_stochastic", "dims"}

@@ -519,6 +519,18 @@ class TestSerialization:
         a_f = gen_spd(dx, 1.0 / kappa_L, 1.0, seed=int(rng.integers(2**62)))
         assert np.array_equal(p._arrays()[0], a_f)
 
+    def test_seed_outside_int64_leaves_an_existing_container_as_it_was(self, tmp_path):
+        path = tmp_path / "p.bin"
+        save_problem(gen_quadratic(6, 4, kappa_g=5.0, kappa_L=2.0, seed=1), path)
+        saved = path.read_bytes()
+        unsaveable = gen_quadratic(6, 4, kappa_g=5.0, kappa_L=2.0, seed=2)
+        for seed in (2**63, -(2**63) - 1):
+            unsaveable.seed = seed
+            with pytest.raises(ContainerError, match=f"^problem container seed: {seed} does not fit") as err:
+                save_problem(unsaveable, path)
+            assert err.value.field == "seed"
+            assert path.read_bytes() == saved
+
     def test_save_forms_a_drawn_outer_hessian_once(self, tmp_path, monkeypatch):
         """The header's kappa_L and the body read one A_f, formed by one _spd call."""
         p = gen_quadratic(12, 8, kappa_g=5.0, kappa_L=4.0, seed=9)
