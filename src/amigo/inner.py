@@ -9,8 +9,8 @@ gradient.  Every solver but conjugate gradient hands its steps to the
 oracle in one bulk call (``gd_steps`` or ``linear_steps``).  The quadratic
 and non-convex families answer it in closed form.  Under noise, the
 gradient noise of T steps is one Gaussian draw, and N adjoint steps draw
-their Hessian noise in one call and are composed as affine maps, a block
-of steps at a time, in whole-array operations.  The ridge family runs the
+their Hessian noise in one call and are then taken one at a time, in
+place, an O(dy) update each.  The ridge family runs the
 oracle's literal loop, query by query.  The solvers never inspect their
 iterates: the outer loop decides once per outer iteration whether a run
 has diverged.  Conjugate gradient alone raises DivergenceError, on a

@@ -26,7 +26,7 @@ import struct
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -210,8 +210,8 @@ class _LinearInnerProblem(_DeterministicProblem):
     lam * y + B_g x, hvp_gyy is lam * v, y* and z* are divisions, and the
     bulk steps gd_steps and linear_steps are closed forms costing O(dy)
     whatever the step count.  So is the reverse pass of unrolled_grad, up
-    to its one cross product B_g'w.  N noisy adjoint steps are N affine maps,
-    composed in whole-array operations.
+    to its one cross product B_g'w.  N noisy adjoint steps draw their N
+    scalars in one call and are taken one at a time, in place.
 
     A diagonal A_g, which every generated problem has, is used as is.  Any
     other A_g must be exactly symmetric and is diagonalized once with eigh;
@@ -289,7 +289,7 @@ class _LinearInnerProblem(_DeterministicProblem):
     # A noisy Hessian is lam + c_t elementwise, with c_t = sigma * zeta_bar_t
     # drawn fresh for each step, so step t is z <- a_t * z - beta * v with
     # a_t = 1 - beta * lam - beta * c_t.  All N scalars are drawn in one
-    # call, and the steps are composed in blocks (_affine_steps).
+    # call, and the steps are then taken one at a time, in place.
     def linear_steps(self, x, y, v, z, beta, N, batch_size=1, rng=None, sigma=0.0):
         if N == 0:
             return np.array(z, dtype=float, copy=True)
@@ -300,7 +300,11 @@ class _LinearInnerProblem(_DeterministicProblem):
         if sigma > 0:
             shift = -beta * sigma * uniform_means(need_rng(rng, "hvp_gyy"), batch_size, N)
             z = np.array(z, dtype=float, copy=True)
-            return _affine_steps(z, r, shift, beta * np.asarray(v, dtype=float))
+            bv = beta * np.asarray(v, dtype=float)
+            for s in shift:
+                z *= r + s
+                z -= bv
+            return z
         zs = np.asarray(v, dtype=float) / self.neg_lam
         z = z - zs
         z *= power
@@ -366,56 +370,6 @@ def _power_sum(step: np.ndarray, T: int) -> np.ndarray:
             s = step[odd]
             total[odd] = np.where(s == 0.0, float(T), (1.0 - (1.0 - s) ** T) / s)
     return total
-
-
-# Elements (steps x dy) of one block of composed steps: 256 KB, which keeps
-# a block in cache at dy = 1000.
-_BLOCK_ELEMENTS = 1 << 15
-
-
-@lru_cache(maxsize=None)
-def _bit_reversed(m: int) -> np.ndarray:
-    """0 .. m-1 in bit-reversed order, for m a power of two (a block's, so at most 16 are kept)."""
-    order = np.zeros(1, dtype=np.intp)
-    while len(order) < m:
-        order = np.concatenate((2 * order, 2 * order + 1))
-    order.setflags(write=False)
-    return order
-
-
-def _affine_steps(z: np.ndarray, r: np.ndarray, shift: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    """z after the steps z <- (r + shift[t]) * z - bv, t in order; z is overwritten.
-
-    k steps compose to z -> p * z - bv * s, with p the product of their
-    factors a_t = r + shift[t] and s = sum_t prod_{u>t} a_u.  The steps are
-    taken in blocks of a power of two of them, at most _BLOCK_ELEMENTS
-    factors each.  A block holds its factors one step per row, in
-    bit-reversed step order, so the first half of the rows holds the earlier
-    step of every adjacent pair and the second half the later one.
-    Composing the halves, (p2 * p1, p2 * s1 + s2), halves the block and
-    keeps that order, so a block of m steps takes log2(m) levels of three
-    whole-array operations.  (A running product along the steps would
-    chain every multiplication on the one before it.)
-    """
-    rows = 1 << max(0, (_BLOCK_ELEMENTS // r.size).bit_length() - 1)
-    done = 0
-    while done < len(shift):
-        m = min(rows, 1 << ((len(shift) - done).bit_length() - 1))
-        p = np.add.outer(shift[done:done + m][_bit_reversed(m)], r)
-        done += m
-        s = None  # while None, every s is 1
-        while m > 1:
-            m //= 2
-            late = p[m:2 * m]
-            if s is None:
-                s = late + 1.0
-            else:
-                s[:m] *= late
-                s[:m] += s[m:2 * m]
-            p[:m] *= late
-        z *= p[0]
-        z -= bv if s is None else bv * s[0]
-    return z
 
 
 def _draw_coupling(rng: np.random.Generator, dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,10 @@ forms.  Calling the base method unbound on a problem runs the literal loop
 on that same problem, so the two paths can be compared directly, with noise
 too, through the steps' sigma argument.  On the linear-inner families noisy
 gradient steps are one Gaussian draw, checked against the loop in law; noisy
-adjoint steps take the loop's draws, in its order, and agree with it to
-rounding.  The ridge family keeps the literal loops draw for draw, and a
-stream without noise takes the closed form.  The linear-inner families keep
+adjoint steps draw the loop's scalars, in its order, in one call, then step
+one at a time in place, and agree with it to rounding.  The ridge family
+keeps the literal loops draw for draw, and a stream without noise takes the
+closed form.  The linear-inner families keep
 each bulk step's factors for the last (step size, count), so calls that
 change either must give what the closed form gives when nothing is kept, and
 runs write no other problem state.  Both oracle wrappers must
@@ -171,8 +172,10 @@ def test_linear_steps_keep_their_factors_per_step_size_and_count(problem):
         got = problem.linear_steps(x, y, v, z0, beta, N, batch_size=3, rng=rng,
                                    sigma=sigma if noisy else 0.0)
         if noisy:
-            shift = -beta * sigma * uniform_means(ref, 3, N)
-            want = problems._affine_steps(z0.copy(), 1.0 - beta * lam, shift, beta * v)
+            want = z0.copy()
+            for s in -beta * sigma * uniform_means(ref, 3, N):
+                want *= 1.0 - beta * lam + s
+                want -= beta * v
         else:
             zs = -v / lam
             want = zs + (1.0 - beta * lam) ** N * (z0 - zs)
@@ -208,14 +211,9 @@ def test_runs_write_no_problem_state_but_the_step_factor_slots(family):
     assert p._linear_factors[0] == (config.beta, config.N)
 
 
-@pytest.mark.parametrize("block", ["default", "below dy"])
 @pytest.mark.parametrize("b", [1, 16])
 @pytest.mark.parametrize("N", (0, 1, 7, 100, 1000))
-def test_noisy_linear_steps_match_literal_loop(problem, N, b, block, monkeypatch):
-    # "below dy" leaves one step per block, so N steps cross N - 1 block
-    # boundaries; the default holds 256 steps per block at dy = 100.
-    if block == "below dy":
-        monkeypatch.setattr(problems, "_BLOCK_ELEMENTS", problem.dims.dy - 1)
+def test_noisy_linear_steps_match_literal_loop(problem, N, b):
     x, y, v = point(problem)
     z0 = np.random.default_rng(1).standard_normal(problem.dims.dy)
     start = z0.copy()

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -1113,6 +1114,19 @@ def test_readme_config_table_mirrors_schema():
             section = f"{family[1]} problem" if family else first.strip().strip("`").replace(" ", "-")
         listed.setdefault(section, set()).update(re.findall(r"`([^`]+)`", second))
     assert listed == {name: set(keys) for name, keys in SCHEMA.items()}
+
+
+def test_schema_has_one_section_per_family_row():
+    """Each FAMILIES row has a "<name> problem" section: family plus exactly its generator's parameters.
+
+    A row without its section would reach canonical_problem as a bare KeyError.
+    """
+    sections = {name.removesuffix(" problem") for name in SCHEMA if name.endswith(" problem")}
+    assert sections == {*problems.FAMILIES, "container"}
+    for name, fam in problems.FAMILIES.items():
+        section = SCHEMA[f"{name} problem"]
+        assert section["family"] == (str, name)
+        assert set(section) == {"family", *inspect.signature(fam.generator).parameters}, name
 
 
 def test_readme_methods_table_mirrors_methods():
