@@ -373,12 +373,7 @@ def _power_sum(step: np.ndarray, T: int) -> np.ndarray:
 
 
 def _draw_coupling(rng: np.random.Generator, dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
-    """B_g scaled to unit operator norm and C_f a Gaussian direction of norm sqrt(dy), as drawn.
-
-    The generators run this, with the SVD inside its norm, on a worker thread
-    (_coupled_draws).  It reads nothing but rng, from which nothing else draws
-    meanwhile, so its draws and bytes are those of a sequential build.
-    """
+    """B_g scaled to unit operator norm and C_f a Gaussian direction of norm sqrt(dy), as drawn."""
     b_g = rng.standard_normal((dy, dx))
     b_g /= np.linalg.norm(b_g, 2)
     c_f = rng.standard_normal(dy)
@@ -386,46 +381,18 @@ def _draw_coupling(rng: np.random.Generator, dx: int, dy: int) -> tuple[np.ndarr
     return b_g, c_f
 
 
-def _in_basis(q: np.ndarray | None, b_g: np.ndarray, c_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Q'B_g, Q'C_f), or (B_g, C_f) as they are when there is no basis Q."""
-    return (b_g, c_f) if q is None else (q.T @ b_g, q.T @ c_f)
+def _inner_side(
+    rng: np.random.Generator, dx: int, dy: int, kappa_g: float, seed_g: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A_g's spectrum lam and the coupling in its eigenbasis Q: (lam, Q'B_g, Q'C_f).
 
-
-def _rest_of_build(
-    rng: np.random.Generator, dx: int, dy: int, spectra: list[tuple]
-) -> tuple[list, np.ndarray, np.ndarray]:
-    """The worker's share of _coupled_draws: these spectra, the coupling, and its rotation if any."""
-    drawn = [_spectrum(*args) for args in spectra]
-    b_g, c_f = _draw_coupling(rng, dx, dy)
-    if drawn:
-        b_g, c_f = _in_basis(drawn[-1][1], b_g, c_f)
-    return drawn, b_g, c_f
-
-
-def _coupled_draws(
-    rng: np.random.Generator, dx: int, dy: int, spectra: list[tuple]
-) -> tuple[list, np.ndarray, np.ndarray]:
-    """The spectra, in the order given, and (Q'B_g, Q'C_f) in the eigenbasis Q of the last, A_g's.
-
-    spectra holds each _spectrum call's (d, mu, L, seed), the seeds already
-    drawn from rng.  The calling thread runs the first spectrum's QR; a
-    worker thread runs the other spectra's QRs, then _draw_coupling, then
-    the rotation into A_g's basis when it holds that basis.  With one
-    spectrum, the calling thread holds it and rotates after the join.
-    numpy releases the GIL in LAPACK calls and generator fills, so at one
-    BLAS thread per process the two shares take a core each.  The worker
-    takes its QRs before the coupling: over repeated large builds a
-    process's peak RSS stays lower in that order.  Leaving the pool joins
-    the thread, also when a draw raises, so none is alive when a sweep
-    forks its workers.
+    A_g's QR runs before the coupling is drawn: over repeated large builds a
+    process's peak RSS stays lower in that order.  Nothing is rotated when
+    A_g has no basis (kappa_g == 1).
     """
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        rest = pool.submit(_rest_of_build, rng, dx, dy, spectra[1:])
-        first = _spectrum(*spectra[0])
-        drawn, b_g, c_f = rest.result()
-    if not drawn:
-        b_g, c_f = _in_basis(first[1], b_g, c_f)
-    return [first, *drawn], b_g, c_f
+    lam, q = _spectrum(dy, 1.0 / kappa_g, 1.0, seed_g)
+    b_g, c_f = _draw_coupling(rng, dx, dy)
+    return (lam, b_g, c_f) if q is None else (lam, q.T @ b_g, q.T @ c_f)
 
 
 class QuadraticProblem(_LinearInnerProblem):
@@ -544,21 +511,22 @@ def gen_quadratic(dx: int, dy: int, kappa_g: float, kappa_L: float, seed: int) -
     Lg_prime is 1, the norm the coupling was scaled to (the orthogonal
     eigenbases leave it unchanged), and is not measured again.
 
-    A_f's QR runs here while a worker thread runs A_g's QR, the coupling's
-    draws and SVD, and the rotation into A_g's eigenbasis (_coupled_draws).
-    Both spectrum seeds are drawn before the worker starts, and then only
-    the worker draws from the generator, in a sequential build's order: the
-    bytes do not depend on the threads.
+    A_f's QR, the larger, runs here while one worker thread runs
+    _inner_side; numpy releases the GIL in LAPACK calls and generator fills,
+    so at one BLAS thread per process each takes a core.  Both spectrum
+    seeds are drawn before the worker starts, and then only the worker draws
+    from the generator: the bytes do not depend on the thread.  Leaving the
+    pool joins the worker, also when a draw raises, so none is alive when a
+    sweep forks its workers.
     """
     check_generator_args("quadratic", dx=dx, dy=dy, kappa_g=kappa_g, kappa_L=kappa_L)
     rng = np.random.default_rng(seed)
     seed_g, seed_f = (int(rng.integers(2**62)) for _ in range(2))
-    # A_f as gen_spd draws it at this seed, kept as its spectrum and eigenvectors.
-    # Its QR, the larger, runs on the calling thread (_coupled_draws).
-    spectra, b_g, c_f = _coupled_draws(
-        rng, dx, dy, [(dx, 1.0 / kappa_L, 1.0, seed_f), (dy, 1.0 / kappa_g, 1.0, seed_g)]
-    )
-    spectrum_f, (lam, _) = spectra
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        inner = pool.submit(_inner_side, rng, dx, dy, kappa_g, seed_g)
+        # A_f as gen_spd draws it at this seed, kept as its spectrum and eigenvectors.
+        spectrum_f = _spectrum(dx, 1.0 / kappa_L, 1.0, seed_f)
+        lam, b_g, c_f = inner.result()
     return QuadraticProblem(spectrum_f, c_f, np.diag(lam), b_g, seed=seed, Lg_prime=1.0)
 
 
@@ -606,14 +574,12 @@ def gen_nonconvex(
 
     C_f is rescaled so that ||B_g' z*||_inf equals rho / 2, which guarantees
     stationary points of the outer loss exist, and Lg_prime is 1 as in
-    gen_quadratic.  The coupling's draws and SVD run on a worker thread while
-    A_g's QR runs here; the rotation into A_g's eigenbasis follows the join.
+    gen_quadratic.  With no A_f to overlap, the build starts no thread.
     """
     check_generator_args("nonconvex", dx=dx, dy=dy, rho=rho, kappa_g=kappa_g)
     rng = np.random.default_rng(seed)
     seed_g = int(rng.integers(2**62))
-    spectra, b_g, c_f = _coupled_draws(rng, dx, dy, [(dy, 1.0 / kappa_g, 1.0, seed_g)])
-    lam = spectra[0][0]
+    lam, b_g, c_f = _inner_side(rng, dx, dy, kappa_g, seed_g)
     offset = b_g.T @ (c_f / lam)
     c_f *= (rho / 2.0) / np.max(np.abs(offset))
     return NonconvexOuterProblem(rho, c_f, np.diag(lam), b_g, seed=seed, Lg_prime=1.0)

@@ -236,7 +236,11 @@ def held_arrays(p):
 
 
 class TestConcurrentBuild:
-    """The generators draw the coupling on a worker thread; the bytes are those of a sequential build."""
+    """The bytes are those of a sequential build.
+
+    gen_quadratic draws A_g's side on one worker thread while it draws A_f's
+    spectrum; gen_nonconvex draws everything on the calling thread.
+    """
 
     QUADRATIC_CASES = [
         (12, 8, 5.0, 2.0, 1),
@@ -293,8 +297,9 @@ class TestConcurrentBuild:
         "quadratic": lambda: gen_quadratic(12, 8, kappa_g=5.0, kappa_L=2.0, seed=1),
         "nonconvex": lambda: gen_nonconvex(7, 5, rho=1.0, seed=2, kappa_g=4.0),
     }
-    # The dimension of each spectrum the calling thread draws: only the first,
-    # A_f's (d = dx) on the quadratic family and A_g's on the nonconvex one.
+    # The dimension of each spectrum the calling thread draws: A_f's (d = dx)
+    # on the quadratic family, whose A_g side runs on one worker, and A_g's on
+    # the nonconvex one, which has no A_f to overlap and starts no thread.
     CALLING_THREAD_SPECTRA = {"quadratic": [12], "nonconvex": [5]}
 
     @pytest.mark.parametrize("family", BUILDS)
@@ -305,11 +310,21 @@ class TestConcurrentBuild:
                             lambda *args: threads.append(threading.current_thread()) or draw(*args))
         monkeypatch.setattr(problems, "_spectrum", lambda d, *args: (
             spectra.append((d, threading.current_thread())) or spectrum(d, *args)))
+        if family == "nonconvex":
+            def no_thread(*args, **kwargs):
+                raise AssertionError("the nonconvex build started a thread")
+
+            monkeypatch.setattr(problems, "ThreadPoolExecutor", no_thread)
         self.BUILDS[family]()
         here = threading.current_thread()
-        assert len(threads) == 1 and threads[0] is not here
         assert [d for d, thread in spectra if thread is here] == self.CALLING_THREAD_SPECTRA[family]
-        assert all(thread in (here, threads[0]) for _, thread in spectra)
+        if family == "quadratic":
+            assert len(threads) == 1 and threads[0] is not here
+            assert [d for d, thread in spectra if thread is threads[0]] == [8]
+            assert len(spectra) == 2
+        else:
+            assert threads == [here]
+            assert len(spectra) == 1
 
     @pytest.mark.parametrize("family", BUILDS)
     @pytest.mark.parametrize("failing", ["_draw_coupling", "_spectrum"])
