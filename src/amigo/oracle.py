@@ -129,8 +129,8 @@ class BilevelOracle(abc.ABC):
     state an implementation writes after construction is the linear-inner
     families' two one-slot memos of bulk-step factors, one for gd_steps
     keyed on (alpha, T) and one for linear_steps keyed on (beta, N).  Each
-    is one tuple, replaced whole, so a concurrent reader at worst
-    recomputes it.
+    is one tuple, written whole once when its key changes, so a concurrent
+    reader at worst recomputes it.
     """
 
     @property

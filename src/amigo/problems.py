@@ -156,7 +156,7 @@ def _op_norm(b: np.ndarray) -> float:
 
 
 class _DeterministicProblem(BilevelOracle):
-    """Shared plumbing for the synthetic families (all deterministic)."""
+    """Shared plumbing for the synthetic families (all deterministic), each caching its _constants."""
 
     family: str = ""
     _dims: Dims
@@ -164,6 +164,9 @@ class _DeterministicProblem(BilevelOracle):
     @property
     def dims(self) -> Dims:
         return self._dims
+
+    def constants(self) -> SmoothnessConstants:
+        return self._constants
 
     def outer_smoothness(self) -> tuple[float | None, float | None]:
         """(L, mu) of the outer loss where the family knows them exactly, else (None, None)."""
@@ -219,11 +222,11 @@ class _LinearInnerProblem(_DeterministicProblem):
     byte for byte.
 
     gd_steps and linear_steps keep their factors for the last (alpha, T) and
-    (beta, N), which a run holds fixed, each in one tuple replaced whole: r^T
-    and the noisy Gaussian's scale (once a noisy call needs it), and r = 1 -
-    beta * lam and r^N.  ``neg_lam`` holds -lam beside lam, so y* and the
-    adjoint fixed point are one division each: u / -lam is -(u / lam) bit
-    for bit, since negation commutes with IEEE division.
+    (beta, N), which a run holds fixed, each in one tuple written whole when
+    its key changes: r^T and the noisy Gaussian's scale, and r = 1 - beta *
+    lam and r^N.  ``neg_lam`` holds -lam beside lam, so y* and the adjoint
+    fixed point are one division each: u / -lam is -(u / lam) bit for bit,
+    since negation commutes with IEEE division.
 
     Because f is linear in y, the adjoint z* = -C_f / lam does not depend on
     (x, y) and the outer gradient is the gradient of the x term plus the
@@ -272,18 +275,15 @@ class _LinearInnerProblem(_DeterministicProblem):
             return np.array(y, dtype=float, copy=True)
         key, power, scale = self._gd_factors
         if key != (alpha, T):
-            key, power, scale = self._gd_factors = ((alpha, T), (1.0 - alpha * self.lam) ** T, None)
+            step = alpha * self.lam
+            power, scale = (1.0 - step) ** T, alpha * np.sqrt(_power_sum(step * (2.0 - step), T))
+            self._gd_factors = ((alpha, T), power, scale)
         ys = self.y_star(x)
         y = y - ys
         y *= power
         y += ys
         if sigma > 0:
-            xi = gaussian_mean(need_rng(rng, "grad_gy"), sigma, self.dims.dy, batch_size)
-            if scale is None:
-                step = alpha * self.lam
-                scale = alpha * np.sqrt(_power_sum(step * (2.0 - step), T))
-                self._gd_factors = (key, power, scale)
-            y -= scale * xi
+            y -= scale * gaussian_mean(need_rng(rng, "grad_gy"), sigma, self.dims.dy, batch_size)
         return y
 
     # A noisy Hessian is lam + c_t elementwise, with c_t = sigma * zeta_bar_t
@@ -331,9 +331,6 @@ class _LinearInnerProblem(_DeterministicProblem):
             L_f=self.outer_smoothness()[0],
             B=float(np.linalg.norm(self.C_f)),
         )
-
-    def constants(self) -> SmoothnessConstants:
-        return self._constants
 
     # Closed forms.
     def y_star(self, x) -> np.ndarray:
@@ -614,24 +611,20 @@ class RidgeHPOProblem(_DeterministicProblem):
         self._G_val = self.A_val.T @ self.A_val / n_val
         self._g_val = self.A_val.T @ self.b_val / n_val
 
-    @property
-    def d(self) -> int:
-        return self.dims.dx
-
     def grad_f(self, x, y, batch_size=1, rng=None):
-        return np.zeros(self.d), self._G_val @ y - self._g_val
+        return np.zeros(self.dims.dx), self._G_val @ y - self._g_val
 
     def grad_gy(self, x, y, batch_size=1, rng=None):
-        return self._G_tr @ y - self._g_tr + np.exp(x) * y / self.d
+        return self._G_tr @ y - self._g_tr + np.exp(x) * y / self.dims.dx
 
     def hvp_gyy(self, x, y, v, batch_size=1, rng=None):
-        return self._G_tr @ v + np.exp(x) * v / self.d
+        return self._G_tr @ v + np.exp(x) * v / self.dims.dx
 
     def jvp_gxy(self, x, y, z, batch_size=1, rng=None):
-        return np.exp(x) * y * z / self.d
+        return np.exp(x) * y * z / self.dims.dx
 
     def hess_g(self, x) -> np.ndarray:
-        return self._G_tr + np.diag(np.exp(x) / self.d)
+        return self._G_tr + np.diag(np.exp(x) / self.dims.dx)
 
     def y_star(self, x) -> np.ndarray:
         return np.linalg.solve(self.hess_g(x), self._g_tr)
@@ -643,7 +636,7 @@ class RidgeHPOProblem(_DeterministicProblem):
         x = np.asarray(x, dtype=float)
         ys = self.y_star(x)
         zs = self.z_star(x, ys)
-        return np.exp(x) * ys * zs / self.d
+        return np.exp(x) * ys * zs / self.dims.dx
 
     def f_value(self, x, y) -> float:
         r = self.A_val @ y - self.b_val
@@ -660,11 +653,11 @@ class RidgeHPOProblem(_DeterministicProblem):
         of radius 2 ||y*(x)|| + 1 and the hyperparameter box
         [-RIDGE_X_BOX, RIDGE_X_BOX]^d.
         """
-        x = np.zeros(self.d) if x is None else np.asarray(x, dtype=float)
+        x = np.zeros(self.dims.dx) if x is None else np.asarray(x, dtype=float)
         eigs = np.linalg.eigvalsh(self.hess_g(x))
         radius = 2.0 * float(np.linalg.norm(self.y_star(x))) + 1.0
         g_val_norm = float(np.linalg.norm(self._G_val, 2))
-        box_scale = math.exp(RIDGE_X_BOX) / self.d
+        box_scale = math.exp(RIDGE_X_BOX) / self.dims.dx
         return SmoothnessConstants(
             mu_g=float(eigs[0]),
             L_g=float(eigs[-1]),
@@ -675,11 +668,8 @@ class RidgeHPOProblem(_DeterministicProblem):
         )
 
     @cached_property
-    def _constants_at_origin(self) -> SmoothnessConstants:
+    def _constants(self) -> SmoothnessConstants:
         return self.local_constants()
-
-    def constants(self) -> SmoothnessConstants:
-        return self._constants_at_origin
 
     def _arrays(self) -> list[np.ndarray]:
         return [self.A_tr, self.b_tr, self.A_val, self.b_val]
@@ -815,7 +805,7 @@ class StochasticOracle(BilevelOracle):
     def __init__(self, base, noise: NoiseSpec, seed: int):
         self.base = base
         self.noise = noise
-        self.seed = int(seed)
+        seed = int(seed)
         if noise.sigma_gyy_tilde > 0:
             check_hessian_noise(noise, base.constants().mu_g)
         # P serves noisy jvp_gxy queries alone, so an oracle without that noise builds none.

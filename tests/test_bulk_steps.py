@@ -133,19 +133,17 @@ def test_noisy_gd_steps_follow_the_literal_loops_law(problem, T, b):
 
 
 # (step size, count, noisy) call sequences: a slot filled by a deterministic
-# call, then read by a noisy one, again by a noisy one that finds the scale
-# kept, and back; a step size or a count that changes alone; a pair that
-# comes back after another.
+# call, then read by two noisy ones, and back; a step size or a count that
+# changes alone; a pair that comes back after another.
 ALTERNATING = [(0.3, 7, False), (0.3, 7, True), (0.3, 7, True), (0.3, 7, False), (0.5, 7, True),
                (0.5, 3, False), (0.5, 3, True), (0.5, 3, True), (0.3, 7, True), (0.3, 1000, False),
                (0.3, 1000, True), (0.5, 3, False)]
 
 
 def test_noisy_gd_steps_keep_their_scale_per_step_size_and_count(problem):
-    # r^T and the scale of the one Gaussian are kept for the last (alpha, T),
-    # the scale once a noisy call needs it; deterministic and noisy calls
-    # share the slot.  A change of either between calls must give what the
-    # unkept form gives.
+    # r^T and the scale of the one Gaussian are kept for the last (alpha, T);
+    # deterministic and noisy calls share the slot.  A change of either
+    # between calls must give what the unkept form gives.
     x, y0, _ = point(problem)
     lam = problem.lam
     rng, ref = np.random.default_rng(11), np.random.default_rng(11)
@@ -183,15 +181,16 @@ def test_linear_steps_keep_their_factors_per_step_size_and_count(problem):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-@pytest.mark.parametrize("family", ["quadratic", "nonconvex"])
+@pytest.mark.parametrize("family", ["quadratic", "nonconvex", "ridge"])
 def test_runs_write_no_problem_state_but_the_step_factor_slots(family):
     # The state contract of BilevelOracle: once its cached constants and
-    # references (grad_offset, x_star) are formed, a problem's attributes keep
-    # their objects and their bytes through deterministic and noisy runs, but
-    # for the two slots.
+    # references (grad_offset, x_star, where the family has them) are formed,
+    # a problem's attributes keep their objects and their bytes through
+    # deterministic and noisy runs, but for the two slots, which ridge has not.
     p = {"quadratic": lambda: gen_quadratic(20, 10, kappa_g=10.0, kappa_L=5.0, seed=3),
-         "nonconvex": lambda: gen_nonconvex(20, 10, rho=1.0, seed=3, kappa_g=10.0)}[family]()
-    p.constants(), p.grad_offset, getattr(p, "x_star", None)
+         "nonconvex": lambda: gen_nonconvex(20, 10, rho=1.0, seed=3, kappa_g=10.0),
+         "ridge": lambda: gen_ridge_hpo(30, 20, 8, label_noise=0.1, seed=3)}[family]()
+    p.constants(), getattr(p, "grad_offset", None), getattr(p, "x_star", None)
     slots = ("_gd_factors", "_linear_factors")
 
     def state():
@@ -200,15 +199,35 @@ def test_runs_write_no_problem_state_but_the_step_factor_slots(family):
     before = state()
     L_outer, mu = p.outer_smoothness()
     config, _ = prescribed_schedule(p.constants(), mu_outer=mu, L_outer=L_outer, K=20)
-    x0 = np.random.default_rng(0).standard_normal(20)
+    x0 = np.random.default_rng(0).standard_normal(p.dims.dx)
     aid_run(p, config, x0, tracker=MetricsTracker(p, mu_outer=mu, L_outer=L_outer))
     itd_run(p, config, x0)
     noise = NoiseSpec(sigma_f_tilde=1.0, sigma_g_tilde=1.0, sigma_gxy_tilde=0.5, sigma_gyy_tilde=0.01)
     aid_run(make_stochastic(p, noise, seed=4), config, x0, rng=np.random.default_rng(5),
             tracker=MetricsTracker(p, mu_outer=mu, L_outer=L_outer))
     assert state() == before
-    assert p._gd_factors[0] == (config.alpha, config.T) and p._gd_factors[2] is not None
-    assert p._linear_factors[0] == (config.beta, config.N)
+    if family == "ridge":
+        assert not any(hasattr(p, slot) for slot in slots)
+    else:
+        assert p._gd_factors[0] == (config.alpha, config.T) and p._gd_factors[2] is not None
+        assert p._linear_factors[0] == (config.beta, config.N)
+
+
+def test_gd_steps_fill_their_slot_in_one_write(problem):
+    # A deterministic call at a new (alpha, T) writes r^T and the noisy
+    # Gaussian's scale together, and a noisy call at that key reads the slot
+    # and writes nothing.
+    x, y0, _ = point(problem)
+    alpha, T = 0.37 / problem.constants().L_g, 13
+    assert problem._gd_factors[0] != (alpha, T)
+    problem.gd_steps(x, y0, alpha, T)
+    step = alpha * problem.lam
+    slot = problem._gd_factors
+    assert slot[0] == (alpha, T)
+    assert np.array_equal(slot[1], (1.0 - step) ** T)
+    assert np.array_equal(slot[2], alpha * np.sqrt(problems._power_sum(step * (2.0 - step), T)))
+    problem.gd_steps(x, y0, alpha, T, batch_size=2, rng=np.random.default_rng(0), sigma=0.1)
+    assert problem._gd_factors is slot
 
 
 @pytest.mark.parametrize("b", [1, 16])

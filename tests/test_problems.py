@@ -303,7 +303,7 @@ class TestConcurrentBuild:
     CALLING_THREAD_SPECTRA = {"quadratic": [12], "nonconvex": [5]}
 
     @pytest.mark.parametrize("family", BUILDS)
-    def test_coupling_is_drawn_off_the_calling_thread(self, family, monkeypatch):
+    def test_build_threads(self, family, monkeypatch):
         threads, spectra = [], []
         draw, spectrum = problems._draw_coupling, problems._spectrum
         monkeypatch.setattr(problems, "_draw_coupling",
