@@ -238,12 +238,10 @@ def build_noise(spec: dict | None) -> NoiseSpec:
 def build_config(problem, method: str, solver_spec: dict | None, noise: NoiseSpec) -> SolverConfig:
     """Solver configuration: prescribed schedule defaults, explicit overrides.
 
-    mu_outer is the problem's exact modulus when that is positive, else None.
+    mu_outer is the problem's exact modulus, None where it has no positive one.
     """
     overrides = {k: v for k, v in _solver_section(method, solver_spec).items() if v is not None}
     L_outer, mu_outer = problem.outer_smoothness()
-    if mu_outer is not None and mu_outer <= 0:
-        mu_outer = None
     owned = {name: METHODS[method][name] for name in METHOD_FIELDS if name in METHODS[method]}
     config, _ = prescribed_schedule(
         problem.constants(), mu_outer=mu_outer, L_outer=L_outer, noise=noise, **owned

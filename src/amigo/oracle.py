@@ -125,12 +125,13 @@ class BilevelOracle(abc.ABC):
     All queries accept a batch size and a random stream; deterministic
     oracles ignore both.  The caller owns the random stream.  Beyond the
     queries, an oracle answers the bulk methods gd_steps, linear_steps and
-    unrolled_grad, whose literal loops below are the reference.  The only
-    state an implementation writes after construction is the linear-inner
-    families' two one-slot memos of bulk-step factors, one for gd_steps
-    keyed on (alpha, T) and one for linear_steps keyed on (beta, N).  Each
-    is one tuple, written whole once when its key changes, so a concurrent
-    reader at worst recomputes it.
+    unrolled_grad, whose literal loops below are the reference.  After its
+    constructor, an implementation writes only the linear-inner families'
+    two one-slot memos of bulk-step factors (gd_steps' keyed on (alpha, T),
+    linear_steps' on (beta, N)), each one tuple written whole when its key
+    changes, so a concurrent reader at worst recomputes it, and, once, its
+    cached _constants, which stay lazy: ridge's take seconds at d = 2000,
+    and a container's Lg_prime has to be measured.
     """
 
     @property

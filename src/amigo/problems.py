@@ -217,9 +217,9 @@ class _LinearInnerProblem(_DeterministicProblem):
     scalars in one call and are taken one at a time, in place.
 
     A diagonal A_g, which every generated problem has, is used as is.  Any
-    other A_g must be exactly symmetric and is diagonalized once with eigh;
-    the arrays as given are kept for ``_arrays`` so a container round-trips
-    byte for byte.
+    other A_g must be exactly symmetric and is diagonalized once with eigh.
+    ``_given`` keeps every array as given, a subclass's too, in container
+    order, for ``_arrays``, so a container round-trips byte for byte.
 
     gd_steps and linear_steps keep their factors for the last (alpha, T) and
     (beta, N), which a run holds fixed, each in one tuple written whole when
@@ -229,9 +229,9 @@ class _LinearInnerProblem(_DeterministicProblem):
     since negation commutes with IEEE division.
 
     Because f is linear in y, the adjoint z* = -C_f / lam does not depend on
-    (x, y) and the outer gradient is the gradient of the x term plus the
-    constant B_g' z*.  Subclasses define the x term: grad_f (whose y part is
-    C_f), grad_L, L_value, f_value, outer_smoothness and _arrays.
+    (x, y) and the outer gradient is the x term's plus grad_offset = B_g' z*.
+    A subclass sets grad_offset in its constructor and defines the x term:
+    grad_f (whose y part is C_f), grad_L, L_value, f_value, outer_smoothness.
 
     Lg_prime, B_g's operator norm, is taken as given when a generator knows
     it from its own scaling; otherwise (a container, a direct construction)
@@ -339,13 +339,11 @@ class _LinearInnerProblem(_DeterministicProblem):
     def z_star(self, x=None, y=None) -> np.ndarray:
         return self.C_f / self.neg_lam
 
-    @cached_property
-    def grad_offset(self) -> np.ndarray:
-        """B_g' z*, the constant part of the outer gradient."""
-        return self.B_g.T @ self.z_star()
-
     def header(self, arrays) -> dict:
         return {**super().header(arrays), "kappa_g": float(self.lam.max() / self.lam.min())}
+
+    def _arrays(self) -> list[np.ndarray]:
+        return [_spd(*a) if isinstance(a, tuple) else a for a in self._given]
 
 
 def _power_sum(step: np.ndarray, T: int) -> np.ndarray:
@@ -404,13 +402,14 @@ class QuadraticProblem(_LinearInnerProblem):
     grad_f's x part is lam_f * x, and grad_L, gap, L_value, f_value and x*
     are elementwise.  Queries, closed forms and metrics all take x in this
     basis; x_in and x_out map x from and back to the given coordinates, and
-    Q_f is None where the two coincide.
+    Q_f is None where the two coincide.  The constructor sets the closed
+    forms grad_offset and x*.
 
     A_f is given dense, as a container holds it, or as the pair (lam_f, Q_f)
     that _spectrum draws, which is never multiplied out.  A dense A_f must
     be symmetric positive definite and is diagonalized once with eigh unless
-    it is diagonal.  Either form is kept for ``_arrays``, which forms a drawn
-    A_f with gen_spd's expression, so saved bytes match gen_spd's.
+    it is diagonal.  Either form goes first in ``_given``, and ``_arrays``
+    forms a drawn A_f with gen_spd's expression, so saved bytes match gen_spd's.
     """
 
     family = "quadratic"
@@ -425,9 +424,13 @@ class QuadraticProblem(_LinearInnerProblem):
             if A_f.shape != (dx, dx):
                 raise ValueError(f"A_f has shape {A_f.shape}, expected ({dx}, {dx})")
             self.lam_f, self.Q_f = _eigenbasis(A_f, "A_f")
-        self._a_f = A_f
+        self._given.insert(0, A_f)
         if self.Q_f is not None:
             self.B_g = self.B_g @ self.Q_f
+        # The errstate of a run's row 0: x* overflows where kappa_L nears the float range.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.grad_offset = self.B_g.T @ self.z_star()
+            self.x_star = -self.grad_offset / self.lam_f
 
     def x_in(self, x) -> np.ndarray:
         return x if self.Q_f is None else self.Q_f.T @ x
@@ -442,19 +445,11 @@ class QuadraticProblem(_LinearInnerProblem):
         """Exact (L, mu) of the outer loss: the extreme eigenvalues of A_f."""
         return float(self.lam_f.max()), float(self.lam_f.min())
 
-    @cached_property
-    def x_star(self) -> np.ndarray:
-        return -self.grad_offset / self.lam_f
-
     def grad_L(self, x) -> np.ndarray:
         return self.lam_f * (x - self.x_star)
 
     def L_value(self, x) -> float:
         return float(0.5 * x @ (self.lam_f * x) + x @ self.grad_offset)
-
-    @cached_property
-    def L_star(self) -> float:
-        return self.L_value(self.x_star)
 
     def gap(self, x) -> float:
         return self.displacement_terms(x)[1]
@@ -478,17 +473,13 @@ class QuadraticProblem(_LinearInnerProblem):
             "L_value": self.L_value(x),
             "grad_L": self.grad_L(x),
             "x_star": self.x_star.copy(),
-            "L_star": self.L_star,
+            "L_star": self.L_value(self.x_star),
         }
 
     def header(self, arrays) -> dict:
         # kappa_L of the A_f the container holds, as eigvalsh reports it; only a save pays for it.
         ef = np.linalg.eigvalsh(arrays[0])
         return {**super().header(arrays), "kappa_L": float(ef[-1] / ef[0])}
-
-    def _arrays(self) -> list[np.ndarray]:
-        a_f = _spd(*self._a_f) if isinstance(self._a_f, tuple) else self._a_f
-        return [a_f, *self._given]
 
 
 def check_condition_numbers(*kappas: float) -> None:
@@ -543,13 +534,15 @@ class NonconvexOuterProblem(_LinearInnerProblem):
             raise ValueError(f"rho must be positive, got {rho}")
         super().__init__(C_f, A_g, B_g, seed, Lg_prime)
         self.rho = float(rho)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.grad_offset = self.B_g.T @ self.z_star()
 
     def grad_f(self, x, y, batch_size=1, rng=None):
         return -self.rho * np.sin(x), self.C_f.copy()
 
-    def outer_smoothness(self) -> tuple[float, float]:
-        """(L, mu) of the outer loss; mu = -rho marks the non-convex regime."""
-        return self.rho, -self.rho
+    def outer_smoothness(self) -> tuple[float, None]:
+        """(L, mu) of the outer loss; mu is None, as the outer loss is non-convex."""
+        return self.rho, None
 
     def grad_L(self, x) -> np.ndarray:
         return -self.rho * np.sin(x) + self.grad_offset
@@ -559,9 +552,6 @@ class NonconvexOuterProblem(_LinearInnerProblem):
 
     def f_value(self, x, y) -> float:
         return float(y @ self.C_f + self.rho * np.sum(np.cos(x)))
-
-    def _arrays(self) -> list[np.ndarray]:
-        return list(self._given)
 
 
 def gen_nonconvex(
@@ -686,9 +676,7 @@ def gen_ridge_hpo(
     b_tr = a_tr @ w + label_noise * rng.standard_normal(n_tr)
     a_val = rng.standard_normal((n_val, d))
     b_val = a_val @ w + label_noise * rng.standard_normal(n_val)
-    problem = RidgeHPOProblem(a_tr, b_tr, a_val, b_val, seed=seed, label_noise=label_noise)
-    problem.w_planted = w
-    return problem
+    return RidgeHPOProblem(a_tr, b_tr, a_val, b_val, seed=seed, label_noise=label_noise)
 
 
 # The families, in the order errors list them.  Each holds its generator, its

@@ -183,14 +183,14 @@ def test_linear_steps_keep_their_factors_per_step_size_and_count(problem):
 
 @pytest.mark.parametrize("family", ["quadratic", "nonconvex", "ridge"])
 def test_runs_write_no_problem_state_but_the_step_factor_slots(family):
-    # The state contract of BilevelOracle: once its cached constants and
-    # references (grad_offset, x_star, where the family has them) are formed,
-    # a problem's attributes keep their objects and their bytes through
-    # deterministic and noisy runs, but for the two slots, which ridge has not.
+    # The state contract of BilevelOracle: once its cached constants are
+    # formed, a problem's attributes keep their objects and their bytes
+    # through deterministic and noisy runs, but for the two slots, which
+    # ridge has not.
     p = {"quadratic": lambda: gen_quadratic(20, 10, kappa_g=10.0, kappa_L=5.0, seed=3),
          "nonconvex": lambda: gen_nonconvex(20, 10, rho=1.0, seed=3, kappa_g=10.0),
          "ridge": lambda: gen_ridge_hpo(30, 20, 8, label_noise=0.1, seed=3)}[family]()
-    p.constants(), getattr(p, "grad_offset", None), getattr(p, "x_star", None)
+    p.constants()
     slots = ("_gd_factors", "_linear_factors")
 
     def state():

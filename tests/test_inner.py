@@ -85,6 +85,22 @@ def test_step_solvers_share_their_preconditions(quad, point):
             call(0.1, -1)
 
 
+def test_step_bounds_are_inclusive(quad, point):
+    # Each bound is inclusive: a step exactly at it is silent (pytest turns a
+    # warning into an error), and one a quarter above it warns.
+    x, y = point
+    v, L_g = np.ones(8), quad.constants().L_g
+    calls = [
+        (1.0 / L_g, lambda s: solve_inner_sgd(quad, x, y, s, 1)),
+        (1.0 / (2.0 * L_g), lambda s: solve_linear_sgd(quad, x, y, v, y, s, 1)),
+        (1.0 / L_g, lambda s: solve_linear_neumann(quad, x, y, v, s, 1)),
+    ]
+    for bound, call in calls:
+        call(bound)
+        with pytest.warns(UserWarning, match="exceeds"):
+            call(1.25 * bound)
+
+
 class TestLinearSolvers:
     def setup_method(self):
         self.p = gen_quadratic(10, 8, kappa_g=10.0, kappa_L=4.0, seed=31)
@@ -271,6 +287,18 @@ class TestConjugateGradient:
         res = solve_linear_cg(self.p, self.x, self.y, self.v, tol=1e-8, max_iter=30)
         assert res.final_residual is not None
         assert res.final_residual <= 1e-8 * max(1.0, np.linalg.norm(self.v))
+
+    @pytest.mark.parametrize("tol, max_iter", [(1e-10, 100), (0.0, 3)])
+    def test_final_residual_is_that_of_the_returned_z(self, tol, max_iter):
+        # The recurrence's residual is ||H z + v|| at the z returned, whether
+        # the solve stops on the tolerance or at max_iter.
+        p = gen_quadratic(12, 8, kappa_g=50.0, kappa_L=5.0, seed=7)
+        rng = np.random.default_rng(3)
+        x, y, v = rng.standard_normal(12), rng.standard_normal(8), rng.standard_normal(8)
+        res = solve_linear_cg(p, x, y, v, tol=tol, max_iter=max_iter)
+        assert (res.iterations_used < max_iter) == (tol > 0)
+        true_residual = np.linalg.norm(p.hvp_gyy(x, y, res.out) + v)
+        assert abs(res.final_residual - true_residual) <= 1e-12 * max(1.0, np.linalg.norm(v))
 
     def test_threshold_takes_numpys_norm(self):
         # The stopping threshold takes ||v|| as sqrt(v @ v), which is what

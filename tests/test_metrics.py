@@ -113,7 +113,7 @@ class TestMetricsTracker:
         tracker.row(0, self.x0, OracleCounter())
         x = rng.standard_normal(8)
         row = tracker.row(1, x, OracleCounter())
-        gap = self.p.L_value(x) - self.p.L_star
+        gap = self.p.L_value(x) - self.p.L_value(self.p.x_star)
         dist_sq = float(np.sum((x - self.p.x_star) ** 2))
         assert row.combined_sc == pytest.approx(min(gap, 0.5 * self.mu * dist_sq), rel=1e-9)
 
@@ -123,6 +123,16 @@ class TestMetricsTracker:
         gap = self.p.gap(self.x0)
         dist_sq = float(np.sum((self.x0 - self.p.x_star) ** 2))
         assert row.energy_x == pytest.approx(0.5 * self.mu * dist_sq + gap, rel=1e-12)
+
+    def test_energy_defaults_to_u0(self):
+        # Without u, the energy keeps its gap term, as under u = 0.
+        got = MetricsTracker(self.p, mu_outer=self.mu).row(0, self.x0)
+        want = MetricsTracker(self.p, mu_outer=self.mu, u=0).row(0, self.x0)
+        assert got.energy_x == want.energy_x
+
+    def test_energy_needs_a_positive_smoothness_bound(self):
+        p = gen_nonconvex(6, 4, rho=1.0, seed=5)
+        assert MetricsTracker(p, L_outer=0.0).row(0, np.ones(6)).energy_x is None
 
     def test_energy_nonconvex_branch(self):
         p = gen_nonconvex(6, 4, rho=1.0, seed=5)

@@ -102,6 +102,13 @@ class TestPsiHat:
         sto = psi_hat(oracle, x, y, z, batch_f=4, batch_gxy=4, rng=self.rng)
         assert np.array_equal(det, sto)
 
+    def test_batches_default_to_one(self):
+        oracle = make_stochastic(self.p, NoiseSpec(sigma_f_tilde=1.0, sigma_gxy_tilde=0.5), seed=3)
+        x, y, z = self.rng.standard_normal(15), self.rng.standard_normal(9), self.rng.standard_normal(9)
+        got = psi_hat(oracle, x, y, z, rng=np.random.default_rng(1))
+        want = psi_hat(oracle, x, y, z, batch_f=1, batch_gxy=1, rng=np.random.default_rng(1))
+        assert np.array_equal(got, want)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             psi_hat(self.p, np.zeros(14), np.zeros(9), np.zeros(9))
@@ -233,6 +240,18 @@ class TestStochasticContract:
             want = det_f + sigma / math.sqrt(dim * b) * ref.standard_normal(dim)
             assert np.array_equal(got, want)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("b", [1, 16])
+    def test_noisy_hessian_and_jacobian_queries_take_one_uniform_draw(self, b):
+        # A noisy hvp_gyy or jvp_gxy query draws its batch of b uniforms in one
+        # call, and the stream ends where that call leaves it.
+        oracle = make_stochastic(self.p, NoiseSpec(sigma_gxy_tilde=0.5, sigma_gyy_tilde=0.1), seed=4)
+        v = np.random.default_rng(2).standard_normal(4)
+        for query in (oracle.hvp_gyy, oracle.jvp_gxy):
+            rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+            query(self.x, self.y, v, batch_size=b, rng=rng)
+            ref.uniform(-math.sqrt(3), math.sqrt(3), size=(1, b))
+            assert rng.bit_generator.state == ref.bit_generator.state, query.__name__
 
     def test_rng_required_when_noisy(self):
         oracle = make_stochastic(self.p, NoiseSpec(sigma_f_tilde=1.0), seed=4)

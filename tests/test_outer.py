@@ -113,6 +113,14 @@ class TestAidLoop:
         assert np.array_equal(record.x_final, x0)
         assert record.counter.total() == 0
 
+    @pytest.mark.parametrize("count", ["T", "N"])
+    def test_zero_inner_steps_leave_their_variable_at_its_start(self, quad, count):
+        # T = 0 (N = 0) is a valid count: y (z) stays at the loop's zero start.
+        config = dataclasses.replace(schedule_for(quad, K=3), **{count: 0})
+        record = aid_run(quad, config, np.ones(12))
+        final = record.y_final if count == "T" else record.z_final
+        assert np.array_equal(final, np.zeros(quad.dims.dy))
+
     def test_row_count_and_cost_progression(self, quad):
         config = schedule_for(quad, K=7)
         tracker = MetricsTracker(quad, mu_outer=quad.outer_smoothness()[1])
@@ -493,7 +501,7 @@ def test_non_finite_x0_is_rejected_before_the_first_query_and_row(quad, driver, 
     assert set(oracle.queried) <= {"is_stochastic", "dims", "noise"}
 
 
-# The nonconvex family's outer modulus is -rho, which the CLI passes on as None.
+# The nonconvex family has no outer modulus (None); -1.0 is what a direct caller may pass.
 @pytest.mark.parametrize("mu_outer", [-1.0, None])
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_averaging_without_an_outer_modulus_is_rejected_before_any_query(method, mu_outer):

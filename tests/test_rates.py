@@ -4,7 +4,10 @@ On the quadratic family a deterministic amigo-gd or aid-gd run is an
 affine map on the state (x, y, z), held in the eigenbases of A_f and A_g
 where every inner factor is diagonal.  Each step refreshes z to
 z* + S^N (z0 - z*), with S = 1 - beta * lam and z0 the previous z (warm)
-or zero (cold), and moves x by -gamma (lam_f * x + B_g' z).  The outer
+or zero (cold), and moves x by -gamma (lam_f * x + B_g' z).  aid-fp takes
+aid-gd's adjoint steps, and aid-n's N-term series is (1 - S^N) z*, aid-gd's
+cold z, so both follow aid-gd's map.  itd is left out: its map needs y in
+the state, since its gradient reads the unrolled y.  The outer
 cost is linear in y, so no query the outer step reads depends on y: y
 enters neither update and the map on the errors (x - x_ref, z - z*) is
 
@@ -88,7 +91,7 @@ def measured_rate(xs, x_ref):
 
 @pytest.mark.parametrize("kappa_g", [10.0, 100.0])
 @pytest.mark.parametrize("T, N", TN)
-@pytest.mark.parametrize("method", ["amigo-gd", "aid-gd"])
+@pytest.mark.parametrize("method", ["amigo-gd", "aid-gd", "aid-fp", "aid-n"])
 def test_measured_rate_is_the_spectral_radius(method, kappa_g, T, N):
     p = problem(kappa_g)
     config, xs = run(method, kappa_g, T, N)
@@ -106,3 +109,10 @@ def test_amigo_gd_iterates_do_not_depend_on_T(kappa_g):
     _, one = run("amigo-gd", kappa_g, 1, 1)
     _, seven = run("amigo-gd", kappa_g, 7, 1)
     assert np.array_equal(one, seven)
+
+
+@pytest.mark.parametrize("kappa_g", [10.0, 100.0])
+@pytest.mark.parametrize("T, N", TN)
+def test_aid_fp_iterates_are_aid_gds(kappa_g, T, N):
+    # Deterministic, at batch 1, both take the same closed-form adjoint steps.
+    assert np.array_equal(run("aid-fp", kappa_g, T, N)[1], run("aid-gd", kappa_g, T, N)[1])
