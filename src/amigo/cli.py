@@ -20,6 +20,7 @@ import math
 import numbers
 import os
 import sys
+import tempfile
 from dataclasses import fields, replace
 
 import numpy as np
@@ -398,7 +399,7 @@ def _sweep_cell(task: dict) -> dict:
         "method": task["method"],
         "seed": task["seed"],
         "cell": task["cell"],
-        # The rows leave the cell as one string, so the parent never holds them.
+        # The rows leave the cell as one string, which the parent spills as it arrives.
         "csv": sweep_rows_to_csv(rows, task["method"], task["cell"], task["seed"]),
         "cost_to_eps": {repr(e): cost_to_reach(rows, e) for e in task["eps"]},
         "min_rel_error": _min_present(map(target, rows)),
@@ -431,10 +432,9 @@ def run_sweep(
 
     The arguments are checked as the sections of a config, by canonical_config.
     Returns (cell results, summarize(results, eps)), the results sorted by
-    (key, seed).  A result holds a run's aggregates and its CSV text, not its rows:
+    (key, seed), and writes no CSV.  A result holds a run's aggregates, not its rows or text:
     - key: (method, kappa_g, T, N, batch); method; seed;
     - cell: the grid point, {kappa_g, T, N, batch};
-    - csv: the run's lines of the sweep CSV (sweep_rows_to_csv), one str;
     - cost_to_eps: per repr(eps), the cost to reach it, None if never;
     - min_rel_error: the least target(row); diverged_at: the outer iteration it diverged in, or None.
     """
@@ -447,10 +447,11 @@ def run_sweep(
 
 
 def _sweep(cfg: dict, workers: int):
-    """run_sweep of a canonical config: its problem, noise, solver, sweep and eps sections."""
+    """run_sweep of a canonical config, which writes the CSV only to a named out.  Each finished
+    cell's text goes to a spill file in out's directory, and is copied from it in order at the end."""
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    sweep, problem_spec, eps = cfg["sweep"], cfg["problem"], cfg["eps"]
+    sweep, problem_spec, eps, out = cfg["sweep"], cfg["problem"], cfg["eps"], cfg["out"]
     noise = NoiseSpec(*cfg["noise"].values())
     for method in sweep["methods"]:
         # The unrolled methods name no linear solver.
@@ -486,16 +487,36 @@ def _sweep(cfg: dict, workers: int):
             })
     # A pool forks all its workers at its first submit, so it gets no more than there are cells.
     workers = min(workers, len(tasks))
+    # On out's disk, removed by the OS on close (on Linux it never has a name); with no out, text is dropped.
+    spill = tempfile.TemporaryFile(dir=os.path.dirname(out) or ".") if out else open(os.devnull, "wb")
+    results, spans = [], {}
+
+    def take(result):  # a finished cell: its text to the spill, its aggregates kept
+        spans[result["key"], result["seed"]] = (spill.tell(), spill.write(result.pop("csv").encode()))
+        results.append(result)
+
     _sweep_memo.clear()
     try:
         if workers > 1:
+            # Taken as they finish: map would hold each result until every earlier one is taken.
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sweep_cell, tasks))
+                futures = [pool.submit(_sweep_cell, t) for t in tasks]
+                try:
+                    for future in concurrent.futures.as_completed(futures):
+                        take(future.result())
+                finally:
+                    for future in futures:
+                        future.cancel()
         else:
-            results = [_sweep_cell(t) for t in tasks]
+            for task in tasks:
+                take(_sweep_cell(task))
+        results.sort(key=lambda r: (r["key"], r["seed"]))
+        if out:
+            with open(out, "w") as fh:
+                sweep_results_to_csv([spans[r["key"], r["seed"]] for r in results], spill, fh)
     finally:
         _sweep_memo.clear()
-    results.sort(key=lambda r: (r["key"], r["seed"]))
+        spill.close()
     return results, summarize(results, eps)
 
 
@@ -527,11 +548,12 @@ def summarize(results, eps) -> dict:
     return summary
 
 
-def sweep_results_to_csv(results, fh) -> None:
-    """Write the sweep CSV to fh: the header, then each result's lines in results order."""
+def sweep_results_to_csv(spans, spill, fh) -> None:
+    """Write the sweep CSV to fh: the header, then the bytes of spill at each (offset, size) of spans."""
     csv.writer(fh, lineterminator="\n").writerow(SWEEP_COLUMNS)
-    for res in results:
-        fh.write(res["csv"])
+    for offset, size in spans:
+        spill.seek(offset)
+        fh.write(spill.read(size).decode())
 
 
 # ---------------------------------------------------------------------------
@@ -697,11 +719,9 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     """A sweep exits 0 once every cell has finished, diverged cells included."""
     cfg = _config(args)
-    out = cfg["out"] or "sweep.csv"
+    out = cfg["out"] = cfg["out"] or "sweep.csv"
     _check_outputs(out, out + ".summary.json")
-    results, summary = _sweep(cfg, args.workers)
-    with open(out, "w") as fh:
-        sweep_results_to_csv(results, fh)
+    _, summary = _sweep(cfg, args.workers)
     with open(out + ".summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
     print(json.dumps({m: summary[m]["best"] for m in summary}))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import inspect
 import io
 import json
@@ -172,8 +173,12 @@ class TestCsvEmission:
             "aid-cg,,10,100,1,4,1,0.1,inf,-inf,,,12345678901234567890123,\n"
         )
         assert second == "amigo-cg,1000.0,1,1,16,0,0,,1e+16,5e-324,-0.0,nan,0,\n"
+        # The cells reach the spill in the order they finish, here second first;
+        # the spans, one (offset, size) per cell, give the CSV's order.
+        spill = io.BytesIO(second.encode() + first.encode())
+        spans = [(len(second), len(first)), (0, len(second))]
         buf = io.StringIO()
-        assert sweep_results_to_csv([{"csv": first}, {"csv": second}], buf) is None
+        assert sweep_results_to_csv(spans, spill, buf) is None
         assert buf.getvalue() == (
             "method,kappa_g,T,N,batch,seed,k,rel_error,grad_norm_sq,avg_grad_norm_sq,"
             "combined_sc,energy_x,cost,wall_s\n" + first + second
@@ -231,7 +236,7 @@ class TestSummarize:
     def result(method, T, seed, costs, least):
         """A hand-built sweep result: costs to the targets 0.1 and 0.01, and the least target."""
         cell = {"kappa_g": None, "T": T, "N": 1, "batch": 1}
-        return {"key": (method, None, T, 1, 1), "method": method, "seed": seed, "cell": cell, "csv": "",
+        return {"key": (method, None, T, 1, 1), "method": method, "seed": seed, "cell": cell,
                 "cost_to_eps": dict(zip(("0.1", "0.01"), costs)), "min_rel_error": least, "diverged_at": None}
 
     def test_hand_built_results(self):
@@ -412,6 +417,56 @@ class TestNoiseSupport:
         assert dispatched == []
 
 
+class SteppedPool:
+    """An in-process stand-in for the sweep's process pool, whose cells finish one at a time.
+
+    Once `cells` calls are submitted it runs the first, in submission order or, with
+    reverse, the last; each later one runs when the result before it is taken, and a
+    cancelled one never runs.  `ran` lists the tasks run, in the order they ran.
+    """
+
+    def __init__(self, cells, reverse=False):
+        self.cells, self.reverse = cells, reverse
+        self.pending, self.ran = [], []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, task):
+        future = SteppedFuture(self)
+        self.pending.append((future, fn, task))
+        if len(self.pending) == self.cells:
+            if self.reverse:
+                self.pending.reverse()
+            self.step()
+        return future
+
+    def step(self):
+        while self.pending:
+            future, fn, task = self.pending.pop(0)
+            if future.set_running_or_notify_cancel():
+                self.ran.append(task)
+                try:
+                    future.set_result(fn(task))
+                except Exception as exc:
+                    future.set_exception(exc)
+                return
+
+
+class SteppedFuture(concurrent.futures.Future):
+    def __init__(self, pool):
+        super().__init__()
+        self.pool = pool
+
+    def result(self, timeout=None):
+        value = super().result(timeout)
+        self.pool.step()
+        return value
+
+
 class TestSweep:
     def sweep_kwargs(self, workers=1):
         return dict(
@@ -440,31 +495,31 @@ class TestSweep:
                 else:
                     assert best["cost"] == min(reached)
 
+    def sweep_config(self, kappa_g_grid=None):
+        """sweep_kwargs as a config for the sweep command."""
+        kw = self.sweep_kwargs()
+        return {"problem": kw["problem_spec"], "eps": list(kw["eps"]),
+                "sweep": {"methods": kw["methods"], "kappa_g": kappa_g_grid, "T": kw["T_grid"],
+                          "N": kw["N_grid"], "seeds": kw["seeds"], "K": kw["K_max"]}}
+
     def test_worker_count_does_not_change_results(self, tmp_path):
         # With a kappa axis each worker rebuilds at kappa boundaries only.
-        for kappa_g_grid in (None, [2.0, 10.0]):
+        for grid, kappa_g_grid in enumerate((None, [2.0, 10.0])):
             serial, _ = run_sweep(**self.sweep_kwargs(workers=1), kappa_g_grid=kappa_g_grid)
             parallel, _ = run_sweep(**self.sweep_kwargs(workers=2), kappa_g_grid=kappa_g_grid)
-            assert len(serial) == len(parallel)
-            for a, b in zip(serial, parallel):
-                assert a["key"] == b["key"] and a["seed"] == b["seed"]
-                assert a["csv"] == b["csv"]
-        # The CSV file the command writes, cell by cell, is the same bytes too.
-        kw = self.sweep_kwargs()
-        cfg = {"problem": kw["problem_spec"], "eps": list(kw["eps"]),
-               "sweep": {"methods": kw["methods"], "kappa_g": [2.0, 10.0], "T": kw["T_grid"],
-                         "N": kw["N_grid"], "seeds": kw["seeds"], "K": kw["K_max"]}}
-        cfg_path = write_config(tmp_path, cfg)
-        written = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"sweep{workers}.csv"
-            assert main(["sweep", "--config", cfg_path, "--out", str(out), "--workers", workers]) == 0
-            written.append(out.read_bytes())
-        assert written[0] == written[1]
-        assert written[0].decode() == ",".join(cli.SWEEP_COLUMNS) + "\n" + "".join(r["csv"] for r in serial)
+            assert serial == parallel  # every aggregate, in (key, seed) order
+            # The CSV file the command copies from its spill is the same bytes too.
+            cfg_path = write_config(tmp_path, self.sweep_config(kappa_g_grid), f"cfg{grid}.json")
+            written = []
+            for workers in ("1", "2"):
+                out = tmp_path / f"sweep{grid}-{workers}.csv"
+                assert main(["sweep", "--config", cfg_path, "--out", str(out), "--workers", workers]) == 0
+                written.append(out.read_bytes())
+            assert written[0] == written[1]
+            assert written[0].count(b"\n") > len(serial) + 1  # the header and several rows per cell
 
     def test_pool_has_at_most_one_worker_per_cell(self, tmp_path, monkeypatch):
-        # A stand-in executor that maps in this process: it records the pool size
+        # A stand-in executor that runs each cell in this process: it records the pool size
         # a sweep asks for without forking any worker.
         sizes = []
 
@@ -478,8 +533,10 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def submit(self, fn, task):
+                future = concurrent.futures.Future()
+                future.set_result(fn(task))
+                return future
 
         cfg = {"problem": quad_spec(dx=12, dy=6), "eps": [0.1],
                "sweep": {"methods": ["amigo-gd", "aid-gd"], "T": [1, 5], "N": [1, 5], "K": 10}}
@@ -495,41 +552,91 @@ class TestSweep:
         assert sweep("5000") == sweep("3") == serial
         assert sizes == [8, 3]  # 8 cells
 
-    def test_each_problem_is_built_once_per_sweep(self, monkeypatch):
+    def test_cells_finishing_out_of_order_give_the_same_bytes(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, self.sweep_config([2.0, 10.0]))
+
+        def sweep(workers):
+            out = tmp_path / f"sweep{workers}.csv"
+            assert main(["sweep", "--config", cfg_path, "--out", str(out), "--workers", workers]) == 0
+            return out.read_bytes(), Path(f"{out}.summary.json").read_bytes()
+
+        serial = sweep("1")
+        pool = SteppedPool(cells=16, reverse=True)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", lambda max_workers: pool)
+        assert sweep("2") == serial
+        # The last cell submitted finished first, and the first finished last.
+        keys = [(task["key"], task["seed"]) for task in pool.ran]
+        assert len(keys) == 16 and keys[0][0][1] == 10.0 and keys[-1][0][1] == 2.0
+        assert keys != sorted(keys) and keys[::-1] != sorted(keys)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failing_sweep_leaves_no_file(self, tmp_path, workers):
+        # The kappa_g = 10 cell finishes; the 1e154 cell's row 0 is not finite.
+        cfg = {"problem": {"family": "quadratic", "dx": 6, "dy": 4},
+               "sweep": {"methods": ["amigo-gd"], "kappa_g": [10.0, 1e154], "K": 5}}
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["sweep", "--config", cfg_path, "--out", str(out / "sweep.csv"), "--workers", workers]) == 2
+        assert list(out.iterdir()) == []
+        assert cli._sweep_memo == {}
+
+    def test_cells_queued_after_a_failing_cell_are_cancelled(self, tmp_path, monkeypatch):
+        cfg = {"problem": {"family": "quadratic", "dx": 6, "dy": 4},
+               "sweep": {"methods": ["amigo-gd"], "kappa_g": [10.0, 1e154, 100.0], "T": [1, 2], "N": [1],
+                         "K": 5}}
+        cfg_path = write_config(tmp_path, cfg)
+        pool = SteppedPool(cells=6)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", lambda max_workers: pool)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["sweep", "--config", cfg_path, "--out", str(out / "sweep.csv"), "--workers", "2"]) == 2
+        # The first 1e154 cell fails; the three cells queued after it are cancelled, not run.
+        assert [task["key"][1:3] for task in pool.ran] == [(10.0, 1), (10.0, 2), (1e154, 1)]
+        assert [future.cancelled() for future, _, _ in pool.pending] == [True] * 3
+        assert list(out.iterdir()) == []
+
+    def test_each_problem_is_built_once_per_sweep(self, tmp_path, monkeypatch):
         built = []
         fresh = cli.build_problem
         monkeypatch.setattr(cli, "build_problem", lambda spec: built.append(spec) or fresh(spec))
-        kwargs = dict(self.sweep_kwargs(), kappa_g_grid=[2.0, 10.0])
-        run_sweep(**kwargs)
+        results, _ = run_sweep(**self.sweep_kwargs(), kappa_g_grid=[2.0, 10.0])
         assert [spec["kappa_g"] for spec in built] == [2.0, 10.0]
-        results, _ = run_sweep(**kwargs)
+        out = tmp_path / "sweep.csv"
+        cfg_path = write_config(tmp_path, self.sweep_config([2.0, 10.0]))
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
         assert len(built) == 4  # a second sweep builds again: nothing is retained
         assert cli._sweep_memo == {}
-        # Every cell equals a run on a freshly built problem.
+        # Every cell's lines in the written CSV equal a run on a freshly built problem.
         noise = build_noise(None)
+        lines = out.read_text().splitlines(keepends=True)
+        assert lines.pop(0) == ",".join(cli.SWEEP_COLUMNS) + "\n"
         for res in results:
             cell = res["cell"]
             problem = fresh(quad_spec(kappa_g=cell["kappa_g"]))
             config = build_config(problem, res["method"], {"T": cell["T"], "N": cell["N"], "K": 60}, noise)
             record = run_single(problem, res["method"], config, res["seed"], noise,
                                 stop=make_stop_rule(None, None))
-            assert sweep_rows_to_csv(record.rows, res["method"], cell, res["seed"]) == res["csv"]
+            text = sweep_rows_to_csv(record.rows, res["method"], cell, res["seed"])
+            assert "".join(lines[:text.count("\n")]) == text
+            del lines[:text.count("\n")]
+        assert lines == []
 
     def test_results_hold_cell_text_not_rows(self):
-        # The parent keeps a cell's lines as one str plus its aggregates: no
-        # per-row object (tuple, list, MetricRow) may come back in a result.
+        # A result holds its cell's aggregates only: no per-row object (tuple,
+        # list, MetricRow) and no CSV text, whose lines go to the spill.
         def scalars_only(value):
             if isinstance(value, dict):
                 return all(isinstance(k, str) and scalars_only(v) for k, v in value.items())
-            return value is None or isinstance(value, (str, int, float))
+            if isinstance(value, str):
+                return "\n" not in value
+            return value is None or isinstance(value, (int, float))
 
         results, _ = run_sweep(**self.sweep_kwargs(), kappa_g_grid=[2.0, 10.0])
         for res in results:
-            assert set(res) == {"key", "method", "seed", "cell", "csv", "cost_to_eps",
-                                "min_rel_error", "diverged_at"}
+            assert set(res) == {"key", "method", "seed", "cell", "cost_to_eps", "min_rel_error", "diverged_at"}
             assert type(res["key"]) is tuple and len(res["key"]) == 5
             assert all(scalars_only(v) for v in res["key"])
-            assert type(res["csv"]) is str and res["csv"].count("\n") > 1
             assert scalars_only({k: v for k, v in res.items() if k != "key"})
 
     def test_empty_seed_list_rejected(self):
