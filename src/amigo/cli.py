@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
+import inspect
 import io
 import itertools
 import json
@@ -81,12 +83,11 @@ SCHEMA = {
         "out": (str, None),  # None: the command's own output
         "eps": ([TARGET], list(DEFAULT_EPS)),
     },
-    "quadratic problem": {"family": (str, "quadratic"), "dx": (int, 200), "dy": (int, 100),
-                          "kappa_g": (float, 10.0), "kappa_L": (float, 10.0), "seed": (SEED, 0)},
-    "ridge problem": {"family": (str, "ridge"), "n_tr": (int, 100), "n_val": (int, 100),
-                      "d": (int, 20), "label_noise": (float, 0.1), "seed": (SEED, 0)},
-    "nonconvex problem": {"family": (str, "nonconvex"), "dx": (int, 50), "dy": (int, 25),
-                          "rho": (float, 1.0), "kappa_g": (float, 10.0), "seed": (SEED, 0)},
+    # Each family's name, then its generator's parameters in order, with their defaults.
+    **{f"{name} problem": {"family": (str, name), **{
+        p.name: (SEED if p.name == "seed" else type(p.default), p.default)
+        for p in inspect.signature(fam.generator).parameters.values()
+    }} for name, fam in FAMILIES.items()},
     "container problem": {"path": (str, ...)},
     # NoiseSpec's fields in order, without their _tilde suffix.
     "noise": {f.name.removesuffix("_tilde"): (type(f.default), f.default) for f in fields(NoiseSpec)},
@@ -307,13 +308,18 @@ def rows_to_csv(rows, method: str, seed: int, timing: bool = False) -> str:
     return _csv_lines((method, seed), rows, timing, header=CSV_COLUMNS)
 
 
+def sweep_cell_name(method: str, cell: dict, seed: int, **_) -> tuple:
+    """The first SWEEP_COLUMNS of a cell, or of its result given as keywords: its CSV prefix and order."""
+    return (method, cell["kappa_g"], cell["T"], cell["N"], cell["batch"], seed)
+
+
 def sweep_rows_to_csv(rows, method: str, cell: dict, seed: int) -> str:
     """A sweep cell's lines of the sweep CSV, without header.
 
     wall_s stays empty, so a sweep's CSV is identical across worker counts;
     per-row timing remains available via cmd_run.
     """
-    return _csv_lines((method, cell["kappa_g"], cell["T"], cell["N"], cell["batch"], seed), rows)
+    return _csv_lines(sweep_cell_name(method, cell, seed), rows)
 
 
 # Targets are costs to bring target(row) down to eps.  The stop rule watches
@@ -388,20 +394,20 @@ def _sweep_problem(spec: dict):
     return _sweep_memo["problem"]
 
 
-def _sweep_cell(task: dict) -> dict:
+def _sweep_cell(shared: dict, task: dict) -> dict:
     """One sweep cell: a (method, grid point, seed) run. Top level for pickling."""
+    method, cell, seed, noise = task["method"], task["cell"], task["seed"], shared["noise"]
     problem = _sweep_problem(task["problem"])
-    config = build_config(problem, task["method"], task["solver"], task["noise"])
-    stop = make_stop_rule(task["stop_rel"], task["cost_cap"])
-    _, rows, diverged_at = _run_rows(problem, task["method"], config, task["seed"], task["noise"], stop)
+    config = build_config(problem, method, task["solver"], noise)
+    stop = make_stop_rule(shared["stop_rel"], shared["cost_cap"])
+    _, rows, diverged_at = _run_rows(problem, method, config, seed, noise, stop)
     return {
-        "key": task["key"],
-        "method": task["method"],
-        "seed": task["seed"],
-        "cell": task["cell"],
+        "method": method,
+        "seed": seed,
+        "cell": cell,
         # The rows leave the cell as one string, which the parent spills as it arrives.
-        "csv": sweep_rows_to_csv(rows, task["method"], task["cell"], task["seed"]),
-        "cost_to_eps": {repr(e): cost_to_reach(rows, e) for e in task["eps"]},
+        "csv": sweep_rows_to_csv(rows, method, cell, seed),
+        "cost_to_eps": {repr(e): cost_to_reach(rows, e) for e in shared["eps"]},
         "min_rel_error": _min_present(map(target, rows)),
         "diverged_at": diverged_at,
     }
@@ -432,9 +438,9 @@ def run_sweep(
 
     The arguments are checked as the sections of a config, by canonical_config.
     Returns (cell results, summarize(results, eps)), the results sorted by
-    (key, seed), and writes no CSV.  A result holds a run's aggregates, not its rows or text:
-    - key: (method, kappa_g, T, N, batch); method; seed;
-    - cell: the grid point, {kappa_g, T, N, batch};
+    sweep_cell_name, and writes no CSV.  A result is a JSON object of a run's aggregates,
+    not its rows or text:
+    - method; seed; cell: the grid point, {kappa_g, T, N, batch};
     - cost_to_eps: per repr(eps), the cost to reach it, None if never;
     - min_rel_error: the least target(row); diverged_at: the outer iteration it diverged in, or None.
     """
@@ -468,23 +474,13 @@ def _sweep(cfg: dict, workers: int):
     check_condition_numbers(*(pspec["kappa_g"] for pspec in pspecs if "kappa_g" in pspec))
     for pspec in pspecs:
         check_generated_spec(pspec, noise)
-    tasks = []
-    for pspec in pspecs:
-        grid = itertools.product(sweep["methods"], sweep["T"], sweep["N"], sweep["batch"], sweep["seeds"])
-        for method, T, N, batch, seed in grid:
-            cell = {"kappa_g": pspec.get("kappa_g"), "T": T, "N": N, "batch": batch}
-            tasks.append({
-                "key": (method, cell["kappa_g"], T, N, batch),
-                "method": method,
-                "seed": seed,
-                "problem": pspec,
-                "noise": noise,
-                "solver": solvers[T, N, batch],
-                "cell": cell,
-                "eps": eps,
-                "cost_cap": sweep["cost_cap"],
-                "stop_rel": sweep["stop_rel"],
-            })
+    # The settings every cell takes, bound once.
+    run_cell = functools.partial(_sweep_cell, {"noise": noise, "eps": eps, "cost_cap": sweep["cost_cap"],
+                                               "stop_rel": sweep["stop_rel"]})
+    grid = sweep["methods"], sweep["T"], sweep["N"], sweep["batch"], sweep["seeds"]
+    tasks = [{"method": method, "seed": seed, "problem": pspec, "solver": solvers[T, N, batch],
+              "cell": {"kappa_g": pspec.get("kappa_g"), "T": T, "N": N, "batch": batch}}
+             for pspec in pspecs for method, T, N, batch, seed in itertools.product(*grid)]
     # A pool forks all its workers at its first submit, so it gets no more than there are cells.
     workers = min(workers, len(tasks))
     # On out's disk, removed by the OS on close (on Linux it never has a name); with no out, text is dropped.
@@ -492,7 +488,7 @@ def _sweep(cfg: dict, workers: int):
     results, spans = [], {}
 
     def take(result):  # a finished cell: its text to the spill, its aggregates kept
-        spans[result["key"], result["seed"]] = (spill.tell(), spill.write(result.pop("csv").encode()))
+        spans[sweep_cell_name(**result)] = (spill.tell(), spill.write(result.pop("csv").encode()))
         results.append(result)
 
     _sweep_memo.clear()
@@ -500,7 +496,7 @@ def _sweep(cfg: dict, workers: int):
         if workers > 1:
             # Taken as they finish: map would hold each result until every earlier one is taken.
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_sweep_cell, t) for t in tasks]
+                futures = [pool.submit(run_cell, t) for t in tasks]
                 try:
                     for future in concurrent.futures.as_completed(futures):
                         take(future.result())
@@ -509,11 +505,11 @@ def _sweep(cfg: dict, workers: int):
                         future.cancel()
         else:
             for task in tasks:
-                take(_sweep_cell(task))
-        results.sort(key=lambda r: (r["key"], r["seed"]))
+                take(run_cell(task))
+        results.sort(key=lambda r: sweep_cell_name(**r))
         if out:
             with open(out, "w") as fh:
-                sweep_results_to_csv([spans[r["key"], r["seed"]] for r in results], spill, fh)
+                sweep_results_to_csv([spans[sweep_cell_name(**r)] for r in results], spill, fh)
     finally:
         _sweep_memo.clear()
         spill.close()
@@ -521,7 +517,7 @@ def _sweep(cfg: dict, workers: int):
 
 
 def summarize(results, eps) -> dict:
-    """Per method of results (sorted by key): its cells, best cell per target and least target value.
+    """Per method of sorted results: its cells, best cell per target and least target value.
 
     A cell's cost to a target in eps is the median over its seeds, the lower
     middle one for an even count, with an unreached target infinite and an
@@ -532,7 +528,7 @@ def summarize(results, eps) -> dict:
         return None if math.isinf(mid) else int(mid)
 
     summary: dict = {}
-    for (method, *_), group in itertools.groupby(results, key=lambda r: r["key"]):
+    for (method, *_), group in itertools.groupby(results, key=lambda r: sweep_cell_name(**r)[:-1]):
         group = list(group)
         summary.setdefault(method, {"cells": [], "best": {}})["cells"].append({
             "cell": group[0]["cell"],

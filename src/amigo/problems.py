@@ -489,7 +489,8 @@ def check_condition_numbers(*kappas: float) -> None:
         raise InvalidSpectrumError(f"condition numbers must be >= 1, got {got}")
 
 
-def gen_quadratic(dx: int, dy: int, kappa_g: float, kappa_L: float, seed: int) -> QuadraticProblem:
+def gen_quadratic(dx: int = 200, dy: int = 100, kappa_g: float = 10.0, kappa_L: float = 10.0,
+                  seed: int = 0) -> QuadraticProblem:
     """Quadratic instance with inner conditioning kappa_g and outer conditioning kappa_L.
 
     The inner Hessian A_g gets spectrum [1/kappa_g, 1] (so L_g = 1), the
@@ -555,7 +556,7 @@ class NonconvexOuterProblem(_LinearInnerProblem):
 
 
 def gen_nonconvex(
-    dx: int, dy: int, rho: float, seed: int, kappa_g: float = 10.0
+    dx: int = 50, dy: int = 25, rho: float = 1.0, kappa_g: float = 10.0, seed: int = 0
 ) -> NonconvexOuterProblem:
     """Non-convex-outer instance with inner pieces drawn as in gen_quadratic.
 
@@ -666,7 +667,7 @@ class RidgeHPOProblem(_DeterministicProblem):
 
 
 def gen_ridge_hpo(
-    n_tr: int, n_val: int, d: int, label_noise: float, seed: int
+    n_tr: int = 100, n_val: int = 100, d: int = 20, label_noise: float = 0.1, seed: int = 0
 ) -> RidgeHPOProblem:
     """Ridge instance with seeded Gaussian designs and a planted weight vector."""
     check_generator_args("ridge", n_tr=n_tr, n_val=n_val, d=d, label_noise=label_noise)
@@ -687,6 +688,7 @@ def gen_ridge_hpo(
 # in header dimensions, in stored order) and the constructor argument the
 # header's extra holds.  That argument is listed as positive or nonnegative,
 # its range in a container too; a family without one writes extra as +0.0.
+# The generator's parameters, with their defaults, are the family's config keys.
 Family = namedtuple("Family", "generator tag positive nonnegative spectra cls body extra")
 _LINEAR_INNER_BODY = (("C_f", ("dy",)), ("A_g", ("dy", "dy")), ("B_g", ("dy", "dx")))
 FAMILIES = {

@@ -236,7 +236,7 @@ class TestSummarize:
     def result(method, T, seed, costs, least):
         """A hand-built sweep result: costs to the targets 0.1 and 0.01, and the least target."""
         cell = {"kappa_g": None, "T": T, "N": 1, "batch": 1}
-        return {"key": (method, None, T, 1, 1), "method": method, "seed": seed, "cell": cell,
+        return {"method": method, "seed": seed, "cell": cell,
                 "cost_to_eps": dict(zip(("0.1", "0.01"), costs)), "min_rel_error": least, "diverged_at": None}
 
     def test_hand_built_results(self):
@@ -565,8 +565,8 @@ class TestSweep:
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", lambda max_workers: pool)
         assert sweep("2") == serial
         # The last cell submitted finished first, and the first finished last.
-        keys = [(task["key"], task["seed"]) for task in pool.ran]
-        assert len(keys) == 16 and keys[0][0][1] == 10.0 and keys[-1][0][1] == 2.0
+        keys = [cli.sweep_cell_name(**task) for task in pool.ran]
+        assert len(keys) == 16 and keys[0][1] == 10.0 and keys[-1][1] == 2.0
         assert keys != sorted(keys) and keys[::-1] != sorted(keys)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -592,7 +592,8 @@ class TestSweep:
         out.mkdir()
         assert main(["sweep", "--config", cfg_path, "--out", str(out / "sweep.csv"), "--workers", "2"]) == 2
         # The first 1e154 cell fails; the three cells queued after it are cancelled, not run.
-        assert [task["key"][1:3] for task in pool.ran] == [(10.0, 1), (10.0, 2), (1e154, 1)]
+        cells = [task["cell"] for task in pool.ran]
+        assert [(cell["kappa_g"], cell["T"]) for cell in cells] == [(10.0, 1), (10.0, 2), (1e154, 1)]
         assert [future.cancelled() for future, _, _ in pool.pending] == [True] * 3
         assert list(out.iterdir()) == []
 
@@ -622,9 +623,10 @@ class TestSweep:
             del lines[:text.count("\n")]
         assert lines == []
 
-    def test_results_hold_cell_text_not_rows(self):
+    def test_results_hold_aggregates_only(self):
         # A result holds its cell's aggregates only: no per-row object (tuple,
-        # list, MetricRow) and no CSV text, whose lines go to the spill.
+        # list, MetricRow) and no CSV text, whose lines go to the spill.  It is
+        # a plain JSON object, which a JSON round trip leaves equal.
         def scalars_only(value):
             if isinstance(value, dict):
                 return all(isinstance(k, str) and scalars_only(v) for k, v in value.items())
@@ -634,10 +636,9 @@ class TestSweep:
 
         results, _ = run_sweep(**self.sweep_kwargs(), kappa_g_grid=[2.0, 10.0])
         for res in results:
-            assert set(res) == {"key", "method", "seed", "cell", "cost_to_eps", "min_rel_error", "diverged_at"}
-            assert type(res["key"]) is tuple and len(res["key"]) == 5
-            assert all(scalars_only(v) for v in res["key"])
-            assert scalars_only({k: v for k, v in res.items() if k != "key"})
+            assert set(res) == {"method", "seed", "cell", "cost_to_eps", "min_rel_error", "diverged_at"}
+            assert scalars_only(res)
+            assert json.loads(json.dumps(res)) == res
 
     def test_empty_seed_list_rejected(self):
         kwargs = self.sweep_kwargs()
@@ -1209,18 +1210,28 @@ class TestEndToEnd:
 
 
 def test_readme_config_table_mirrors_schema():
-    """README's Config schema table lists exactly SCHEMA's keys, section by section."""
+    """README's Config schema table lists exactly SCHEMA's keys, section by section.
+
+    A generated family's rows give its generator's defaults.
+    """
     table = README.read_text().split("### Config schema")[1].split("\n### ")[0]
-    listed, section = {}, None
+    listed, defaults, section = {}, {}, None
     for line in table.splitlines():
         if not line.startswith("|") or line.startswith(("| section ", "|---")):
             continue
-        first, second = line.split("|")[1:3]
+        first, second, _, default = line.split("|")[1:5]
         if first.strip():
             family = re.fullmatch(r"`problem` \((\w+)\)", first.strip())
             section = f"{family[1]} problem" if family else first.strip().strip("`").replace(" ", "-")
-        listed.setdefault(section, set()).update(re.findall(r"`([^`]+)`", second))
+        keys = re.findall(r"`([^`]+)`", second)
+        listed.setdefault(section, set()).update(keys)
+        if section.removesuffix(" problem") in problems.FAMILIES and keys != ["family"]:
+            values = zip(keys, re.findall(r"`([^`]+)`", default), strict=True)
+            defaults.setdefault(section.removesuffix(" problem"), {}).update(values)
     assert listed == {name: set(keys) for name, keys in SCHEMA.items()}
+    signatures = {name: inspect.signature(fam.generator).parameters for name, fam in problems.FAMILIES.items()}
+    assert defaults == {name: {key: repr(p.default) for key, p in params.items()}
+                        for name, params in signatures.items()}
 
 
 def test_schema_has_one_section_per_family_row():

@@ -242,6 +242,7 @@ class TestConcurrentBuild:
     spectrum; gen_nonconvex draws everything on the calling thread.
     """
 
+    QUADRATIC_ARGS = "dx, dy, kappa_g, kappa_L, seed"
     QUADRATIC_CASES = [
         (12, 8, 5.0, 2.0, 1),
         (5, 9, 30.0, 4.0, 2),    # dy > dx
@@ -249,20 +250,21 @@ class TestConcurrentBuild:
         (6, 4, 7.0, 1.0, 4),     # A_f's eigenbasis is None
         (1, 3, 1.0, 1.0, 5),
     ]
+    NONCONVEX_ARGS = "dx, dy, rho, seed, kappa_g"
     NONCONVEX_CASES = [
         (7, 5, 1.0, 2, 4.0),
         (4, 7, 2.0, 3, 20.0),
         (6, 3, 0.5, 4, 1.0),
     ]
 
-    @pytest.mark.parametrize("dx, dy, kappa_g, kappa_L, seed", QUADRATIC_CASES)
+    @pytest.mark.parametrize(QUADRATIC_ARGS, QUADRATIC_CASES)
     def test_quadratic_matches_sequential_composition(self, dx, dy, kappa_g, kappa_L, seed, tmp_path):
         self.assert_same(gen_quadratic(dx, dy, kappa_g, kappa_L, seed),
                          sequential_quadratic(dx, dy, kappa_g, kappa_L, seed), tmp_path)
 
-    @pytest.mark.parametrize("dx, dy, rho, seed, kappa_g", NONCONVEX_CASES)
+    @pytest.mark.parametrize(NONCONVEX_ARGS, NONCONVEX_CASES)
     def test_nonconvex_matches_sequential_composition(self, dx, dy, rho, seed, kappa_g, tmp_path):
-        self.assert_same(gen_nonconvex(dx, dy, rho, seed, kappa_g=kappa_g),
+        self.assert_same(gen_nonconvex(dx, dy, rho, seed=seed, kappa_g=kappa_g),
                          sequential_nonconvex(dx, dy, rho, seed, kappa_g), tmp_path)
 
     @staticmethod
@@ -280,7 +282,8 @@ class TestConcurrentBuild:
         *((gen_nonconvex, case) for case in NONCONVEX_CASES),
     ])
     def test_generated_Lg_prime_is_the_coupling_scale(self, generate, case):
-        p = generate(*case)
+        names = self.QUADRATIC_ARGS if generate is gen_quadratic else self.NONCONVEX_ARGS
+        p = generate(**dict(zip(names.split(", "), case)))
         assert p.constants().Lg_prime == 1.0
         assert abs(_op_norm(p.B_g) - 1.0) <= 1e-13
 

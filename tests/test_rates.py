@@ -6,10 +6,9 @@ where every inner factor is diagonal.  Each step refreshes z to
 z* + S^N (z0 - z*), with S = 1 - beta * lam and z0 the previous z (warm)
 or zero (cold), and moves x by -gamma (lam_f * x + B_g' z).  aid-fp takes
 aid-gd's adjoint steps, and aid-n's N-term series is (1 - S^N) z*, aid-gd's
-cold z, so both follow aid-gd's map.  itd is left out: its map needs y in
-the state, since its gradient reads the unrolled y.  The outer
-cost is linear in y, so no query the outer step reads depends on y: y
-enters neither update and the map on the errors (x - x_ref, z - z*) is
+cold z, so both follow aid-gd's map.  The outer cost is linear in y, so
+no query the outer step reads depends on y: y enters neither update and
+the map on the errors (x - x_ref, z - z*) is
 
     [[I - gamma diag(lam_f), -gamma B_g' Z],
      [0,                     Z          ]],    Z = diag(S^N) warm, 0 cold.
@@ -22,6 +21,12 @@ triangular, so the rate is the larger of max|1 - gamma lam_f| and, for the
 warm run, max|S|^N, and it has no T in it: at this coupling the inner
 steps in y cost oracle calls and change nothing, which a family whose
 outer cost reads y has to break.
+
+itd's gradient does not read y either: its reverse pass multiplies the
+constant grad_y f = C_f by r = 1 - alpha lam, so its adjoint is
+(1 - r^T) z*, a cold z after T steps of size alpha.  Its map on x - x_T
+is I - gamma diag(lam_f), and it converges to x_T, aid-gd's cold limit
+with (alpha, T) in place of (beta, N).
 """
 
 import dataclasses
@@ -30,7 +35,7 @@ import functools
 import numpy as np
 import pytest
 
-from amigo import aid_run, gen_quadratic, prescribed_schedule
+from amigo import aid_run, gen_quadratic, itd_hypergradient, itd_run, prescribed_schedule
 from amigo.cli import METHODS, METHOD_FIELDS
 
 K = 6000
@@ -53,7 +58,8 @@ def run(method, kappa_g, T, N):
     owned = {name: METHODS[method][name] for name in METHOD_FIELDS if name in METHODS[method]}
     config, _ = prescribed_schedule(p.constants(), mu_outer=mu, L_outer=L_outer, K=K, **owned)
     config = dataclasses.replace(config, T=T, N=N)
-    record = aid_run(p, config, np.ones(p.dims.dx), store_iterates=True)
+    run_method = itd_run if METHODS[method]["driver"] == "itd" else aid_run
+    record = run_method(p, config, np.ones(p.dims.dx), store_iterates=True)
     return config, np.array(record.xs)
 
 
@@ -69,12 +75,17 @@ def iteration_matrix(p, config):
     return M
 
 
-def reference(p, config):
-    """The point the run converges to: x* warm, x_inf = -B_g'((1 - S^N) z*) / lam_f cold."""
-    if config.warm_z:
+def reference(p, config, method):
+    """The point the run converges to: x* warm, x_inf = -B_g'((1 - S^N) z*) / lam_f cold.
+
+    itd's is x_T, the same with r^T, r = 1 - alpha lam, in place of S^N.
+    """
+    itd = METHODS[method]["driver"] == "itd"
+    if config.warm_z and not itd:
         return p.x_star
+    step, count = (config.alpha, config.T) if itd else (config.beta, config.N)
     z_star = -p.C_f / p.lam
-    z_inf = (1.0 - (1.0 - config.beta * p.lam) ** config.N) * z_star
+    z_inf = (1.0 - (1.0 - step * p.lam) ** count) * z_star
     return -(p.B_g.T @ z_inf) / p.lam_f
 
 
@@ -99,7 +110,30 @@ def test_measured_rate_is_the_spectral_radius(method, kappa_g, T, N):
     outer = np.max(np.abs(1.0 - config.gamma * p.lam_f))
     inner = np.max(np.abs(1.0 - config.beta * p.lam)) ** N if config.warm_z else 0.0
     assert rho == pytest.approx(max(outer, inner), rel=1e-12)
-    assert measured_rate(xs, reference(p, config)) == pytest.approx(rho, rel=RTOL)
+    assert measured_rate(xs, reference(p, config, method)) == pytest.approx(rho, rel=RTOL)
+
+
+@pytest.mark.parametrize("kappa_g", [10.0, 100.0])
+@pytest.mark.parametrize("T", [1, 3, 7])
+def test_itd_rate_is_the_outer_factor_and_its_limit_is_x_T(kappa_g, T):
+    p = problem(kappa_g)
+    config, xs = run("itd", kappa_g, T, 1)
+    x_T = reference(p, config, "itd")
+    outer = float(np.max(np.abs(1.0 - config.gamma * p.lam_f)))
+    assert measured_rate(xs, x_T) == pytest.approx(outer, rel=RTOL)
+    assert np.linalg.norm(xs[-1] - x_T) <= 1e-12 * np.linalg.norm(x_T)
+
+
+@pytest.mark.parametrize("T", [0, 1, 3, 7])
+def test_itd_hypergradient_does_not_read_y(T):
+    # The degeneracy a family whose outer cost reads y must break: on this
+    # family the unrolled gradient is the same, bit for bit, from any y0.
+    p = problem(10.0)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(p.dims.dx)
+    y0, y1 = rng.standard_normal((2, p.dims.dy))
+    grads = [itd_hypergradient(p, x, y, 1.0 / p.constants().L_g, T).grad for y in (y0, y1)]
+    assert np.array_equal(*grads)
 
 
 @pytest.mark.parametrize("kappa_g", [10.0, 100.0])
